@@ -28,9 +28,11 @@ from .graph_core import (
 from .spectral import Spectrum, eigendecompose, operator_norm
 from .nodal import (
     DomainPartition,
+    NodalCensus,
     NodalSummary,
     SignedFunction,
     brute_force_domains,
+    nodal_census,
     nodal_summary,
     strong_nodal_domains,
     weak_nodal_domains,
@@ -80,9 +82,11 @@ __all__ = [
     "eigendecompose",
     "operator_norm",
     "DomainPartition",
+    "NodalCensus",
     "NodalSummary",
     "SignedFunction",
     "brute_force_domains",
+    "nodal_census",
     "nodal_summary",
     "strong_nodal_domains",
     "weak_nodal_domains",

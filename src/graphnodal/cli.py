@@ -29,6 +29,7 @@ from . import __version__
 from .bounds import GridSpec, exceptional_bound_k, kp_formula, reference_k
 from .experiments import (
     ExperimentReport,
+    _round_floats,
     run_courant_report,
     run_fig1,
     run_fig2,
@@ -50,6 +51,7 @@ from .graph_core import (
     write_graph,
 )
 from .nodal import (
+    _SIGN_LABEL,
     SignedFunction,
     nodal_summary,
     strong_nodal_domains,
@@ -178,16 +180,6 @@ def _scrub_argv(argv: list[str]) -> list[str]:
     return scrubbed
 
 
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(f"{obj:.10g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> None:
     seed = opts.get("seed")
     header = (
@@ -295,12 +287,11 @@ def _run_domains(opts, argv) -> int:
         write_domains_csv(part, buf)
         body = buf.getvalue()
     else:
-        sign_label = {1: "+", -1: "-", 0: "0"}
         payload = {
             "kind": part.kind,
             "count": part.count,
             "domains": [
-                {"sign": sign_label[sign], "vertices": list(verts)}
+                {"sign": _SIGN_LABEL[sign], "vertices": list(verts)}
                 for verts, sign in part.domains
             ],
         }

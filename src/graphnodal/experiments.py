@@ -25,9 +25,7 @@ import numpy as np
 
 from .bounds import tail_constants
 from .graph_core import (
-    Graph,
     adjacency_matrix,
-    connected_components,
     laplacian_matrix,
     sample_gnp,
     sample_regular,
@@ -35,7 +33,7 @@ from .graph_core import (
     sample_xp_matrix,
     substream,
 )
-from .nodal import SignedFunction, nodal_summary, strong_nodal_domains, weak_nodal_domains
+from .nodal import DEFAULT_TAU_SCALE, SignedFunction, nodal_census, weak_nodal_domains
 from .spectral import eigendecompose
 
 __all__ = [
@@ -118,19 +116,6 @@ def write_report_json(report: ExperimentReport, stream: IO[str]) -> None:
     stream.write("\n")
 
 
-def _weak_counts_all_indices(
-    g: Graph, vectors: np.ndarray, tau: float | None, with_strong: bool
-) -> tuple[list[int], list[int]]:
-    weak_counts = []
-    strong_counts = []
-    for i in range(vectors.shape[1]):
-        f = SignedFunction.from_values(vectors[:, i], tau)
-        weak_counts.append(weak_nodal_domains(g, f).count)
-        if with_strong:
-            strong_counts.append(strong_nodal_domains(g, f).count)
-    return weak_counts, strong_counts
-
-
 def run_fig1(
     d_list: Sequence[int] = (3,),
     n: int = 300,
@@ -160,9 +145,8 @@ def run_fig1(
         def worker(t: int, d: int = d):
             g = sample_regular(n, d, substream(seed, f"fig1-d{d}", t))
             spectrum = eigendecompose(adjacency_matrix(g), "descending")
-            weak, strong = _weak_counts_all_indices(g, spectrum.eigenvectors, tau, True)
-            connected = len(connected_components(g)) == 1
-            return weak, strong, connected
+            census = nodal_census(g, spectrum.eigenvectors, tau)
+            return census.weak_count.tolist(), census.strong_count.tolist(), census.connected
 
         results = _run_trials(worker, trials, threads)
         weak_mat = np.array([res[0] for res in results], dtype=np.int64)
@@ -260,17 +244,8 @@ def run_gnp_scan(
     def worker(t: int):
         g = sample_gnp(n, p, substream(seed, "gnp-scan", t))
         spectrum = eigendecompose(adjacency_matrix(g), "descending")
-        connected = len(connected_components(g)) == 1
-        cells = []
-        for i in range(n):
-            f = SignedFunction.from_values(spectrum.vector(i), tau)
-            s = nodal_summary(g, f)
-            cells.append((
-                s.weak_count, s.strong_count, len(s.positive_part),
-                len(s.negative_part), len(s.exceptional), len(s.zeros),
-                s.exceptional_zeros,
-            ))
-        return cells, connected
+        census = nodal_census(g, spectrum.eigenvectors, tau)
+        return census.rows(), census.connected
 
     results = _run_trials(worker, trials, threads)
     rows: list[tuple] = []
@@ -439,7 +414,9 @@ def run_linf_scan(
             spectrum = eigendecompose(adjacency_matrix(g), "descending")
             abs_vecs = np.abs(spectrum.eigenvectors)
             linfs = abs_vecs.max(axis=0)
-            taus = np.full(n, tau, dtype=np.float64) if tau is not None else 1e-9 * linfs
+            taus = (
+                np.full(n, tau, dtype=np.float64) if tau is not None else DEFAULT_TAU_SCALE * linfs
+            )
             zero_coords = int((abs_vecs <= taus[np.newaxis, :]).sum())
             return linfs.tolist(), zero_coords
 
@@ -551,8 +528,8 @@ def run_courant_report(
         stream = substream(seed, f"courant-{source}", t)
         g = sample_gnp(n, p, stream) if source == "gnp" else sample_regular(n, d, stream)
         spectrum = eigendecompose(adjacency_matrix(g), "descending")
-        weak, _ = _weak_counts_all_indices(g, spectrum.eigenvectors, tau, False)
-        return weak, len(connected_components(g)) == 1
+        census = nodal_census(g, spectrum.eigenvectors, tau)
+        return census.weak_count.tolist(), census.connected
 
     results = _run_trials(worker, trials, threads)
     connected_idx = [t for t, res in enumerate(results) if res[1]]

@@ -202,3 +202,19 @@ def test_csv_floats_use_10_significant_digits():
     value_cells = [line.split(",")[1] for line in text.splitlines()[1:]]
     for cell, row in zip(value_cells, r.rows):
         assert cell == f"{row[1]:.10g}"
+
+
+def test_census_runners_use_no_breadth_first_search(monkeypatch):
+    # exp-gnp, exp-fig1 and exp-courant take every count, connectivity
+    # included, from the array census
+    import graphnodal.graph_core
+    import graphnodal.nodal
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    for module in (graphnodal.graph_core, graphnodal.nodal):
+        monkeypatch.setattr(module, "connected_components", refuse)
+    run_gnp_scan(n=20, p=0.2, trials=2, seed=3)
+    run_fig1(d_list=(3,), n=20, trials=2, seed=3)
+    run_courant_report(source="gnp", n=20, p=0.2, trials=2, seed=3)

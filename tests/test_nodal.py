@@ -1,5 +1,6 @@
 """Nodal domain computation against hand cases, invariants, and the oracle."""
 
+import functools
 import io
 import itertools
 import json
@@ -11,13 +12,21 @@ import pytest
 from graphnodal import (
     Graph,
     SignedFunction,
+    adjacency_matrix,
     brute_force_domains,
+    connected_components,
+    eigendecompose,
+    nodal_census,
     nodal_summary,
+    sample_gnp,
+    sample_regular,
     strong_nodal_domains,
     weak_nodal_domains,
     substream,
 )
+from graphnodal import nodal
 from graphnodal.nodal import summary_dict, write_domains_csv, write_summary_json
+from nodal_reference import reference_nodal_summary
 
 
 def path(n):
@@ -252,3 +261,161 @@ def test_summary_json_format():
     # keys come out sorted for byte-stable files
     body = buf.getvalue()
     assert body.index('"E_cap_Z"') < body.index('"E_size"') < body.index('"N_size"')
+
+
+# --- whole-spectrum census -------------------------------------------------
+
+
+def _forced_labeler(kind):
+    def labeler(g):
+        u, v = nodal._edge_arrays(g)
+        if kind == "dense":
+            return functools.partial(nodal._labels_dense, nodal._dense_adjacency(g.n, u, v))
+        return functools.partial(nodal._labels_sparse, u, v)
+    return labeler
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def backend(request, monkeypatch):
+    """Route nodal_census and nodal_summary through one labeling backend."""
+    monkeypatch.setattr(nodal, "_labeler", _forced_labeler(request.param))
+    return request.param
+
+
+def cells(s):
+    """A NodalSummary as its census row."""
+    return (
+        s.weak_count, s.strong_count, len(s.positive_part), len(s.negative_part),
+        len(s.exceptional), len(s.zeros), s.exceptional_zeros,
+    )
+
+
+def assert_census_matches_reference(g, vectors, tau):
+    census = nodal_census(g, vectors, tau)
+    rows = census.rows()
+    assert len(rows) == vectors.shape[1]
+    for i, row in enumerate(rows):
+        f = SignedFunction.from_values(vectors[:, i], tau)
+        ref = reference_nodal_summary(g, f)
+        assert row == cells(ref), i
+        assert nodal_summary(g, f) == ref, i
+    assert census.connected == (len(connected_components(g)) == 1)
+
+
+# tau=0 cases as n-by-k value matrices, one hand-built function per column
+HAND_CASES = {
+    "zero bridging": (path(3), [[1, 0, 1], [1, 0, -1], [-2, 0, -1]]),
+    "absorbed zero block": (path(4), [[0, 0, -1, -1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    "closed zero component": (
+        Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        [[1, -1, 0, 0, 0, 0], [0, 0, 0, 1, 0, -1], [1, 0, 1, 0, 0, 0]],
+    ),
+    "isolated vertices": (
+        Graph.from_edges(5, [(1, 2), (2, 3)]),
+        [[0, 1, 0, -1, 0], [1, -1, 0, 0, -1], [0, 0, 0, 0, 2]],
+    ),
+    "all-zero function": (cycle(5), [[0] * 5, [1, 0, 0, 0, 0]]),
+    "no edges": (Graph.from_edges(4, []), [[0, 1, -1, 0], [0] * 4, [1, 1, 1, 1]]),
+    "single vertex": (Graph.from_edges(1, []), [[0], [3], [-1]]),
+    "equal parts tie": (path(5), [[1, 1, -1, 1, 1], [-1, -1, 1, -1, -1]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_CASES))
+def test_census_hand_cases(backend, case):
+    g, columns = HAND_CASES[case]
+    assert_census_matches_reference(g, np.array(columns, dtype=float).T, 0.0)
+
+
+def test_census_random_rational_vectors(backend):
+    gen = substream(4242, "census-rational").generator()
+    for _ in range(40):
+        g, _ = random_instance(gen, max_n=10)
+        values = gen.integers(-2, 3, size=(g.n, 6)) / gen.integers(1, 4, size=(g.n, 6))
+        values[gen.random(values.shape) < 0.3] = 0.0
+        assert_census_matches_reference(g, values, 0.0)
+
+
+def test_census_counts_match_brute_force(backend):
+    gen = substream(1618, "census-oracle").generator()
+    for _ in range(25):
+        g, _ = random_instance(gen, max_n=12)
+        values = gen.integers(-1, 2, size=(g.n, 4)).astype(float)
+        census = nodal_census(g, values, 0.0)
+        for i in range(values.shape[1]):
+            f = sf(values[:, i])
+            assert census.weak_count[i] == brute_force_domains(g, f, "weak").count
+            assert census.strong_count[i] == brute_force_domains(g, f, "strong").count
+            assert census.z_size[i] == int((f.signs == 0).sum())
+
+
+def _sample(kind, n, param, index):
+    stream = substream(31, f"census-{kind}", index)
+    return sample_gnp(n, param, stream) if kind == "gnp" else sample_regular(n, param, stream)
+
+
+SPECTRUM_CASES = [("gnp", 60, p) for p in (0.02, 0.1, 0.5, 0.9)] + [
+    ("regular", 60, d) for d in (3, 4)
+]
+
+
+@pytest.mark.parametrize("kind,n,param", SPECTRUM_CASES)
+def test_census_of_adjacency_spectra(backend, kind, n, param):
+    for index in range(2):
+        g = _sample(kind, n, param, index)
+        vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
+        assert_census_matches_reference(g, vectors, None)
+
+
+def test_census_blocks_and_chunks_leave_counts_unchanged(monkeypatch):
+    g = _sample("gnp", 40, 0.1, 7)
+    vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
+    whole = {kind: nodal_census(g, vectors).rows() for kind in ("dense", "sparse")}
+    monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", 3 * g.n)
+    monkeypatch.setattr(nodal, "_SPARSE_CHUNK_EDGES", 2 * g.num_edges)
+    for kind in ("dense", "sparse"):
+        monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
+        assert nodal_census(g, vectors).rows() == whole["sparse"] == whole["dense"]
+
+
+def test_census_backend_follows_edge_density():
+    assert nodal._labeler(_sample("gnp", 200, 0.5, 0)).func is nodal._labels_dense
+    assert nodal._labeler(_sample("regular", 200, 3, 0)).func is nodal._labels_sparse
+    assert nodal._labeler(Graph.from_edges(3, [])).func is nodal._labels_sparse
+
+
+def test_census_input_checks():
+    g = path(3)
+    with pytest.raises(ValueError):
+        nodal_census(g, np.ones(3))
+    with pytest.raises(ValueError):
+        nodal_census(g, np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        nodal_census(g, np.full((3, 1), np.nan))
+    with pytest.raises(ValueError):
+        nodal_census(g, np.ones((3, 1)), tau=-1.0)
+    empty = nodal_census(g, np.ones((3, 0)))
+    assert empty.rows() == [] and empty.connected
+
+
+@pytest.mark.parametrize("labels", ["dense", "sparse"])
+def test_labels_match_scipy_at_n_1000(labels):
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    n = 1000
+    gen = substream(5, "census-labels").generator()
+    for g in (_sample("gnp", n, 0.004, 0), _sample("regular", n, 3, 0)):
+        u, v = nodal._edge_arrays(g)
+        masks = gen.random((4, n)) < np.array([[0.4], [0.6], [0.8], [1.0]])
+        if labels == "dense":
+            got = nodal._labels_dense(nodal._dense_adjacency(n, u, v), masks)
+        else:
+            got = nodal._labels_sparse(u, v, masks)
+        for mask, row in zip(masks, got):
+            keep = mask[u] & mask[v]
+            induced = sparse.coo_matrix((np.ones(keep.sum()), (u[keep], v[keep])), shape=(n, n))
+            _, comp = csgraph.connected_components(induced, directed=False)
+            smallest = np.full(comp.max() + 1, n)
+            np.minimum.at(smallest, comp, np.arange(n))
+            assert np.array_equal(row, np.where(mask, smallest[comp], n))
+
