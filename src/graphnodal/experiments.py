@@ -4,8 +4,8 @@ Every experiment draws trial t of experiment "name" from the substream
 (master seed, name, t), so results never depend on execution order, adding
 trials never perturbs earlier ones, and reruns are reproducible bit for bit.
 Trials may run on a thread pool; aggregation folds the trial results in
-trial order, so the report is identical for every thread count.  Wall-clock
-time is kept on the report object but never serialized, for the same reason.
+trial order, so the report is identical for every thread count.  Reports
+carry no timings, which would differ from run to run.
 
 Report serialization: CSV uses one pinned header per experiment (see the
 run_* docstrings), JSON carries the resolved config, the aggregate rows,
@@ -16,7 +16,6 @@ significant digits.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Any, Callable, Sequence
@@ -34,7 +33,7 @@ from .graph_core import (
     substream,
 )
 from .nodal import DEFAULT_TAU_SCALE, SignedFunction, nodal_census, weak_nodal_domains
-from .spectral import eigendecompose
+from .spectral import eigendecompose, operator_norm
 
 __all__ = [
     "ExperimentReport",
@@ -60,7 +59,6 @@ class ExperimentReport:
     rows: list[tuple]
     extras: dict[str, Any]
     raw: list | None
-    wall_clock: float
 
 
 def _run_trials(worker: Callable[[int], Any], count: int, threads: int) -> list:
@@ -132,7 +130,6 @@ def run_fig1(
     to extras / raw; disconnected samples are flagged and reported but kept
     in the averages.
     """
-    start = time.perf_counter()
     d_list = tuple(int(d) for d in d_list)
     config = {
         "experiment": "fig1", "d_list": list(d_list), "n": n,
@@ -168,7 +165,6 @@ def run_fig1(
         config=config,
         columns=("d", "index", "mean_domains", "std_domains"),
         rows=rows, extras=extras, raw=raw,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -186,7 +182,6 @@ def run_fig2(
     (ascending ordering, last index).  CSV rows "n,trials,frac_three_domains";
     raw records carry each trial's weak count.
     """
-    start = time.perf_counter()
     n_list = tuple(int(n) for n in n_list)
     config = {
         "experiment": "fig2", "n_list": list(n_list), "p": p,
@@ -214,7 +209,6 @@ def run_fig2(
         config=config,
         columns=("n", "trials", "frac_three_domains"),
         rows=rows, extras=extras, raw=raw,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -235,7 +229,6 @@ def run_gnp_scan(
     0-based.  Extras aggregate the non-first maxima and a weak-count
     histogram.
     """
-    start = time.perf_counter()
     config = {
         "experiment": "gnp-scan", "n": n, "p": p,
         "trials": trials, "seed": seed, "tau": tau,
@@ -274,7 +267,6 @@ def run_gnp_scan(
         config=config,
         columns=("trial", "index", "weak", "strong", "P", "N", "E", "Z", "EcapZ"),
         rows=rows, extras=extras, raw=None,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -297,7 +289,6 @@ def run_tail_mc(
     a1 sqrt(p(1-p)) sqrt(m), bound exp(-a2 m), no xi).  Extras carry the
     median norm ratios used as a location sanity check.
     """
-    start = time.perf_counter()
     xi_list = tuple(float(x) for x in xi_list)
     m = int(round((1.0 + delta) * k))
     config = {
@@ -313,7 +304,7 @@ def run_tail_mc(
         w = np.linalg.eigvalsh(adjacency_matrix(g))
         gnp_nontop = float(max(abs(w[0]), abs(w[-2]))) if k > 1 else 0.0
         q = sample_xp_matrix(m, k, p, substream(seed, "tails-rect", i))
-        rect_norm = float(np.linalg.svd(q, compute_uv=False)[0])
+        rect_norm = operator_norm(q)
         return sym_norm, gnp_nontop, rect_norm
 
     results = _run_trials(worker, samples, threads)
@@ -345,7 +336,6 @@ def run_tail_mc(
         config=config,
         columns=("model", "size", "xi", "bound", "empirical"),
         rows=rows, extras=extras, raw=None,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -361,7 +351,6 @@ def run_inner_product_check(
     CSV rows "trial,max_inner_product"; extras carry the global max and
     median.  The ones vector is unnormalized.
     """
-    start = time.perf_counter()
     config = {"experiment": "inner", "n": n, "p": p, "trials": trials, "seed": seed}
 
     def worker(t: int):
@@ -380,7 +369,6 @@ def run_inner_product_check(
         config=config,
         columns=("trial", "max_inner_product"),
         rows=rows, extras=extras, raw=None,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -400,7 +388,6 @@ def run_linf_scan(
     per-vector floating-point tolerance).  Raw records keep each trial's
     per-eigenvector sup norms.
     """
-    start = time.perf_counter()
     n_list = tuple(int(n) for n in n_list)
     config = {
         "experiment": "linf", "n_list": list(n_list), "p": p,
@@ -432,7 +419,6 @@ def run_linf_scan(
         config=config,
         columns=("n", "median_linf", "max_linf", "zero_coordinates"),
         rows=rows, extras={}, raw=raw,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -451,7 +437,6 @@ def run_neighborhood_fact(
     mean_intersection,expected_intersection,max_intersection_dev" compare
     |union of neighborhoods|/n with 1-(1-p)^k and |intersection|/n with p^k.
     """
-    start = time.perf_counter()
     k_list = tuple(int(k) for k in k_list)
     if any(k < 1 or k >= n for k in k_list):
         raise ValueError(f"tuple sizes must satisfy 1 <= k < n, got {k_list}")
@@ -461,18 +446,12 @@ def run_neighborhood_fact(
     }
 
     def worker(t: int):
-        g = sample_gnp(n, p, substream(seed, "fact", t))
+        adj = adjacency_matrix(sample_gnp(n, p, substream(seed, "fact", t))) > 0
         gen = substream(seed, "fact-tuples", t).generator()
         out = []
         for k in k_list:
-            verts = gen.choice(n, size=k, replace=False)
-            union = np.zeros(n, dtype=bool)
-            inter = np.ones(n, dtype=bool)
-            for x in verts.tolist():
-                mask = np.zeros(n, dtype=bool)
-                mask[list(g.adjacency[x])] = True
-                union |= mask
-                inter &= mask
+            rows = adj[gen.choice(n, size=k, replace=False)]
+            union, inter = rows.any(axis=0), rows.all(axis=0)
             out.append((float(union.sum()) / n, float(inter.sum()) / n))
         return out
 
@@ -495,7 +474,6 @@ def run_neighborhood_fact(
             "mean_intersection", "expected_intersection", "max_intersection_dev",
         ),
         rows=rows, extras={}, raw=None,
-        wall_clock=time.perf_counter() - start,
     )
 
 
@@ -515,7 +493,6 @@ def run_courant_report(
     freq_exceeding_connected" cover every index 1..n; the second frequency
     restricts to trials whose sample was connected.
     """
-    start = time.perf_counter()
     if source not in ("gnp", "regular"):
         raise ValueError(f"source must be 'gnp' or 'regular', got {source!r}")
     config = {
@@ -549,5 +526,4 @@ def run_courant_report(
         config=config,
         columns=("index", "freq_exceeding", "freq_exceeding_connected"),
         rows=rows, extras=extras, raw=None,
-        wall_clock=time.perf_counter() - start,
     )

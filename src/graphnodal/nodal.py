@@ -11,32 +11,24 @@ side's domain and is not itself maximal, so the only sign-0 weak domains are
 entire connected components of G on which f vanishes identically.  The
 brute-force oracle below enumerates maximal sets directly and pins this down.
 
-weak_nodal_domains and strong_nodal_domains list the vertex sets, by
-breadth-first search.  nodal_census counts instead, for every column of an
-eigenvector matrix at once: one labeling pass over a stack of vertex masks
-(sign >= 0, sign <= 0, sign = +1 and sign = -1 per column, plus one all-true
-row for connectivity) names each component by its smallest vertex, and array
-tallies over those labels give the weak and strong counts and the P/N/E/Z
-sizes.  nodal_summary is the one-column case.  The labeling has two backends,
-picked by the graph's mean degree against DENSE_DEGREE_OVER_LOG_N * ln n:
-on dense graphs, components grow from a seed by 0/1 float32 products with the
-adjacency matrix, exact integer counts, so the labels do not depend on how
-BLAS splits a product; on sparse graphs, trees of labels hook to the smaller
-root across every edge and then pointer-jump.
+weak_nodal_domains and strong_nodal_domains list the vertex sets, from
+graph_core.connected_components.  nodal_census counts instead, for every
+column of an eigenvector matrix at once: one pass of the graph_core labeler
+over a stack of vertex masks (sign >= 0, sign <= 0, sign = +1 and sign = -1
+per column, plus one all-true row for connectivity) names each component by
+its smallest vertex, and array tallies over those labels give the weak and
+strong counts and the P/N/E/Z sizes.  nodal_summary is the one-column case.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, connected_components
+from .graph_core import Graph, _labeler, connected_components
 
 __all__ = [
     "DEFAULT_TAU_SCALE",
@@ -150,9 +142,13 @@ def weak_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
         for comp in connected_components(g, mask=(signs * side) >= 0):
             if any(signs[v] == side for v in comp):
                 raw.append((comp, side))
-    for comp in connected_components(g, mask=signs == 0):
-        closed = all(signs[w] == 0 for v in comp for w in g.adjacency[v])
-        if closed:
+    zero = signs == 0
+    # zero vertices with a strictly signed neighbour
+    rim = np.zeros(g.n, dtype=bool)
+    rim[g.u[zero[g.u] & ~zero[g.v]]] = True
+    rim[g.v[zero[g.v] & ~zero[g.u]]] = True
+    for comp in connected_components(g, mask=zero):
+        if not rim[comp].any():
             raw.append((comp, 0))
     return _canonical("weak", raw)
 
@@ -178,9 +174,9 @@ def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartiti
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={g.n}")
     signs = f.signs
     nbr_mask = [0] * g.n
-    for v in range(g.n):
-        for w in g.adjacency[v]:
-            nbr_mask[v] |= 1 << w
+    for a, b in zip(g.u.tolist(), g.v.tolist()):
+        nbr_mask[a] |= 1 << b
+        nbr_mask[b] |= 1 << a
 
     def is_connected(subset: int) -> bool:
         start = subset & -subset
@@ -307,127 +303,9 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     return NodalCensus(*table, connected=blocks[0][1])
 
 
-# The dense labeler runs on graphs whose mean degree 2m/n is at least
-# DENSE_DEGREE_OVER_LOG_N * ln n, that is 1.5 times the connectivity threshold
-# of G(n,p); sparser graphs split the sign masks into many small components,
-# each of which costs the dense labeler one or more full products.  Measured
-# on the census of whole G(n,p) adjacency spectra, BLAS pinned to one thread,
-# 2-core x86-64 (Xeon, OpenBLAS 0.3.31): the two labelers break even near
-# mean degree 6 for n=100, 7.5 for n=300 and 11 for n=1000 (1.3, 1.3 and
-# 1.6 ln n); with the choice made here the slower labeler ran at worst 1.2x
-# the faster one (n=300, mean degree 8.1: 56 ms against 48 ms).  Either
-# labeler alone is far slower on the other's graphs: at n=1000 dense took
-# 5.1 s against 0.60 s at mean degree 6, sparse 2.8 s against 0.40 s at
-# mean degree 50.
-DENSE_DEGREE_OVER_LOG_N = 1.5
-
-# working-memory bounds: nodal_census takes at most this many (vertex,
-# column) pairs per block, and _labels_sparse this many (row, edge) pairs
-# per chunk; either way a few MB
+# working-memory bound: nodal_census takes at most this many (vertex,
+# column) pairs per block, a few MB
 _CENSUS_BLOCK_ENTRIES = 1 << 14
-_SPARSE_CHUNK_EDGES = 1 << 15
-
-
-def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """The labeling function, masks -> labels, for g's edge density."""
-    u, v = _edge_arrays(g)
-    if 2 * u.size >= DENSE_DEGREE_OVER_LOG_N * math.log(g.n) * g.n:
-        return functools.partial(_labels_dense, _dense_adjacency(g.n, u, v))
-    return functools.partial(_labels_sparse, u, v)
-
-
-def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    flat = np.fromiter(
-        itertools.chain.from_iterable(g.edges), dtype=np.int64, count=2 * g.num_edges
-    )
-    return flat[0::2], flat[1::2]
-
-
-def _dense_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # from the edge arrays: graph_core.adjacency_matrix converts the edge
-    # tuples once more, 60-100 ms against 25-40 ms here at n=1000, p=1/2
-    adj = np.zeros((n, n), dtype=np.float32)
-    adj[u, v] = 1.0
-    adj[v, u] = 1.0
-    return adj
-
-
-# Both labelers take a (k, n) stack of vertex masks and return (k, n) labels:
-# labels[r, x] is the smallest vertex of x's component in the subgraph
-# induced on masks[r], and n where masks[r, x] is false.
-
-
-def _labels_dense(adj: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Component labels of a (k, n) mask stack by frontier products.
-
-    Each row grows a component from its smallest unlabeled vertex, one
-    float32 product with the 0/1 adjacency matrix per step, for all rows at
-    once; a row whose component stopped growing labels it with that seed
-    and moves to its next one.  Every product entry is a count below 2**24,
-    exact in float32, so the labels do not depend on how BLAS splits it.
-    """
-    n = masks.shape[1]
-    labels = np.full(masks.shape, n, dtype=np.int64)
-    todo = masks.copy()
-    rows = np.flatnonzero(todo.any(axis=1))
-    seeds = todo[rows].argmax(axis=1)
-    reached = np.zeros((rows.size, n), dtype=bool)
-    reached[np.arange(rows.size), seeds] = True
-    while rows.size:
-        avail = todo[rows]
-        grown = ((reached.astype(np.float32) @ adj) > 0) & avail
-        grown |= reached
-        # stopped growing, or took up all that is left of the row's mask
-        done = (grown == reached).all(axis=1) | (grown == avail).all(axis=1)
-        reached = grown
-        if not done.any():
-            continue
-        finished = rows[done]
-        labels[finished] = np.where(reached[done], seeds[done, np.newaxis], labels[finished])
-        todo[finished] &= ~reached[done]
-        restart = np.flatnonzero(done)[todo[finished].any(axis=1)]
-        seeds[restart] = todo[rows[restart]].argmax(axis=1)
-        reached[restart] = False
-        reached[restart, seeds[restart]] = True
-        keep = ~done
-        keep[restart] = True
-        rows, seeds, reached = rows[keep], seeds[keep], reached[keep]
-    return labels
-
-
-def _labels_sparse(u: np.ndarray, v: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Component labels of a (k, n) mask stack by hooking and pointer jumping.
-
-    Vertex x of row r is the node r*n + x of one forest.  Each round hooks
-    the root at either end of every edge that still joins two trees to the
-    smaller of the two roots, then jumps pointers until every node points
-    at a root (Shiloach & Vishkin, J. Algorithms 3, 1982).  Roots only ever
-    point lower, so each component ends with its smallest vertex as root.
-    """
-    k, n = masks.shape
-    chunk = max(1, _SPARSE_CHUNK_EDGES // max(1, u.size))
-    if k > chunk:
-        return np.concatenate([
-            _labels_sparse(u, v, masks[i:i + chunk]) for i in range(0, k, chunk)
-        ])
-    offsets = np.arange(k, dtype=np.int64)[:, np.newaxis] * n
-    inside = masks[:, u] & masks[:, v]
-    eu = (offsets + u)[inside]
-    ev = (offsets + v)[inside]
-    parent = np.arange(k * n, dtype=np.int64)
-    while eu.size:
-        pu, pv = parent[eu], parent[ev]
-        cross = pu != pv
-        eu, ev, pu, pv = eu[cross], ev[cross], pu[cross], pv[cross]
-        low = np.minimum(pu, pv)
-        np.minimum.at(parent, pu, low)
-        np.minimum.at(parent, pv, low)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-    return np.where(masks, parent.reshape(k, n) - offsets, n)
 
 
 def _census(

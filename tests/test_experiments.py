@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from graphnodal import adjacency_matrix, eigendecompose, sample_regular, substream
+from graphnodal import adjacency_matrix, eigendecompose, sample_gnp, sample_regular, substream
 from graphnodal.experiments import (
     run_courant_report,
     run_fig1,
@@ -159,6 +159,26 @@ def test_neighborhood_fact_k1_and_order():
     # intersection never exceeds union
     assert k2[4] <= k2[1]
     assert r.columns[0] == "k"
+
+
+def test_neighborhood_fact_matches_neighbour_sets():
+    # the same graphs and tuples, with the fractions taken from the
+    # adjacency lists as Python sets
+    n, p, k_list, trials, seed = 30, 0.3, (1, 2, 3), 4, 11
+    r = run_neighborhood_fact(n=n, p=p, k_list=k_list, trials=trials, seed=seed)
+    unions = {k: [] for k in k_list}
+    inters = {k: [] for k in k_list}
+    for t in range(trials):
+        adjacency = sample_gnp(n, p, substream(seed, "fact", t)).adjacency
+        gen = substream(seed, "fact-tuples", t).generator()
+        for k in k_list:
+            hoods = [set(adjacency[x]) for x in gen.choice(n, size=k, replace=False).tolist()]
+            unions[k].append(len(set.union(*hoods)) / n)
+            inters[k].append(len(set.intersection(*hoods)) / n)
+    for row, k in zip(r.rows, k_list):
+        assert row[0] == k
+        assert row[1] == float(np.mean(unions[k]))
+        assert row[4] == float(np.mean(inters[k]))
 
 
 def test_courant_report_rows():

@@ -1,11 +1,13 @@
 """Graph construction, samplers, RNG streams, and edge-list I/O."""
 
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
 
+from graphnodal import graph_core
 from graphnodal import (
     Graph,
     GraphParseError,
@@ -22,6 +24,7 @@ from graphnodal import (
     substream,
     write_graph,
 )
+from nodal_reference import reference_components
 
 
 def test_from_edges_canonicalizes():
@@ -207,3 +210,143 @@ def test_read_graph_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphParseError) as err:
         read_graph(io.StringIO(text))
     assert f"line {lineno}" in str(err.value)
+
+
+# --- array-backed graph, the one edge check, the labeler ---------------------
+
+
+def test_views_on_hand_graph():
+    g = Graph.from_edges(5, [(3, 0), (1, 0), (3, 1), (4, 0)])  # vertex 2 isolated
+    assert g.u.tolist() == [0, 0, 0, 1] and g.v.tolist() == [1, 3, 4, 3]
+    assert g.u.dtype == g.v.dtype == np.int64
+    assert not g.u.flags.writeable and not g.v.flags.writeable
+    assert g.edges == ((0, 1), (0, 3), (0, 4), (1, 3))
+    assert g.adjacency == ((1, 3, 4), (0, 3), (), (0, 1), (0,))
+    assert g.num_edges == 4
+    assert g.degrees().tolist() == [3, 2, 0, 2, 1]
+    assert [g.degree(x) for x in range(5)] == [3, 2, 0, 2, 1]
+
+
+def test_from_edges_accepts_arrays_generators_and_no_edges():
+    pairs = [(2, 0), (3, 1), (0, 1)]
+    g = Graph.from_edges(4, pairs)
+    assert Graph.from_edges(4, np.array(pairs)) == g
+    assert Graph.from_edges(4, (pair for pair in pairs)) == g
+    empty = Graph.from_edges(4, [])
+    assert empty.num_edges == 0 and empty.edges == () and empty.adjacency == ((),) * 4
+    assert empty.degrees().tolist() == [0] * 4
+    assert Graph.from_edges(4, np.zeros((0, 2), dtype=np.int64)) == empty
+    assert Graph.from_edges(4, iter(())) == empty
+    with pytest.raises(ValueError):
+        Graph.from_edges(4, [0, 1])
+    with pytest.raises(ValueError):
+        Graph.from_edges(4, np.array([[0, 1, 2]]))
+
+
+def test_graph_equality_compares_n_and_edges():
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert g == Graph.from_edges(4, [(3, 2), (1, 0)])
+    assert g != Graph.from_edges(5, [(0, 1), (2, 3)])
+    assert g != Graph.from_edges(4, [(0, 1), (1, 3)])
+    assert g != Graph.from_edges(4, [(0, 1)])
+    assert g != ((0, 1), (2, 3))
+
+
+# defect kind -> (pairs on 4 vertices, index of the first bad pair, message);
+# later pairs carry defects of kinds that take precedence on a single pair
+EDGE_DEFECTS = {
+    "self-loop": ([(0, 1), (1, 2), (3, 3), (0, 9), (0, 1)], 2, "self-loop at vertex 3"),
+    "self-loop out of range": ([(0, 1), (9, 9)], 1, "self-loop at vertex 9"),
+    "out of range": ([(0, 1), (1, 2), (2, 7), (3, 3)], 2, "edge (2,7) out of range for n=4"),
+    "negative end": ([(0, 1), (-1, 2), (1, 1)], 1, "edge (-1,2) out of range for n=4"),
+    "duplicate": ([(0, 1), (1, 2), (0, 1), (2, 2), (0, 9)], 2, "duplicate edge (0,1)"),
+    "duplicate, last": ([(0, 1), (1, 2), (2, 3), (1, 2)], 3, "duplicate edge (1,2)"),
+}
+
+# defects only an edge-list file can carry: a pair in v < u order
+FILE_DEFECTS = {
+    "order": ([(0, 1), (2, 1), (3, 3), (0, 9)], 1, "edge (2,1) not in u < v order"),
+    "order before duplicate": ([(1, 2), (2, 1)], 1, "edge (2,1) not in u < v order"),
+    "range before order": ([(0, 1), (7, 2), (3, 3)], 1, "edge (7,2) out of range for n=4"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_DEFECTS))
+def test_from_edges_reports_first_bad_edge(kind):
+    pairs, _, message = EDGE_DEFECTS[kind]
+    for edges in (pairs, np.array(pairs)):
+        with pytest.raises(ValueError) as err:
+            Graph.from_edges(4, edges)
+        assert str(err.value) == message
+
+
+def test_from_edges_names_reversed_duplicate_canonically():
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,2\)$"):
+        Graph.from_edges(4, [(1, 2), (0, 3), (2, 1)])
+
+
+def edge_list_text(pairs, tail=()):
+    """Edge-list text on 4 vertices with a comment line first and a blank line
+    before every edge line, so edge line i is physical line 4 + 2i."""
+    lines = ["# comment", f"4 {len(pairs) + len(tail)}"]
+    for text in [f"{a} {b}" for a, b in pairs] + list(tail):
+        lines += ["", text]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(EDGE_DEFECTS) + sorted(FILE_DEFECTS))
+def test_read_graph_reports_first_bad_edge_line(kind):
+    pairs, index, message = {**EDGE_DEFECTS, **FILE_DEFECTS}[kind]
+    # a line that does not parse, after the defect, does not win either
+    for tail in ((), ("x y",)):
+        with pytest.raises(GraphParseError) as err:
+            read_graph(io.StringIO(edge_list_text(pairs, tail)))
+        assert str(err.value) == f"line {4 + 2 * index}: {message}"
+
+
+def test_read_graph_unparsed_line_before_defect_wins():
+    text = edge_list_text([(0, 1)], ("0 1 2", "3 3"))
+    with pytest.raises(GraphParseError) as err:
+        read_graph(io.StringIO(text))
+    assert str(err.value) == "line 6: expected two integers for edge, got '0 1 2'"
+    text = edge_list_text([(0, 1)], ("0 99999999999999999999",))
+    with pytest.raises(GraphParseError, match="^line 6: expected two integers"):
+        read_graph(io.StringIO(text))
+
+
+def test_read_graph_sorts_edge_lines():
+    g = read_graph(io.StringIO(edge_list_text([(2, 3), (0, 2), (0, 1)])))
+    assert g == Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def labeler(request, monkeypatch):
+    """Route connected_components through one labeling backend."""
+    def forced(g):
+        if request.param == "dense":
+            dense = adjacency_matrix(g).astype(np.float32)
+            return functools.partial(graph_core._labels_dense, dense)
+        return functools.partial(graph_core._labels_sparse, g.u, g.v)
+    monkeypatch.setattr(graph_core, "_labeler", forced)
+    return request.param
+
+
+def test_connected_components_hand_cases(labeler):
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
+    assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
+    assert connected_components(g, mask=[1, 0, 1, 1, 1, 1]) == [[0], [2], [3], [4, 5]]
+    assert connected_components(g, mask=np.zeros(6, dtype=bool)) == []
+    assert connected_components(g, mask=[0, 0, 0, 0, 0, 1]) == [[5]]
+    assert connected_components(Graph.from_edges(1, [])) == [[0]]
+
+
+@pytest.mark.parametrize("kind,param", [("gnp", p) for p in (0.02, 0.1, 0.5)] + [("regular", 3)])
+def test_connected_components_match_reference(labeler, kind, param):
+    gen = substream(12, f"components-{kind}-{param}").generator()
+    for index in range(3):
+        stream = substream(12, f"components-{kind}", index)
+        g = sample_gnp(60, param, stream) if kind == "gnp" else sample_regular(60, param, stream)
+        assert connected_components(g) == reference_components(g)
+        for density in (0.3, 0.6, 0.9):
+            mask = gen.random(g.n) < density
+            assert connected_components(g, mask) == reference_components(g, mask)

@@ -16,6 +16,7 @@ from graphnodal import (
     brute_force_domains,
     connected_components,
     eigendecompose,
+    laplacian_matrix,
     nodal_census,
     nodal_summary,
     sample_gnp,
@@ -24,9 +25,13 @@ from graphnodal import (
     weak_nodal_domains,
     substream,
 )
-from graphnodal import nodal
+from graphnodal import graph_core, nodal
 from graphnodal.nodal import summary_dict, write_domains_csv, write_summary_json
-from nodal_reference import reference_nodal_summary
+from nodal_reference import (
+    reference_nodal_summary,
+    reference_strong_domains,
+    reference_weak_domains,
+)
 
 
 def path(n):
@@ -268,10 +273,10 @@ def test_summary_json_format():
 
 def _forced_labeler(kind):
     def labeler(g):
-        u, v = nodal._edge_arrays(g)
         if kind == "dense":
-            return functools.partial(nodal._labels_dense, nodal._dense_adjacency(g.n, u, v))
-        return functools.partial(nodal._labels_sparse, u, v)
+            dense = adjacency_matrix(g).astype(np.float32)
+            return functools.partial(graph_core._labels_dense, dense)
+        return functools.partial(graph_core._labels_sparse, g.u, g.v)
     return labeler
 
 
@@ -367,21 +372,34 @@ def test_census_of_adjacency_spectra(backend, kind, n, param):
         assert_census_matches_reference(g, vectors, None)
 
 
+@pytest.mark.parametrize("kind,n,param", SPECTRUM_CASES)
+def test_domains_of_spectra_match_reference(kind, n, param):
+    # the domain functions sit on graph_core.connected_components, so they
+    # are checked against the breadth-first reference on whole spectra
+    g = _sample(kind, n, param, 0)
+    for matrix in (adjacency_matrix(g), laplacian_matrix(g)):
+        vectors = eigendecompose(matrix).eigenvectors
+        for i in range(0, n, 3):
+            f = SignedFunction.from_values(vectors[:, i])
+            assert weak_nodal_domains(g, f) == reference_weak_domains(g, f), i
+            assert strong_nodal_domains(g, f) == reference_strong_domains(g, f), i
+
+
 def test_census_blocks_and_chunks_leave_counts_unchanged(monkeypatch):
     g = _sample("gnp", 40, 0.1, 7)
     vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
     whole = {kind: nodal_census(g, vectors).rows() for kind in ("dense", "sparse")}
     monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", 3 * g.n)
-    monkeypatch.setattr(nodal, "_SPARSE_CHUNK_EDGES", 2 * g.num_edges)
+    monkeypatch.setattr(graph_core, "_SPARSE_CHUNK_EDGES", 2 * g.num_edges)
     for kind in ("dense", "sparse"):
         monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
         assert nodal_census(g, vectors).rows() == whole["sparse"] == whole["dense"]
 
 
 def test_census_backend_follows_edge_density():
-    assert nodal._labeler(_sample("gnp", 200, 0.5, 0)).func is nodal._labels_dense
-    assert nodal._labeler(_sample("regular", 200, 3, 0)).func is nodal._labels_sparse
-    assert nodal._labeler(Graph.from_edges(3, [])).func is nodal._labels_sparse
+    assert graph_core._labeler(_sample("gnp", 200, 0.5, 0)).func is graph_core._labels_dense
+    assert graph_core._labeler(_sample("regular", 200, 3, 0)).func is graph_core._labels_sparse
+    assert graph_core._labeler(Graph.from_edges(3, [])).func is graph_core._labels_sparse
 
 
 def test_census_input_checks():
@@ -405,12 +423,12 @@ def test_labels_match_scipy_at_n_1000(labels):
     n = 1000
     gen = substream(5, "census-labels").generator()
     for g in (_sample("gnp", n, 0.004, 0), _sample("regular", n, 3, 0)):
-        u, v = nodal._edge_arrays(g)
+        u, v = g.u, g.v
         masks = gen.random((4, n)) < np.array([[0.4], [0.6], [0.8], [1.0]])
         if labels == "dense":
-            got = nodal._labels_dense(nodal._dense_adjacency(n, u, v), masks)
+            got = graph_core._labels_dense(adjacency_matrix(g).astype(np.float32), masks)
         else:
-            got = nodal._labels_sparse(u, v, masks)
+            got = graph_core._labels_sparse(u, v, masks)
         for mask, row in zip(masks, got):
             keep = mask[u] & mask[v]
             induced = sparse.coo_matrix((np.ones(keep.sum()), (u[keep], v[keep])), shape=(n, n))
