@@ -29,6 +29,7 @@ from . import __version__
 from .bounds import GridSpec, exceptional_bound_k, kp_formula, reference_k
 from .experiments import (
     ExperimentReport,
+    _fmt,
     _round_floats,
     run_courant_report,
     run_fig1,
@@ -197,10 +198,6 @@ def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, An
             fh.write(text)
 
 
-def _fmt17(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _read_vector(path: str, n: int):
     values = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -351,19 +348,7 @@ def _run_constants(opts, argv) -> int:
     }
     if opts["format"] == "csv":
         lines = [",".join(_CONSTANTS_COLUMNS)]
-        for row in rows:
-            cells = []
-            for col in _CONSTANTS_COLUMNS:
-                v = row[col]
-                if v is None:
-                    cells.append("")
-                elif isinstance(v, bool):
-                    cells.append(str(v).lower())
-                elif isinstance(v, float):
-                    cells.append(_fmt17(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
+        lines += [",".join(_fmt(row[col], 17) for col in _CONSTANTS_COLUMNS) for row in rows]
         body = "\n".join(lines) + "\n"
     else:
         body = json.dumps(_round_floats(rows), indent=1, sort_keys=True) + "\n"
@@ -376,7 +361,7 @@ def _run_kp(opts, argv) -> int:
     rows = [(p, kp_formula(p)) for p in ps]
     config = {"p_list": list(ps)}
     if opts["format"] == "csv":
-        body = "p,kp\n" + "".join(f"{_fmt17(p)},{k}\n" for p, k in rows)
+        body = "p,kp\n" + "".join(f"{_fmt(p, 17)},{k}\n" for p, k in rows)
     else:
         body = json.dumps(_round_floats([{"p": p, "kp": k} for p, k in rows]),
                           indent=1, sort_keys=True) + "\n"

@@ -75,13 +75,14 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return mean, std
 
 
-def _fmt(value: Any) -> str:
+def _fmt(value: Any, digits: int = 10) -> str:
+    """One CSV cell: None empty, bools lower case, floats to `digits` significant digits."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return f"{value:.10g}"
+        return f"{value:.{digits}g}"
     return str(value)
 
 

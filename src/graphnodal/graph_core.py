@@ -9,13 +9,14 @@ self-loop, both ends in range, u < v, and no repeat, found by sorting the
 keys u*n + v and comparing neighbours.  The first bad pair in input order is
 the one reported.
 
-connected_components and nodal.nodal_census share one labeler, which names
+connected_components and the nodal layer share one labeler, which names
 each component of each induced subgraph in a stack of vertex masks by its
-smallest vertex.  Graphs of mean degree at least DENSE_DEGREE_OVER_LOG_N *
-ln n grow components by 0/1 float32 products with the adjacency matrix,
-exact integer counts, so the labels do not depend on how BLAS splits a
-product; sparser graphs hook trees of labels to the smaller root across
-every edge and then pointer-jump.
+smallest vertex; _components turns one row of labels into vertex lists.
+Graphs of mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n grow
+components by 0/1 float32 products with the adjacency matrix, exact integer
+counts, so the labels do not depend on how BLAS splits a product; sparser
+graphs hook trees of labels to the smaller root across every edge and then
+pointer-jump.
 
 Samplers draw from G(n,p), from the uniform simple d-regular distribution
 (configuration model with full rejection), and from the centered Bernoulli
@@ -200,10 +201,15 @@ def connected_components(
     allowed = np.ones(g.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if allowed.shape != (g.n,):
         raise ValueError(f"mask length {allowed.size} != vertex count {g.n}")
-    labels = _labeler(g)(allowed[np.newaxis, :])[0]
-    # a label is the component's smallest vertex, and n outside the mask, so
-    # a stable sort by label lists the components in order, each one sorted
-    verts = np.argsort(labels, kind="stable")[:np.count_nonzero(allowed)]
+    return _components(_labeler(g)(allowed[np.newaxis, :])[0])
+
+
+def _components(labels: np.ndarray) -> list[list[int]]:
+    """The vertex lists of one row of labels, as the labelers below name
+    them, ordered by label and each sorted; label n marks no component."""
+    # a label is the component's smallest vertex, so a stable sort by label
+    # lists the components in order, each one sorted
+    verts = np.argsort(labels, kind="stable")[:np.count_nonzero(labels < labels.size)]
     cuts = np.flatnonzero(np.diff(labels[verts])) + 1
     return [part.tolist() for part in np.split(verts, cuts)] if verts.size else []
 

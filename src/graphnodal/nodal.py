@@ -11,24 +11,28 @@ side's domain and is not itself maximal, so the only sign-0 weak domains are
 entire connected components of G on which f vanishes identically.  The
 brute-force oracle below enumerates maximal sets directly and pins this down.
 
-weak_nodal_domains and strong_nodal_domains list the vertex sets, from
-graph_core.connected_components.  nodal_census counts instead, for every
-column of an eigenvector matrix at once: one pass of the graph_core labeler
-over a stack of vertex masks (sign >= 0, sign <= 0, sign = +1 and sign = -1
-per column, plus one all-true row for connectivity) names each component by
-its smallest vertex, and array tallies over those labels give the weak and
-strong counts and the P/N/E/Z sizes.  nodal_summary is the one-column case.
+The census and the weak lists read one labeling, _sign_labels: one pass of
+the graph_core labeler over a stack of vertex masks (sign >= 0, sign <= 0,
+sign = +1 and sign = -1 per column, plus one all-true row for connectivity)
+names each component by its smallest vertex, and the weak-domain rule above
+marks which components are weak domains.  nodal_census counts, for every
+column of an eigenvector matrix at once, by array tallies over those labels:
+weak and strong counts and the P/N/E/Z sizes.  nodal_summary is its
+one-column case.  weak_nodal_domains lists each kept component of one
+column, strong_nodal_domains each component of its two strict masks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph_core import Graph, _labeler, connected_components
+# connected_components is not called here; perfbench's tracer test still
+# looks the name up in this module, so it stays bound until that test moves
+from .graph_core import Graph, _components, _labeler, connected_components  # noqa: F401
 
 __all__ = [
     "DEFAULT_TAU_SCALE",
@@ -111,9 +115,6 @@ class DomainPartition:
     def count(self) -> int:
         return len(self.domains)
 
-    def vertex_sets(self) -> set[tuple[tuple[int, ...], int]]:
-        return set(self.domains)
-
 
 def _check_lengths(g: Graph, f: SignedFunction) -> None:
     if len(f) != g.n:
@@ -126,42 +127,26 @@ def _canonical(kind: str, raw: list[tuple[list[int], int]]) -> DomainPartition:
 
 
 def weak_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
-    """All maximal connected sets with no two strictly opposite signs.
-
-    Computed from the components of the subgraphs induced on {sign >= 0} and
-    on {sign <= 0}: a component survives iff it contains a strictly signed
-    vertex (taking that sign), except that all-zero connected components of
-    G itself survive once with sign 0.  All-zero side components adjacent to
-    a strictly signed vertex are strict subsets of the opposite side's
-    domain, hence not maximal, and are dropped.
-    """
+    """All maximal connected sets with no two strictly opposite signs: the
+    weak domains _sign_labels keeps, each with its sign."""
     _check_lengths(g, f)
-    signs = f.signs
+    s = _sign_labels(f.signs[np.newaxis, :], _labeler(g))
     raw: list[tuple[list[int], int]] = []
-    for side in (1, -1):
-        for comp in connected_components(g, mask=(signs * side) >= 0):
-            if any(signs[v] == side for v in comp):
-                raw.append((comp, side))
-    zero = signs == 0
-    # zero vertices with a strictly signed neighbour
-    rim = np.zeros(g.n, dtype=bool)
-    rim[g.u[zero[g.u] & ~zero[g.v]]] = True
-    rim[g.v[zero[g.v] & ~zero[g.u]]] = True
-    for comp in connected_components(g, mask=zero):
-        if not rim[comp].any():
-            raw.append((comp, 0))
+    for labels, kept, sign in ((s.nonneg, s.weak_pos, 1), (s.nonpos, s.weak_neg, -1),
+                               (s.nonneg, s.closed, 0)):
+        row = labels[0]
+        # one entry more for label n, outside the labeled mask
+        inside = np.append(kept[0], False)[row]
+        raw += [(comp, sign) for comp in _components(np.where(inside, row, row.size))]
     return _canonical("weak", raw)
 
 
 def strong_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
     """Connected components of the strictly positive and strictly negative sets."""
     _check_lengths(g, f)
-    signs = f.signs
-    raw: list[tuple[list[int], int]] = []
-    for side in (1, -1):
-        for comp in connected_components(g, mask=signs == side):
-            raw.append((comp, side))
-    return _canonical("strong", raw)
+    pos, neg = _labeler(g)(np.stack([f.signs > 0, f.signs < 0]))
+    return _canonical("strong", [(comp, 1) for comp in _components(pos)]
+                      + [(comp, -1) for comp in _components(neg)])
 
 
 def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartition:
@@ -308,68 +293,92 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
 _CENSUS_BLOCK_ENTRIES = 1 << 14
 
 
+class _SignLabels(NamedTuple):
+    """The labels of a (k, n) sign stack and its weak domains.
+
+    A component's label is its smallest vertex; a root labels itself.  The
+    (k, n) label rows are those of the masks sign >= 0, sign <= 0, sign = +1
+    and sign = -1; whole labels G.  pos_in (neg_in) counts the strictly
+    positive (negative) vertices of a sign >= 0 (<= 0) component at its
+    root.  The kept roots are the weak domains: a sign >= 0 component with a
+    strictly positive vertex (weak_pos), the mirror image (weak_neg), and a
+    whole component of G on which the row is zero (closed: the same vertex
+    set and root in both labelings).  Any other sign >= 0 or sign <= 0
+    component is all-zero and touches the opposite sign, so it lies inside
+    a domain of that sign and is not maximal.
+    """
+
+    nonneg: np.ndarray
+    nonpos: np.ndarray
+    strict_pos: np.ndarray
+    strict_neg: np.ndarray
+    whole: np.ndarray
+    pos_in: np.ndarray
+    neg_in: np.ndarray
+    weak_pos: np.ndarray
+    weak_neg: np.ndarray
+    closed: np.ndarray
+
+
+def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -> _SignLabels:
+    """Label a (k, n) sign stack in one label call, and keep its weak domains."""
+    k, n = signs.shape
+    pos, neg = signs > 0, signs < 0
+    labels = label(np.concatenate([~neg, ~pos, pos, neg, np.ones((1, n), dtype=bool)]))
+    nonneg, nonpos, strict_pos, strict_neg = labels[:4 * k].reshape(4, k, n)
+    pos_in = _tally(nonneg, pos)[:, :n]
+    neg_in_full = _tally(nonpos, neg)
+    neg_in = neg_in_full[:, :n]
+    vertex = np.arange(n)
+    nonneg_root = nonneg == vertex
+    weak_pos = nonneg_root & (pos_in > 0)
+    weak_neg = (nonpos == vertex) & (neg_in > 0)
+    # no positive vertex in the sign >= 0 component, and none negative in the
+    # root's sign <= 0 component: no edge leaves the all-zero vertex set
+    closed = nonneg_root & (pos_in == 0)
+    closed &= np.take_along_axis(neg_in_full, nonpos, axis=1) == 0
+    return _SignLabels(nonneg, nonpos, strict_pos, strict_neg, labels[-1],
+                       pos_in, neg_in, weak_pos, weak_neg, closed)
+
+
+def _tally(labels: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """[row, root] -> vertices of that component inside `where`, a (k, n + 1)
+    array whose column n gathers the vertices outside the labeled mask."""
+    k, n = labels.shape
+    base = np.arange(k)[:, np.newaxis] * (n + 1)
+    return np.bincount((labels + base)[where], minlength=k * (n + 1)).reshape(k, n + 1)
+
+
 def _census(
     signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
     """Census of a (k, n) sign stack: the (7, k) table of NodalCensus's
     array fields in order, whether the graph is connected, and the (k, n)
-    masks of P and N.
-
-    One label call covers the masks sign >= 0, sign <= 0, sign = +1 and
-    sign = -1 of every row, and one all-true row for connectivity.  A
-    component's label is its smallest vertex, so a root is a vertex that
-    labels itself, and the per-component tallies below sit at the roots.
-    """
+    masks of P and N, all tallied from _sign_labels at the roots."""
     k, n = signs.shape
-    pos, neg, zero = signs > 0, signs < 0, signs == 0
-    masks = np.concatenate([~neg, ~pos, pos, neg, np.ones((1, n), dtype=bool)])
-    labels = label(masks)
-    nonneg, nonpos, strict_pos, strict_neg = (labels[i * k:(i + 1) * k] for i in range(4))
+    s = _sign_labels(signs, label)
     vertex = np.arange(n)
-    base = np.arange(k)[:, np.newaxis] * (n + 1)
-
-    def tally(lab: np.ndarray, where: np.ndarray) -> np.ndarray:
-        # [row, root] -> vertices of that component inside `where`; column n
-        # gathers the vertices outside the labeled mask
-        return np.bincount((lab + base)[where], minlength=k * (n + 1)).reshape(k, n + 1)
-
+    weak = s.weak_pos.sum(axis=1) + s.weak_neg.sum(axis=1) + s.closed.sum(axis=1)
+    strong = (s.strict_pos == vertex).sum(axis=1) + (s.strict_neg == vertex).sum(axis=1)
     everywhere = np.ones((k, n), dtype=bool)
-    nonneg_size = tally(nonneg, everywhere)[:, :n]
-    nonpos_size = tally(nonpos, everywhere)[:, :n]
-    pos_in = tally(nonneg, pos)[:, :n]
-    neg_in_full = tally(nonpos, neg)
-    neg_in = neg_in_full[:, :n]
-    nonneg_root = nonneg == vertex
-    nonpos_root = nonpos == vertex
-    # an all-zero component of sign >= 0 whose sign <= 0 component is
-    # all-zero too is a whole component of G: a sign-0 weak domain, and the
-    # same vertex set, with the same root, on both sides
-    closed = (
-        nonneg_root & (pos_in == 0)
-        & (np.take_along_axis(neg_in_full, nonpos, axis=1) == 0)
-    )
-    weak = (
-        (nonneg_root & (pos_in > 0)).sum(axis=1)
-        + (nonpos_root & (neg_in > 0)).sum(axis=1)
-        + closed.sum(axis=1)
-    )
-    strong = (strict_pos == vertex).sum(axis=1) + (strict_neg == vertex).sum(axis=1)
 
-    def pick(lab, candidate, size, strict):
+    def pick(lab, candidate, strict):
         # largest, then most strictly signed, then smallest root
+        size = _tally(lab, everywhere)[:, :n]
         key = np.where(candidate, (size * (n + 1) + strict) * (n + 1) + (n - vertex), -1)
         root = key.argmax(axis=1)
         found = key[np.arange(k), root] >= 0
         return (lab == root[:, np.newaxis]) & found[:, np.newaxis]
 
-    in_p = pick(nonneg, nonneg_root & ((pos_in > 0) | closed), nonneg_size, pos_in)
-    in_n = pick(nonpos, nonpos_root & ((neg_in > 0) | closed), nonpos_size, neg_in)
+    in_p = pick(s.nonneg, s.weak_pos | s.closed, s.pos_in)
+    in_n = pick(s.nonpos, s.weak_neg | s.closed, s.neg_in)
     covered = in_p | in_n
+    zero = signs == 0
     table = np.stack([
         weak, strong, in_p.sum(axis=1), in_n.sum(axis=1), n - covered.sum(axis=1),
         zero.sum(axis=1), (zero & ~covered).sum(axis=1),
     ])
-    return table, bool((labels[-1] == 0).all()), in_p, in_n
+    return table, bool((s.whole == 0).all()), in_p, in_n
 
 
 def write_domains_csv(partition: DomainPartition, stream: IO[str]) -> None:

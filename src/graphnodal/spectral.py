@@ -49,13 +49,8 @@ class Spectrum:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     # flip each column so its largest-|.| coordinate (first on ties) is positive
-    flipped = vectors.copy()
-    for j in range(flipped.shape[1]):
-        col = flipped[:, j]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            flipped[:, j] = -col
-    return flipped
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)
 
 
 def _order_equal_runs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

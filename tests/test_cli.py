@@ -168,6 +168,16 @@ def test_kp_values(capsys):
     assert ks == [2, 1, 1, 0]
 
 
+def test_constants_and_kp_csv_floats_use_17_significant_digits(capsys):
+    _, out, _ = run_cli(capsys, "kp", "--p-list", "0.1")
+    assert body_lines(out)[1].split(",")[0] == "0.10000000000000001"
+    _, out, _ = run_cli(capsys, "constants", "--p", "0.5")
+    header, row = body_lines(out)
+    cells = dict(zip(header.split(","), row.split(",")))
+    for col in ("alpha", "r", "C"):
+        assert cells[col] == f"{float(cells[col]):.17g}", col
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 18\ntrials = 5\nseed = 9\n# comment line\n", encoding="utf-8")

@@ -282,9 +282,52 @@ def _forced_labeler(kind):
 
 @pytest.fixture(params=["dense", "sparse"])
 def backend(request, monkeypatch):
-    """Route nodal_census and nodal_summary through one labeling backend."""
+    """Route every nodal entry point through one labeling backend."""
     monkeypatch.setattr(nodal, "_labeler", _forced_labeler(request.param))
     return request.param
+
+
+HAND_DOMAIN_CASES = [
+    test_path_with_interior_zero,
+    test_single_edge_two_domains,
+    test_constant_sign_one_domain,
+    test_identically_zero_function,
+    test_alternating_cycle,
+    test_zero_block_absorbed_not_separate,
+    test_isolated_zero_component_counted_once,
+    test_zero_bridging_same_sign,
+]
+
+
+@pytest.mark.parametrize("case", HAND_DOMAIN_CASES, ids=lambda case: case.__name__[5:])
+def test_hand_domains_on_both_labelers(backend, case):
+    case()
+
+
+@pytest.mark.parametrize("domains", [weak_nodal_domains, strong_nodal_domains],
+                         ids=lambda fn: fn.__name__)
+def test_domain_lists_build_one_labeler(monkeypatch, domains):
+    builds = []
+    build = graph_core._labeler
+
+    def counted(g):
+        builds.append(g)
+        return build(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected_components called")
+
+    for module in (graph_core, nodal):
+        monkeypatch.setattr(module, "_labeler", counted)
+        monkeypatch.setattr(module, "connected_components", refuse)
+    # a positive and a negative side sharing zero vertex 1, and a closed
+    # zero component {4, 5}
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    f = sf([1.0, 0.0, -1.0, 1.0, 0.0, 0.0])
+    reference = {weak_nodal_domains: reference_weak_domains,
+                 strong_nodal_domains: reference_strong_domains}[domains]
+    assert domains(g, f) == reference(g, f)
+    assert len(builds) == 1
 
 
 def cells(s):
@@ -374,8 +417,8 @@ def test_census_of_adjacency_spectra(backend, kind, n, param):
 
 @pytest.mark.parametrize("kind,n,param", SPECTRUM_CASES)
 def test_domains_of_spectra_match_reference(kind, n, param):
-    # the domain functions sit on graph_core.connected_components, so they
-    # are checked against the breadth-first reference on whole spectra
+    # the domain lists group the graph_core labeler's output, so they are
+    # checked against the breadth-first reference on whole spectra
     g = _sample(kind, n, param, 0)
     for matrix in (adjacency_matrix(g), laplacian_matrix(g)):
         vectors = eigendecompose(matrix).eigenvectors
@@ -383,6 +426,11 @@ def test_domains_of_spectra_match_reference(kind, n, param):
             f = SignedFunction.from_values(vectors[:, i])
             assert weak_nodal_domains(g, f) == reference_weak_domains(g, f), i
             assert strong_nodal_domains(g, f) == reference_strong_domains(g, f), i
+
+
+@pytest.mark.parametrize("kind,n,param", SPECTRUM_CASES)
+def test_domains_of_spectra_on_both_labelers(backend, kind, n, param):
+    test_domains_of_spectra_match_reference(kind, n, param)
 
 
 def test_census_blocks_and_chunks_leave_counts_unchanged(monkeypatch):

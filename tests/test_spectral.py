@@ -74,6 +74,14 @@ def test_certificates_on_random_symmetric_matrices():
         assert abs(spectrum.eigenvalues.sum() - np.trace(a)) <= 1e-6 * max(1.0, abs(np.trace(a)))
 
 
+def test_largest_coordinate_of_each_vector_is_positive():
+    gen = substream(12, "signs").generator()
+    m = gen.uniform(-1.0, 1.0, size=(30, 30))
+    vectors = eigendecompose((m + m.T) / 2.0).eigenvectors
+    lead = np.abs(vectors).argmax(axis=0)
+    assert (vectors[lead, np.arange(30)] > 0).all()
+
+
 def test_bit_identical_determinism():
     gen = substream(8, "det").generator()
     m = gen.uniform(-1.0, 1.0, size=(25, 25))
