@@ -20,10 +20,11 @@ lines starting with '#' before parsing.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import __version__
 from .bounds import GridSpec, exceptional_bound_k, kp_formula, reference_k
@@ -59,6 +60,7 @@ from .nodal import (
     summary_dict,
     weak_nodal_domains,
     write_domains_csv,
+    write_summary_json,
 )
 from .spectral import eigendecompose, write_spectrum_csv
 
@@ -104,10 +106,6 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_float(s) for s in items)
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
 def _choice(*allowed: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in allowed:
@@ -117,32 +115,53 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return parse
 
 
-# Per-flag value constraints, applied after config merging.  Conservative on
-# purpose: library preconditions repeat them, but failing them here keeps
-# range mistakes in the usage-error exit class.
-def _validate(opts: dict[str, Any]) -> None:
-    rules = {
-        "n": ("n must be >= 1", lambda v: v >= 1),
-        "d": ("d must be >= 0", lambda v: v >= 0),
-        "k": ("k must be >= 2", lambda v: v >= 2),
-        "p": ("p must lie in [0,1]", lambda v: 0.0 <= v <= 1.0),
-        "trials": ("trials must be >= 1", lambda v: v >= 1),
-        "samples": ("samples must be >= 1", lambda v: v >= 1),
-        "seed": ("seed must be >= 0", lambda v: v >= 0),
-        "threads": ("threads must be >= 1", lambda v: v >= 1),
-        "tau": ("tau must be >= 0", lambda v: v >= 0.0),
-        "delta": ("delta must be > 0", lambda v: v > 0.0),
-        "n_list": ("n-list entries must be >= 1", lambda v: all(x >= 1 for x in v)),
-        "d_list": ("d-list entries must be >= 0", lambda v: all(x >= 0 for x in v)),
-        "k_list": ("k-list entries must be >= 1", lambda v: all(x >= 1 for x in v)),
-        "xi_list": ("xi-list entries must be > 0", lambda v: all(x > 0.0 for x in v)),
-    }
-    for name, value in opts.items():
-        if value is None or name not in rules:
-            continue
-        message, ok = rules[name]
-        if not ok(value):
-            raise _UsageError(f"{message}, got {value}")
+class _Flag(NamedTuple):
+    """How a flag's text becomes a value, and the range rule that value
+    must pass after config merging (message, predicate), if any.  The rules
+    are conservative on purpose: library preconditions repeat them, but
+    failing them here keeps range mistakes in the usage-error exit class."""
+
+    convert: Callable[[str], Any]
+    message: str | None = None
+    ok: Callable[[Any], bool] | None = None
+
+
+# Every flag of every subcommand, once.
+_FLAGS = {
+    "n": _Flag(_parse_int, "n must be >= 1", lambda v: v >= 1),
+    "d": _Flag(_parse_int, "d must be >= 0", lambda v: v >= 0),
+    "k": _Flag(_parse_int, "k must be >= 2", lambda v: v >= 2),
+    "p": _Flag(_parse_float, "p must lie in [0,1]", lambda v: 0.0 <= v <= 1.0),
+    "trials": _Flag(_parse_int, "trials must be >= 1", lambda v: v >= 1),
+    "samples": _Flag(_parse_int, "samples must be >= 1", lambda v: v >= 1),
+    "seed": _Flag(_parse_int, "seed must be >= 0", lambda v: v >= 0),
+    "threads": _Flag(_parse_int, "threads must be >= 1", lambda v: v >= 1),
+    "tau": _Flag(_parse_float, "tau must be >= 0", lambda v: v >= 0.0),
+    "delta": _Flag(_parse_float, "delta must be > 0", lambda v: v > 0.0),
+    "n-list": _Flag(_parse_int_list, "n-list entries must be >= 1",
+                    lambda v: all(x >= 1 for x in v)),
+    "d-list": _Flag(_parse_int_list, "d-list entries must be >= 0",
+                    lambda v: all(x >= 0 for x in v)),
+    "k-list": _Flag(_parse_int_list, "k-list entries must be >= 1",
+                    lambda v: all(x >= 1 for x in v)),
+    "xi-list": _Flag(_parse_float_list, "xi-list entries must be > 0",
+                     lambda v: all(x > 0.0 for x in v)),
+    "p-list": _Flag(_parse_float_list),
+    "deltas": _Flag(_parse_float_list),
+    "thetas": _Flag(_parse_float_list),
+    "gamma-fractions": _Flag(_parse_float_list),
+    "epsilon-gaps": _Flag(_parse_float_list),
+    "xi1s": _Flag(_parse_float_list),
+    "xi2s": _Flag(_parse_float_list),
+    "graph": _Flag(str),
+    "vector": _Flag(str),
+    "out": _Flag(str),
+    "matrix": _Flag(_choice("adjacency", "laplacian")),
+    "ordering": _Flag(_choice("descending", "ascending")),
+    "kind": _Flag(_choice("weak", "strong")),
+    "format": _Flag(_choice("csv", "json")),
+    "source": _Flag(_choice("gnp", "regular")),
+}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -299,13 +318,16 @@ def _run_domains(opts, argv) -> int:
 
 def _run_summary(opts, argv) -> int:
     g, f = _signed_input(opts)
-    stats = summary_dict(nodal_summary(g, f))
+    summary = nodal_summary(g, f)
     config = {"graph": opts["graph"], "vector": opts["vector"], "tau": opts["tau"]}
     if opts["format"] == "csv":
+        stats = summary_dict(summary)
         keys = sorted(stats)
         body = ",".join(keys) + "\n" + ",".join(str(stats[k]) for k in keys) + "\n"
     else:
-        body = json.dumps(stats, indent=1, sort_keys=True) + "\n"
+        buf = io.StringIO()
+        write_summary_json(summary, buf)
+        body = buf.getvalue()
     _emit(body, opts, argv, config)
     return 0
 
@@ -379,172 +401,90 @@ def _emit_report(report: ExperimentReport, opts, argv) -> int:
     return 0
 
 
-def _experiment_runner(func: Callable[..., ExperimentReport], arg_names: tuple[str, ...]):
-    def run(opts, argv) -> int:
-        kwargs = {name: opts[name] for name in arg_names}
-        kwargs["threads"] = opts["threads"]
-        return _emit_report(func(**kwargs), opts, argv)
-
-    return run
-
-
-# Option tables: flag name -> (converter, default).  A None default means
+# Per-command options: flag name -> default.  A None default means
 # "optional"; required flags use _REQUIRED.
 _REQUIRED = object()
 
-_COMMON = {
-    "out": (_parse_str, None),
-}
-_FORMAT = {"format": (_choice("csv", "json"), "csv")}
-_THREADS = {"threads": (_parse_int, 1)}
+_FORMAT = {"format": "csv"}
+_OUT = {"out": None}
+
+
+def _experiment_command(text: str, runner: Callable[..., ExperimentReport]) -> dict[str, Any]:
+    """An exp-* subcommand: one flag per runner argument, defaulting as the runner does."""
+    params = inspect.signature(runner).parameters
+    names = tuple(params)
+
+    def run(opts, argv) -> int:
+        return _emit_report(runner(**{name: opts[name] for name in names}), opts, argv)
+
+    defaults = {name.replace("_", "-"): param.default for name, param in params.items()}
+    return {"help": text, "options": {**defaults, **_FORMAT, **_OUT}, "run": run}
+
 
 _COMMANDS: dict[str, dict[str, Any]] = {
     "gen-gnp": {
         "help": "sample G(n,p) and write its edge list",
-        "options": {
-            "n": (_parse_int, _REQUIRED), "p": (_parse_float, _REQUIRED),
-            "seed": (_parse_int, 0), **_COMMON,
-        },
+        "options": {"n": _REQUIRED, "p": _REQUIRED, "seed": 0, **_OUT},
         "run": _run_gen_gnp,
     },
     "gen-regular": {
         "help": "sample a uniform d-regular simple graph and write its edge list",
-        "options": {
-            "n": (_parse_int, _REQUIRED), "d": (_parse_int, _REQUIRED),
-            "seed": (_parse_int, 0), **_COMMON,
-        },
+        "options": {"n": _REQUIRED, "d": _REQUIRED, "seed": 0, **_OUT},
         "run": _run_gen_regular,
     },
     "spectrum": {
         "help": "eigenvalues and eigenvectors of a graph matrix",
         "options": {
-            "graph": (_parse_str, _REQUIRED),
-            "matrix": (_choice("adjacency", "laplacian"), "adjacency"),
-            "ordering": (_choice("descending", "ascending"), None),
-            **_FORMAT, **_COMMON,
+            "graph": _REQUIRED, "matrix": "adjacency", "ordering": None, **_FORMAT, **_OUT,
         },
         "run": _run_spectrum,
     },
     "domains": {
         "help": "weak or strong nodal domains of a vector on a graph",
         "options": {
-            "graph": (_parse_str, _REQUIRED), "vector": (_parse_str, _REQUIRED),
-            "kind": (_choice("weak", "strong"), "weak"),
-            "tau": (_parse_float, None), **_FORMAT, **_COMMON,
+            "graph": _REQUIRED, "vector": _REQUIRED, "kind": "weak", "tau": None,
+            **_FORMAT, **_OUT,
         },
         "run": _run_domains,
     },
     "summary": {
         "help": "nodal census of a vector: part sizes, counts, exceptional set",
         "options": {
-            "graph": (_parse_str, _REQUIRED), "vector": (_parse_str, _REQUIRED),
-            "tau": (_parse_float, None),
-            "format": (_choice("csv", "json"), "json"), **_COMMON,
+            "graph": _REQUIRED, "vector": _REQUIRED, "tau": None, "format": "json", **_OUT,
         },
         "run": _run_summary,
     },
     "constants": {
         "help": "grid-search the tail-bound constants and the exceptional bound k",
         "options": {
-            "p": (_parse_float, 0.5), "p-list": (_parse_float_list, None),
-            "deltas": (_parse_float_list, None), "thetas": (_parse_float_list, None),
-            "gamma-fractions": (_parse_float_list, None),
-            "epsilon-gaps": (_parse_float_list, None),
-            "xi1s": (_parse_float_list, None), "xi2s": (_parse_float_list, None),
-            **_FORMAT, **_COMMON,
+            "p": 0.5, "p-list": None, "deltas": None, "thetas": None,
+            "gamma-fractions": None, "epsilon-gaps": None, "xi1s": None, "xi2s": None,
+            **_FORMAT, **_OUT,
         },
         "run": _run_constants,
     },
     "kp": {
         "help": "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))",
-        "options": {
-            "p": (_parse_float, 0.5), "p-list": (_parse_float_list, None),
-            **_FORMAT, **_COMMON,
-        },
+        "options": {"p": 0.5, "p-list": None, **_FORMAT, **_OUT},
         "run": _run_kp,
     },
-    "exp-fig1": {
-        "help": "nodal counts across the spectrum of random regular graphs",
-        "options": {
-            "d-list": (_parse_int_list, (3,)), "n": (_parse_int, 300),
-            "trials": (_parse_int, 20), "seed": (_parse_int, 0),
-            "tau": (_parse_float, None), **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(run_fig1, ("d_list", "n", "trials", "seed", "tau")),
-    },
-    "exp-fig2": {
-        "help": "fraction of G(n,p) whose top Laplacian eigenvector has 3 weak domains",
-        "options": {
-            "n-list": (_parse_int_list, (100,)), "trials": (_parse_int, 500),
-            "p": (_parse_float, 0.5), "seed": (_parse_int, 0),
-            "tau": (_parse_float, None), **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(run_fig2, ("n_list", "trials", "p", "seed", "tau")),
-    },
-    "exp-gnp": {
-        "help": "per-eigenvector nodal census of G(n,p) adjacency spectra",
-        "options": {
-            "n": (_parse_int, 100), "p": (_parse_float, 0.5),
-            "trials": (_parse_int, 20), "seed": (_parse_int, 0),
-            "tau": (_parse_float, None), **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(run_gnp_scan, ("n", "p", "trials", "seed", "tau")),
-    },
-    "exp-tails": {
-        "help": "empirical exceedance of the operator-norm tail bounds",
-        "options": {
-            "p": (_parse_float, 0.5), "k": (_parse_int, 200),
-            "samples": (_parse_int, 200),
-            "xi-list": (_parse_float_list, (0.25, 0.5, 1.0, 2.0)),
-            "delta": (_parse_float, 1.0), "seed": (_parse_int, 0),
-            **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(
-            run_tail_mc, ("p", "k", "samples", "xi_list", "delta", "seed")
-        ),
-    },
-    "exp-inner": {
-        "help": "max |<f,1>| over non-first adjacency eigenvectors",
-        "options": {
-            "n": (_parse_int, 200), "p": (_parse_float, 0.5),
-            "trials": (_parse_int, 50), "seed": (_parse_int, 0),
-            **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(run_inner_product_check, ("n", "p", "trials", "seed")),
-    },
-    "exp-linf": {
-        "help": "sup norms of adjacency eigenvectors across graph sizes",
-        "options": {
-            "n-list": (_parse_int_list, (50, 100, 200, 400)),
-            "p": (_parse_float, 0.5), "trials": (_parse_int, 20),
-            "seed": (_parse_int, 0), "tau": (_parse_float, None),
-            **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(run_linf_scan, ("n_list", "p", "trials", "seed", "tau")),
-    },
-    "exp-fact": {
-        "help": "neighborhood union/intersection fractions for random k-tuples",
-        "options": {
-            "n": (_parse_int, 500), "p": (_parse_float, 0.5),
-            "k-list": (_parse_int_list, (1, 2, 3)), "trials": (_parse_int, 100),
-            "seed": (_parse_int, 0), **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(
-            run_neighborhood_fact, ("n", "p", "k_list", "trials", "seed")
-        ),
-    },
-    "exp-courant": {
-        "help": "how often eigenvector #k has more than k weak domains",
-        "options": {
-            "source": (_choice("gnp", "regular"), "gnp"), "n": (_parse_int, 100),
-            "p": (_parse_float, 0.5), "d": (_parse_int, 4),
-            "trials": (_parse_int, 20), "seed": (_parse_int, 0),
-            "tau": (_parse_float, None), **_THREADS, **_FORMAT, **_COMMON,
-        },
-        "run": _experiment_runner(
-            run_courant_report, ("source", "n", "p", "d", "trials", "seed", "tau")
-        ),
-    },
+    "exp-fig1": _experiment_command(
+        "nodal counts across the spectrum of random regular graphs", run_fig1),
+    "exp-fig2": _experiment_command(
+        "fraction of G(n,p) whose top Laplacian eigenvector has 3 weak domains", run_fig2),
+    "exp-gnp": _experiment_command(
+        "per-eigenvector nodal census of G(n,p) adjacency spectra", run_gnp_scan),
+    "exp-tails": _experiment_command(
+        "empirical exceedance of the operator-norm tail bounds", run_tail_mc),
+    "exp-inner": _experiment_command(
+        "max |<f,1>| over non-first adjacency eigenvectors", run_inner_product_check),
+    "exp-linf": _experiment_command(
+        "sup norms of adjacency eigenvectors across graph sizes", run_linf_scan),
+    "exp-fact": _experiment_command(
+        "neighborhood union/intersection fractions for random k-tuples",
+        run_neighborhood_fact),
+    "exp-courant": _experiment_command(
+        "how often eigenvector #k has more than k weak domains", run_courant_report),
 }
 
 
@@ -564,17 +504,17 @@ def _build_parser() -> _Parser:
 
 
 def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any]:
-    """Merge flags over config-file entries over defaults; convert and validate."""
+    """Merge flags over config-file entries over defaults; convert and check ranges."""
     file_entries = _read_config_file(args.config) if args.config else {}
     opts: dict[str, Any] = {}
-    for flag, (convert, default) in command["options"].items():
+    for flag, default in command["options"].items():
         dest = flag.replace("-", "_")
         raw = getattr(args, dest)
         from_file = file_entries.pop(dest, None)
         if raw is not None:
-            opts[dest] = convert(raw)
+            opts[dest] = _FLAGS[flag].convert(raw)
         elif from_file is not None:
-            opts[dest] = convert(from_file)
+            opts[dest] = _FLAGS[flag].convert(from_file)
         elif default is _REQUIRED:
             raise _UsageError(f"missing required flag --{flag}")
         else:
@@ -582,7 +522,10 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
     if file_entries:
         unknown = ", ".join(sorted(file_entries))
         raise _UsageError(f"unknown config key(s): {unknown}")
-    _validate(opts)
+    for flag in command["options"]:
+        spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
+        if value is not None and spec.ok is not None and not spec.ok(value):
+            raise _UsageError(f"{spec.message}, got {value}")
     return opts
 
 

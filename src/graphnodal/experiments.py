@@ -3,9 +3,21 @@
 Every experiment draws trial t of experiment "name" from the substream
 (master seed, name, t), so results never depend on execution order, adding
 trials never perturbs earlier ones, and reruns are reproducible bit for bit.
+Each run_* states its arguments, one trial and a summary of the trials;
+_experiment does the rest for all of them: the resolved config (the
+runner's own arguments), the trial fan-out, per value of a swept list
+argument where there is one, and the report.  Reports carry no timings,
+which would differ from run to run.
+
 Trials may run on a thread pool; aggregation folds the trial results in
-trial order, so the report is identical for every thread count.  Reports
-carry no timings, which would differ from run to run.
+trial order, so the report is identical for every thread count.  The pool
+earns its place: a trial spends much of its time in eigh and other numpy
+calls that release the interpreter lock, so two threads overlap.  With BLAS
+pinned to one thread on a 2-vCPU Xeon (five runs each), --threads 2 against
+--threads 1 took 0.29-0.44 s against 0.44-0.55 s for `exp-fig2 --n-list
+100,300 --trials 16`, 0.10-0.11 s against 0.13-0.15 s for `exp-gnp --n 200
+--trials 6`, and 0.26-0.30 s against 0.34-0.38 s for `exp-fig1 --d-list 3,4
+--n 300 --trials 2`.
 
 Report serialization: CSV uses one pinned header per experiment (see the
 run_* docstrings), JSON carries the resolved config, the aggregate rows,
@@ -15,15 +27,18 @@ significant digits.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bounds import tail_constants
 from .graph_core import (
+    Graph,
     adjacency_matrix,
     laplacian_matrix,
     sample_gnp,
@@ -32,8 +47,14 @@ from .graph_core import (
     sample_xp_matrix,
     substream,
 )
-from .nodal import DEFAULT_TAU_SCALE, SignedFunction, nodal_census, weak_nodal_domains
-from .spectral import eigendecompose, operator_norm
+from .nodal import (
+    DEFAULT_TAU_SCALE,
+    NodalCensus,
+    SignedFunction,
+    nodal_census,
+    weak_nodal_domains,
+)
+from .spectral import Spectrum, eigendecompose, operator_norm
 
 __all__ = [
     "ExperimentReport",
@@ -66,6 +87,63 @@ def _run_trials(worker: Callable[[int], Any], count: int, threads: int) -> list:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, range(count)))
     return [worker(i) for i in range(count)]
+
+
+def _experiment(
+    name: str,
+    args: dict[str, Any],
+    columns: tuple[str, ...],
+    trial: Callable[..., Any],
+    summarize: Callable[..., tuple[list[tuple], dict[str, Any], list | None]],
+    sweep: str | None = None,
+    count: str = "trials",
+) -> ExperimentReport:
+    """Resolve a runner's config, fan its trials out and report them.
+
+    args is the runner's locals(), taken before it binds any name but its
+    normalized arguments: the config is {"experiment": name} plus every
+    argument but threads, tuples as lists.  args[count] trials run on
+    args["threads"] threads.  Without a sweep, trial(t) runs for every
+    trial t and summarize(results) returns the report's rows, extras and raw
+    records (or None).  With sweep naming a sequence argument such as
+    "n_list", trial(x, t) runs at each of its values x and summarize(x,
+    results) returns the rows, extras and per-trial records at x: the rows
+    are concatenated, each extra is reported as {str(x): value}, and each
+    record gains x, under the argument's name less "_list", and its trial.
+    """
+    config = {"experiment": name}
+    config.update(
+        (key, list(value) if isinstance(value, tuple) else value)
+        for key, value in args.items() if key != "threads"
+    )
+    trials, threads = args[count], args["threads"]
+    if sweep is None:
+        return ExperimentReport(config, columns, *summarize(_run_trials(trial, trials, threads)))
+    axis = sweep.removesuffix("_list")
+    rows, extras, raw = [], {}, []
+    for x in args[sweep]:
+        results = _run_trials(functools.partial(trial, x), trials, threads)
+        x_rows, x_extras, records = summarize(x, results)
+        rows += x_rows
+        for key, value in x_extras.items():
+            extras.setdefault(key, {})[str(x)] = value
+        raw += [{axis: x, "trial": t, **record} for t, record in enumerate(records)]
+    return ExperimentReport(config, columns, rows, extras, raw)
+
+
+def _adjacency_spectrum(g: Graph) -> Spectrum:
+    return eigendecompose(adjacency_matrix(g), "descending")
+
+
+def _adjacency_census(g: Graph, tau: float | None) -> NodalCensus:
+    """The nodal census of every adjacency eigenvector of g."""
+    return nodal_census(g, _adjacency_spectrum(g).eigenvectors, tau)
+
+
+def _histogram(counts: Iterable[int]) -> dict[str, int]:
+    """How often each count occurs, keyed by the count as a string, in count order."""
+    tally = Counter(map(int, counts))
+    return {str(c): tally[c] for c in sorted(tally)}
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -132,41 +210,27 @@ def run_fig1(
     in the averages.
     """
     d_list = tuple(int(d) for d in d_list)
-    config = {
-        "experiment": "fig1", "d_list": list(d_list), "n": n,
-        "trials": trials, "seed": seed, "tau": tau,
-    }
-    rows: list[tuple] = []
-    extras: dict[str, Any] = {"disconnected_trials": {}, "strong_mean_by_index": {}}
-    raw: list[dict] = []
-    for d in d_list:
-        def worker(t: int, d: int = d):
-            g = sample_regular(n, d, substream(seed, f"fig1-d{d}", t))
-            spectrum = eigendecompose(adjacency_matrix(g), "descending")
-            census = nodal_census(g, spectrum.eigenvectors, tau)
-            return census.weak_count.tolist(), census.strong_count.tolist(), census.connected
+    args = dict(locals())
 
-        results = _run_trials(worker, trials, threads)
-        weak_mat = np.array([res[0] for res in results], dtype=np.int64)
-        strong_mat = np.array([res[1] for res in results], dtype=np.int64)
-        disconnected = [t for t, res in enumerate(results) if not res[2]]
-        for i in range(n):
-            mean, std = _mean_std(weak_mat[:, i])
-            rows.append((d, i + 1, mean, std))
-        extras["disconnected_trials"][str(d)] = disconnected
-        extras["strong_mean_by_index"][str(d)] = [
-            float(strong_mat[:, i].mean()) for i in range(n)
+    def trial(d: int, t: int) -> NodalCensus:
+        return _adjacency_census(sample_regular(n, d, substream(seed, f"fig1-d{d}", t)), tau)
+
+    def summarize(d: int, censuses: list[NodalCensus]):
+        weak = np.array([c.weak_count for c in censuses], dtype=np.int64)
+        strong = np.array([c.strong_count for c in censuses], dtype=np.int64)
+        extras = {
+            "disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected],
+            "strong_mean_by_index": [float(strong[:, i].mean()) for i in range(n)],
+        }
+        records = [
+            {"connected": c.connected, "weak": c.weak_count.tolist(),
+             "strong": c.strong_count.tolist()}
+            for c in censuses
         ]
-        for t, res in enumerate(results):
-            raw.append({
-                "d": d, "trial": t, "connected": res[2],
-                "weak": list(map(int, res[0])), "strong": list(map(int, res[1])),
-            })
-    return ExperimentReport(
-        config=config,
-        columns=("d", "index", "mean_domains", "std_domains"),
-        rows=rows, extras=extras, raw=raw,
-    )
+        return [(d, i + 1, *_mean_std(weak[:, i])) for i in range(n)], extras, records
+
+    return _experiment("fig1", args, ("d", "index", "mean_domains", "std_domains"),
+                       trial, summarize, sweep="d_list")
 
 
 def run_fig2(
@@ -184,33 +248,20 @@ def run_fig2(
     raw records carry each trial's weak count.
     """
     n_list = tuple(int(n) for n in n_list)
-    config = {
-        "experiment": "fig2", "n_list": list(n_list), "p": p,
-        "trials": trials, "seed": seed, "tau": tau,
-    }
-    rows: list[tuple] = []
-    extras: dict[str, Any] = {"count_histogram": {}}
-    raw: list[dict] = []
-    for n in n_list:
-        def worker(t: int, n: int = n):
-            g = sample_gnp(n, p, substream(seed, f"fig2-n{n}", t))
-            spectrum = eigendecompose(laplacian_matrix(g), "ascending")
-            f = SignedFunction.from_values(spectrum.vector(n - 1), tau)
-            return weak_nodal_domains(g, f).count
+    args = dict(locals())
 
-        counts = _run_trials(worker, trials, threads)
-        frac = sum(1 for c in counts if c == 3) / trials
-        rows.append((n, trials, frac))
-        hist: dict[str, int] = {}
-        for c in counts:
-            hist[str(c)] = hist.get(str(c), 0) + 1
-        extras["count_histogram"][str(n)] = dict(sorted(hist.items(), key=lambda kv: int(kv[0])))
-        raw.extend({"n": n, "trial": t, "weak_count": int(c)} for t, c in enumerate(counts))
-    return ExperimentReport(
-        config=config,
-        columns=("n", "trials", "frac_three_domains"),
-        rows=rows, extras=extras, raw=raw,
-    )
+    def trial(n: int, t: int) -> int:
+        g = sample_gnp(n, p, substream(seed, f"fig2-n{n}", t))
+        spectrum = eigendecompose(laplacian_matrix(g), "ascending")
+        return weak_nodal_domains(g, SignedFunction.from_values(spectrum.vector(n - 1), tau)).count
+
+    def summarize(n: int, counts: list[int]):
+        extras = {"count_histogram": _histogram(counts)}
+        records = [{"weak_count": c} for c in counts]
+        return [(n, trials, counts.count(3) / trials)], extras, records
+
+    return _experiment("fig2", args, ("n", "trials", "frac_three_domains"),
+                       trial, summarize, sweep="n_list")
 
 
 def run_gnp_scan(
@@ -230,45 +281,30 @@ def run_gnp_scan(
     0-based.  Extras aggregate the non-first maxima and a weak-count
     histogram.
     """
-    config = {
-        "experiment": "gnp-scan", "n": n, "p": p,
-        "trials": trials, "seed": seed, "tau": tau,
-    }
+    args = dict(locals())
 
-    def worker(t: int):
-        g = sample_gnp(n, p, substream(seed, "gnp-scan", t))
-        spectrum = eigendecompose(adjacency_matrix(g), "descending")
-        census = nodal_census(g, spectrum.eigenvectors, tau)
-        return census.rows(), census.connected
+    def trial(t: int) -> NodalCensus:
+        return _adjacency_census(sample_gnp(n, p, substream(seed, "gnp-scan", t)), tau)
 
-    results = _run_trials(worker, trials, threads)
-    rows: list[tuple] = []
-    hist: dict[str, int] = {}
-    max_weak = max_strong = max_e = max_ecapz = total_zero = 0
-    for t, (cells, _) in enumerate(results):
-        for i, cell in enumerate(cells):
-            rows.append((t, i + 1) + cell)
-            total_zero += cell[5]
-            if i > 0:
-                hist[str(cell[0])] = hist.get(str(cell[0]), 0) + 1
-                max_weak = max(max_weak, cell[0])
-                max_strong = max(max_strong, cell[1])
-                max_e = max(max_e, cell[4])
-                max_ecapz = max(max_ecapz, cell[6])
-    extras = {
-        "disconnected_trials": [t for t, (_, conn) in enumerate(results) if not conn],
-        "weak_count_histogram_nonfirst": dict(sorted(hist.items(), key=lambda kv: int(kv[0]))),
-        "max_weak_nonfirst": max_weak,
-        "max_strong_nonfirst": max_strong,
-        "max_E_nonfirst": max_e,
-        "max_EcapZ_nonfirst": max_ecapz,
-        "total_zero_vertices": total_zero,
-    }
-    return ExperimentReport(
-        config=config,
-        columns=("trial", "index", "weak", "strong", "P", "N", "E", "Z", "EcapZ"),
-        rows=rows, extras=extras, raw=None,
-    )
+    def summarize(censuses: list[NodalCensus]):
+        cells = np.array([c.rows() for c in censuses], dtype=np.int64).reshape(-1, n, 7)
+        rows = [(t, i + 1, *cell) for t, by_index in enumerate(cells.tolist())
+                for i, cell in enumerate(by_index)]
+        weak, strong, _, _, e, _, e_cap_z = cells[:, 1:].reshape(-1, 7).T
+        extras = {
+            "disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected],
+            "weak_count_histogram_nonfirst": _histogram(weak),
+            "max_weak_nonfirst": int(weak.max(initial=0)),
+            "max_strong_nonfirst": int(strong.max(initial=0)),
+            "max_E_nonfirst": int(e.max(initial=0)),
+            "max_EcapZ_nonfirst": int(e_cap_z.max(initial=0)),
+            "total_zero_vertices": int(cells[:, :, 5].sum()),
+        }
+        return rows, extras, None
+
+    return _experiment("gnp-scan", args,
+                       ("trial", "index", "weak", "strong", "P", "N", "E", "Z", "EcapZ"),
+                       trial, summarize)
 
 
 def run_tail_mc(
@@ -288,17 +324,15 @@ def run_tail_mc(
     same threshold with n = k, bound exp(-xi^2 n / 32)); "rect" (an
     m x k rectangular sample with m = (1+delta) k, threshold
     a1 sqrt(p(1-p)) sqrt(m), bound exp(-a2 m), no xi).  Extras carry the
-    median norm ratios used as a location sanity check.
+    median norm ratios used as a location sanity check.  The config also
+    carries m.
     """
     xi_list = tuple(float(x) for x in xi_list)
     m = int(round((1.0 + delta) * k))
-    config = {
-        "experiment": "tails", "p": p, "k": k, "m": m, "delta": delta,
-        "samples": samples, "xi_list": list(xi_list), "seed": seed,
-    }
+    args = dict(locals())
     sigma2 = 2.0 * ((p * (1.0 - p)) ** 0.5)
 
-    def worker(i: int):
+    def trial(i: int) -> tuple[float, float, float]:
         a = sample_sym_xp_matrix(k, p, substream(seed, "tails-sym", i))
         sym_norm = float(np.abs(np.linalg.eigvalsh(a)).max())
         g = sample_gnp(k, p, substream(seed, "tails-gnp", i))
@@ -308,36 +342,31 @@ def run_tail_mc(
         rect_norm = operator_norm(q)
         return sym_norm, gnp_nontop, rect_norm
 
-    results = _run_trials(worker, samples, threads)
-    sym_norms = np.array([res[0] for res in results])
-    gnp_vals = np.array([res[1] for res in results])
-    rect_norms = np.array([res[2] for res in results])
+    def summarize(results: list[tuple[float, float, float]]):
+        sym_norms, gnp_vals, rect_norms = np.array(results).reshape(-1, 3).T
+        rows: list[tuple] = []
+        for xi in xi_list:
+            threshold = (sigma2 + xi) * np.sqrt(k)
+            bound = 4.0 * float(np.exp(-(xi**2) * k / 8.0))
+            rows.append(("sym", k, xi, min(bound, 1.0), float((sym_norms >= threshold).mean())))
+        for xi in xi_list:
+            threshold = (sigma2 + xi) * np.sqrt(k)
+            bound = float(np.exp(-(xi**2) * k / 32.0))
+            rows.append(("gnp", k, xi, min(bound, 1.0), float((gnp_vals >= threshold).mean())))
+        _, a1, a2 = tail_constants(p, delta)
+        rect_threshold = a1 * ((p * (1.0 - p)) ** 0.5) * np.sqrt(m)
+        rows.append(("rect", m, None, min(float(np.exp(-a2 * m)), 1.0),
+                     float((rect_norms >= rect_threshold).mean())))
+        extras = {
+            "median_sym_ratio": float(np.median(sym_norms)) / float(np.sqrt(k)),
+            "median_gnp_ratio": float(np.median(gnp_vals)) / float(np.sqrt(k)),
+            "median_rect_ratio": float(np.median(rect_norms)) / float(np.sqrt(m)),
+            "rect_threshold": float(rect_threshold),
+        }
+        return rows, extras, None
 
-    rows: list[tuple] = []
-    for xi in xi_list:
-        threshold = (sigma2 + xi) * np.sqrt(k)
-        bound = 4.0 * float(np.exp(-(xi**2) * k / 8.0))
-        rows.append(("sym", k, xi, min(bound, 1.0), float((sym_norms >= threshold).mean())))
-    for xi in xi_list:
-        threshold = (sigma2 + xi) * np.sqrt(k)
-        bound = float(np.exp(-(xi**2) * k / 32.0))
-        rows.append(("gnp", k, xi, min(bound, 1.0), float((gnp_vals >= threshold).mean())))
-    _, a1, a2 = tail_constants(p, delta)
-    rect_threshold = a1 * ((p * (1.0 - p)) ** 0.5) * np.sqrt(m)
-    rows.append(("rect", m, None, min(float(np.exp(-a2 * m)), 1.0),
-                 float((rect_norms >= rect_threshold).mean())))
-
-    extras = {
-        "median_sym_ratio": float(np.median(sym_norms)) / float(np.sqrt(k)),
-        "median_gnp_ratio": float(np.median(gnp_vals)) / float(np.sqrt(k)),
-        "median_rect_ratio": float(np.median(rect_norms)) / float(np.sqrt(m)),
-        "rect_threshold": float(rect_threshold),
-    }
-    return ExperimentReport(
-        config=config,
-        columns=("model", "size", "xi", "bound", "empirical"),
-        rows=rows, extras=extras, raw=None,
-    )
+    return _experiment("tails", args, ("model", "size", "xi", "bound", "empirical"),
+                       trial, summarize, count="samples")
 
 
 def run_inner_product_check(
@@ -352,25 +381,17 @@ def run_inner_product_check(
     CSV rows "trial,max_inner_product"; extras carry the global max and
     median.  The ones vector is unnormalized.
     """
-    config = {"experiment": "inner", "n": n, "p": p, "trials": trials, "seed": seed}
+    args = dict(locals())
 
-    def worker(t: int):
-        g = sample_gnp(n, p, substream(seed, "inner", t))
-        spectrum = eigendecompose(adjacency_matrix(g), "descending")
-        sums = np.abs(spectrum.eigenvectors[:, 1:].sum(axis=0))
-        return float(sums.max()) if n > 1 else 0.0
+    def trial(t: int) -> float:
+        vectors = _adjacency_spectrum(sample_gnp(n, p, substream(seed, "inner", t))).eigenvectors
+        return float(np.abs(vectors[:, 1:].sum(axis=0)).max()) if n > 1 else 0.0
 
-    values = _run_trials(worker, trials, threads)
-    rows = [(t, v) for t, v in enumerate(values)]
-    extras = {
-        "global_max": float(max(values)),
-        "median": float(np.median(np.asarray(values))),
-    }
-    return ExperimentReport(
-        config=config,
-        columns=("trial", "max_inner_product"),
-        rows=rows, extras=extras, raw=None,
-    )
+    def summarize(values: list[float]):
+        extras = {"global_max": float(max(values)), "median": float(np.median(np.asarray(values)))}
+        return list(enumerate(values)), extras, None
+
+    return _experiment("inner", args, ("trial", "max_inner_product"), trial, summarize)
 
 
 def run_linf_scan(
@@ -390,37 +411,23 @@ def run_linf_scan(
     per-eigenvector sup norms.
     """
     n_list = tuple(int(n) for n in n_list)
-    config = {
-        "experiment": "linf", "n_list": list(n_list), "p": p,
-        "trials": trials, "seed": seed, "tau": tau,
-    }
-    rows: list[tuple] = []
-    raw: list[dict] = []
-    for n in n_list:
-        def worker(t: int, n: int = n):
-            g = sample_gnp(n, p, substream(seed, f"linf-n{n}", t))
-            spectrum = eigendecompose(adjacency_matrix(g), "descending")
-            abs_vecs = np.abs(spectrum.eigenvectors)
-            linfs = abs_vecs.max(axis=0)
-            taus = (
-                np.full(n, tau, dtype=np.float64) if tau is not None else DEFAULT_TAU_SCALE * linfs
-            )
-            zero_coords = int((abs_vecs <= taus[np.newaxis, :]).sum())
-            return linfs.tolist(), zero_coords
+    args = dict(locals())
 
-        results = _run_trials(worker, trials, threads)
-        all_linfs = np.concatenate([np.asarray(res[0]) for res in results])
-        zero_total = sum(res[1] for res in results)
-        rows.append((n, float(np.median(all_linfs)), float(all_linfs.max()), zero_total))
-        raw.extend(
-            {"n": n, "trial": t, "linf": res[0], "zero_coordinates": res[1]}
-            for t, res in enumerate(results)
-        )
-    return ExperimentReport(
-        config=config,
-        columns=("n", "median_linf", "max_linf", "zero_coordinates"),
-        rows=rows, extras={}, raw=raw,
-    )
+    def trial(n: int, t: int) -> tuple[list[float], int]:
+        g = sample_gnp(n, p, substream(seed, f"linf-n{n}", t))
+        abs_vecs = np.abs(_adjacency_spectrum(g).eigenvectors)
+        linfs = abs_vecs.max(axis=0)
+        taus = np.full(n, tau, dtype=np.float64) if tau is not None else DEFAULT_TAU_SCALE * linfs
+        return linfs.tolist(), int((abs_vecs <= taus[np.newaxis, :]).sum())
+
+    def summarize(n: int, results: list[tuple[list[float], int]]):
+        all_linfs = np.concatenate([np.asarray(linfs) for linfs, _ in results])
+        zero_total = sum(zeros for _, zeros in results)
+        records = [{"linf": linfs, "zero_coordinates": zeros} for linfs, zeros in results]
+        return [(n, float(np.median(all_linfs)), float(all_linfs.max()), zero_total)], {}, records
+
+    return _experiment("linf", args, ("n", "median_linf", "max_linf", "zero_coordinates"),
+                       trial, summarize, sweep="n_list")
 
 
 def run_neighborhood_fact(
@@ -441,12 +448,9 @@ def run_neighborhood_fact(
     k_list = tuple(int(k) for k in k_list)
     if any(k < 1 or k >= n for k in k_list):
         raise ValueError(f"tuple sizes must satisfy 1 <= k < n, got {k_list}")
-    config = {
-        "experiment": "fact", "n": n, "p": p, "k_list": list(k_list),
-        "trials": trials, "seed": seed,
-    }
+    args = dict(locals())
 
-    def worker(t: int):
+    def trial(t: int) -> list[tuple[float, float]]:
         adj = adjacency_matrix(sample_gnp(n, p, substream(seed, "fact", t))) > 0
         gen = substream(seed, "fact-tuples", t).generator()
         out = []
@@ -456,26 +460,25 @@ def run_neighborhood_fact(
             out.append((float(union.sum()) / n, float(inter.sum()) / n))
         return out
 
-    results = _run_trials(worker, trials, threads)
-    rows: list[tuple] = []
-    for j, k in enumerate(k_list):
-        unions = np.array([res[j][0] for res in results])
-        inters = np.array([res[j][1] for res in results])
-        exp_union = 1.0 - (1.0 - p) ** k
-        exp_inter = p**k
-        rows.append((
-            k,
-            float(unions.mean()), exp_union, float(np.abs(unions - exp_union).max()),
-            float(inters.mean()), exp_inter, float(np.abs(inters - exp_inter).max()),
-        ))
-    return ExperimentReport(
-        config=config,
-        columns=(
-            "k", "mean_union", "expected_union", "max_union_dev",
-            "mean_intersection", "expected_intersection", "max_intersection_dev",
-        ),
-        rows=rows, extras={}, raw=None,
+    def summarize(results: list[list[tuple[float, float]]]):
+        rows: list[tuple] = []
+        for j, k in enumerate(k_list):
+            unions = np.array([res[j][0] for res in results])
+            inters = np.array([res[j][1] for res in results])
+            exp_union = 1.0 - (1.0 - p) ** k
+            exp_inter = p**k
+            rows.append((
+                k,
+                float(unions.mean()), exp_union, float(np.abs(unions - exp_union).max()),
+                float(inters.mean()), exp_inter, float(np.abs(inters - exp_inter).max()),
+            ))
+        return rows, {}, None
+
+    columns = (
+        "k", "mean_union", "expected_union", "max_union_dev",
+        "mean_intersection", "expected_intersection", "max_intersection_dev",
     )
+    return _experiment("fact", args, columns, trial, summarize)
 
 
 def run_courant_report(
@@ -492,39 +495,33 @@ def run_courant_report(
 
     Adjacency spectrum, descending.  CSV rows "index,freq_exceeding,
     freq_exceeding_connected" cover every index 1..n; the second frequency
-    restricts to trials whose sample was connected.
+    restricts to trials whose sample was connected.  The config carries p
+    for source "gnp" and d for "regular".
     """
     if source not in ("gnp", "regular"):
         raise ValueError(f"source must be 'gnp' or 'regular', got {source!r}")
-    config = {
-        "experiment": "courant", "source": source, "n": n, "trials": trials,
-        "seed": seed, "tau": tau,
-    }
-    config["p" if source == "gnp" else "d"] = p if source == "gnp" else d
+    args = dict(locals())
+    del args["d" if source == "gnp" else "p"]
 
-    def worker(t: int):
+    def trial(t: int) -> NodalCensus:
         stream = substream(seed, f"courant-{source}", t)
         g = sample_gnp(n, p, stream) if source == "gnp" else sample_regular(n, d, stream)
-        spectrum = eigendecompose(adjacency_matrix(g), "descending")
-        census = nodal_census(g, spectrum.eigenvectors, tau)
-        return census.weak_count.tolist(), census.connected
+        return _adjacency_census(g, tau)
 
-    results = _run_trials(worker, trials, threads)
-    connected_idx = [t for t, res in enumerate(results) if res[1]]
-    rows: list[tuple] = []
-    for i in range(n):
-        exceed = [res[0][i] > i + 1 for res in results]
-        freq = sum(exceed) / trials
-        if connected_idx:
-            freq_conn = sum(exceed[t] for t in connected_idx) / len(connected_idx)
-        else:
-            freq_conn = 0.0
-        rows.append((i + 1, freq, freq_conn))
-    extras = {
-        "disconnected_trials": [t for t, res in enumerate(results) if not res[1]],
-    }
-    return ExperimentReport(
-        config=config,
-        columns=("index", "freq_exceeding", "freq_exceeding_connected"),
-        rows=rows, extras=extras, raw=None,
-    )
+    def summarize(censuses: list[NodalCensus]):
+        weak = [c.weak_count.tolist() for c in censuses]
+        connected_idx = [t for t, c in enumerate(censuses) if c.connected]
+        rows: list[tuple] = []
+        for i in range(n):
+            exceed = [counts[i] > i + 1 for counts in weak]
+            freq = sum(exceed) / trials
+            if connected_idx:
+                freq_conn = sum(exceed[t] for t in connected_idx) / len(connected_idx)
+            else:
+                freq_conn = 0.0
+            rows.append((i + 1, freq, freq_conn))
+        extras = {"disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected]}
+        return rows, extras, None
+
+    return _experiment("courant", args, ("index", "freq_exceeding", "freq_exceeding_connected"),
+                       trial, summarize)

@@ -341,12 +341,13 @@ def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -
                        pos_in, neg_in, weak_pos, weak_neg, closed)
 
 
-def _tally(labels: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """[row, root] -> vertices of that component inside `where`, a (k, n + 1)
-    array whose column n gathers the vertices outside the labeled mask."""
+def _tally(labels: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+    """[row, root] -> vertices of that component (inside `where`, if given), a
+    (k, n + 1) array whose column n gathers the vertices outside the labeled mask."""
     k, n = labels.shape
-    base = np.arange(k)[:, np.newaxis] * (n + 1)
-    return np.bincount((labels + base)[where], minlength=k * (n + 1)).reshape(k, n + 1)
+    keys = labels + np.arange(k)[:, np.newaxis] * (n + 1)
+    keys = keys.ravel() if where is None else keys[where]
+    return np.bincount(keys, minlength=k * (n + 1)).reshape(k, n + 1)
 
 
 def _census(
@@ -360,11 +361,10 @@ def _census(
     vertex = np.arange(n)
     weak = s.weak_pos.sum(axis=1) + s.weak_neg.sum(axis=1) + s.closed.sum(axis=1)
     strong = (s.strict_pos == vertex).sum(axis=1) + (s.strict_neg == vertex).sum(axis=1)
-    everywhere = np.ones((k, n), dtype=bool)
 
     def pick(lab, candidate, strict):
         # largest, then most strictly signed, then smallest root
-        size = _tally(lab, everywhere)[:, :n]
+        size = _tally(lab)[:, :n]
         key = np.where(candidate, (size * (n + 1) + strict) * (n + 1) + (n - vertex), -1)
         root = key.argmax(axis=1)
         found = key[np.arange(k), root] >= 0

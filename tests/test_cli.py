@@ -4,11 +4,24 @@ Everything runs in-process through main(argv) so exit codes and outputs are
 observable without a subprocess.
 """
 
+import inspect
 import io
 import json
 
-from graphnodal import read_graph
+import pytest
+
+from graphnodal import cli, read_graph
 from graphnodal.cli import main
+from graphnodal.experiments import (
+    run_courant_report,
+    run_fig1,
+    run_fig2,
+    run_gnp_scan,
+    run_inner_product_check,
+    run_linf_scan,
+    run_neighborhood_fact,
+    run_tail_mc,
+)
 
 
 def run_cli(capsys, *argv):
@@ -126,11 +139,12 @@ def test_summary_json(tmp_path, capsys):
     gpath, vpath = write_path_graph(tmp_path)
     code, out, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", vpath)
     assert code == 0
-    payload = json.loads("\n".join(body_lines(out)))
-    assert payload == {
+    expected = {
         "P_size": 2, "N_size": 2, "E_size": 0, "Z_size": 1,
         "weak_count": 2, "strong_count": 2, "E_cap_Z": 0,
     }
+    body = "".join(out.splitlines(keepends=True)[2:])
+    assert body == json.dumps(expected, indent=1, sort_keys=True) + "\n"
 
 
 def test_constants_row_contents(capsys):
@@ -242,3 +256,99 @@ def test_experiment_config_echo_excludes_threads(capsys):
     assert code == 0
     assert "--threads" not in out.splitlines()[0]
     assert "threads" not in out.splitlines()[1]
+
+
+# exp-* subcommand -> (runner, tiny flags, the same arguments as keywords,
+# the config the report must carry)
+EXPERIMENTS = {
+    "exp-fig1": (
+        run_fig1, ["--d-list", "3,4", "--n", "10", "--trials", "2", "--tau", "0"],
+        {"d_list": (3, 4), "n": 10, "trials": 2, "tau": 0.0},
+        {"experiment": "fig1", "d_list": [3, 4], "n": 10, "trials": 2, "seed": 0, "tau": 0.0},
+    ),
+    "exp-fig2": (
+        run_fig2, ["--n-list", "8,12", "--trials", "3", "--p", "0.3"],
+        {"n_list": (8, 12), "trials": 3, "p": 0.3},
+        {"experiment": "fig2", "n_list": [8, 12], "p": 0.3, "trials": 3, "seed": 0, "tau": None},
+    ),
+    "exp-gnp": (
+        run_gnp_scan, ["--n", "12", "--trials", "2", "--seed", "4"],
+        {"n": 12, "trials": 2, "seed": 4},
+        {"experiment": "gnp-scan", "n": 12, "p": 0.5, "trials": 2, "seed": 4, "tau": None},
+    ),
+    "exp-tails": (
+        run_tail_mc, ["--k", "10", "--samples", "3", "--xi-list", "0.5,1", "--delta", "0.5"],
+        {"k": 10, "samples": 3, "xi_list": (0.5, 1.0), "delta": 0.5},
+        {"experiment": "tails", "p": 0.5, "k": 10, "m": 15, "delta": 0.5, "samples": 3,
+         "xi_list": [0.5, 1.0], "seed": 0},
+    ),
+    "exp-inner": (
+        run_inner_product_check, ["--n", "12", "--trials", "2"],
+        {"n": 12, "trials": 2},
+        {"experiment": "inner", "n": 12, "p": 0.5, "trials": 2, "seed": 0},
+    ),
+    "exp-linf": (
+        run_linf_scan, ["--n-list", "6,9", "--trials", "2", "--tau", "0.05"],
+        {"n_list": (6, 9), "trials": 2, "tau": 0.05},
+        {"experiment": "linf", "n_list": [6, 9], "p": 0.5, "trials": 2, "seed": 0, "tau": 0.05},
+    ),
+    "exp-fact": (
+        run_neighborhood_fact, ["--n", "12", "--k-list", "1,3", "--trials", "2"],
+        {"n": 12, "k_list": (1, 3), "trials": 2},
+        {"experiment": "fact", "n": 12, "p": 0.5, "k_list": [1, 3], "trials": 2, "seed": 0},
+    ),
+    "exp-courant": (
+        run_courant_report, ["--source", "regular", "--n", "10", "--d", "3", "--trials", "2"],
+        {"source": "regular", "n": 10, "d": 3, "trials": 2},
+        {"experiment": "courant", "source": "regular", "n": 10, "d": 3, "trials": 2, "seed": 0,
+         "tau": None},
+    ),
+}
+
+
+def test_every_experiment_command_is_covered():
+    assert sorted(c for c in cli._COMMANDS if c.startswith("exp-")) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+def test_experiment_flags_default_as_their_runner(command):
+    runner = EXPERIMENTS[command][0]
+    defaults = {
+        name: param.default for name, param in inspect.signature(runner).parameters.items()
+    }
+    opts = cli._resolve(cli._build_parser().parse_args([command]), cli._COMMANDS[command])
+    assert opts == {**defaults, "format": "csv", "out": None}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+def test_experiment_config_echo_is_the_report_config(command, capsys):
+    runner, argv, kwargs, expected = EXPERIMENTS[command]
+    code, out, _ = run_cli(capsys, command, *argv, "--threads", "2")
+    assert code == 0
+    echoed = json.loads(out.splitlines()[1].removeprefix("# config: "))
+    assert runner(**kwargs).config == expected
+    assert echoed == expected
+
+
+def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
+    # argparse wraps the usage text to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bogus = 1\ntrials = 2\n", encoding="utf-8")
+    usage = (
+        "usage: graphnodal [-h] [--version]\n"
+        "                  {gen-gnp,gen-regular,spectrum,domains,summary,constants,kp,"
+        "exp-fig1,exp-fig2,exp-gnp,exp-tails,exp-inner,exp-linf,exp-fact,exp-courant}\n"
+        "                  ...\n"
+    )
+    cases = [
+        (["exp-gnp", "--bogus", "1"], usage + "error: unrecognized arguments: --bogus 1\n"),
+        (["exp-gnp", "--trials", "0"], "error: trials must be >= 1, got 0\n"),
+        (["exp-gnp", "--config", str(cfg)], "error: unknown config key(s): bogus\n"),
+        (["exp-tails", "--xi-list", "0.5,0"],
+         "error: xi-list entries must be > 0, got (0.5, 0.0)\n"),
+        (["exp-fig1", "--d-list", "3,x"], "error: expected an integer, got 'x'\n"),
+        (["exp-courant", "--source", "bad"], "error: expected one of gnp, regular, got 'bad'\n"),
+    ]
+    for argv, err in cases:
+        assert run_cli(capsys, *argv) == (1, "", err), argv

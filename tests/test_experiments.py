@@ -11,7 +11,14 @@ import math
 
 import numpy as np
 
-from graphnodal import adjacency_matrix, eigendecompose, sample_gnp, sample_regular, substream
+from graphnodal import (
+    adjacency_matrix,
+    eigendecompose,
+    sample_gnp,
+    sample_regular,
+    sample_sym_xp_matrix,
+    substream,
+)
 from graphnodal.experiments import (
     run_courant_report,
     run_fig1,
@@ -69,6 +76,7 @@ def test_fig2_counts_and_fraction():
     assert frac == sum(1 for c in counts if c == 3) / 12
     hist = r.extras["count_histogram"]["24"]
     assert sum(hist.values()) == 12
+    assert list(hist) == sorted(hist, key=int)
 
 
 def test_trial_prefix_stability():
@@ -93,6 +101,15 @@ def test_gnp_scan_rows_and_extras():
         assert row[8] <= min(row[6], row[7])
     hist = r.extras["weak_count_histogram_nonfirst"]
     assert sum(hist.values()) == (n - 1) * trials
+    nonfirst = [row for row in r.rows if row[1] > 1]
+    for key, col in (("max_weak_nonfirst", 2), ("max_strong_nonfirst", 3),
+                     ("max_E_nonfirst", 6), ("max_EcapZ_nonfirst", 8)):
+        assert r.extras[key] == max(row[col] for row in nonfirst), key
+    assert r.extras["total_zero_vertices"] == sum(row[7] for row in r.rows)
+    # a coarse tau zeroes coordinates of the first eigenvector too
+    coarse = run_gnp_scan(n=n, p=0.5, trials=trials, seed=23, tau=0.3)
+    assert any(row[7] for row in coarse.rows if row[1] == 1)
+    assert coarse.extras["total_zero_vertices"] == sum(row[7] for row in coarse.rows)
 
 
 def test_tail_mc_schema_and_monotone_exceedance():
@@ -113,6 +130,13 @@ def test_tail_mc_schema_and_monotone_exceedance():
     assert rect[0][1] == 60 and rect[0][2] is None
     line = [ln for ln in csv_of(r).splitlines() if ln.startswith("rect")][0]
     assert line.split(",")[2] == ""
+    # the sym row and ratio come from the symmetric samples' norms
+    samples = [sample_sym_xp_matrix(30, 0.5, substream(7, "tails-sym", i)) for i in range(40)]
+    norms = np.array([np.abs(np.linalg.eigvalsh(a)).max() for a in samples])
+    assert r.extras["median_sym_ratio"] == float(np.median(norms)) / math.sqrt(30)
+    assert [row[4] for row in sym] == [
+        float((norms >= (1.0 + xi) * math.sqrt(30)).mean()) for xi in (0.25, 0.5, 1.0)
+    ]
 
 
 def test_inner_product_zero_on_regular_graphs():
@@ -238,3 +262,13 @@ def test_census_runners_use_no_breadth_first_search(monkeypatch):
     run_gnp_scan(n=20, p=0.2, trials=2, seed=3)
     run_fig1(d_list=(3,), n=20, trials=2, seed=3)
     run_courant_report(source="gnp", n=20, p=0.2, trials=2, seed=3)
+
+
+def test_sweep_raw_records_carry_swept_value_and_trial():
+    for report, axis, values in (
+        (run_fig1(d_list=(3, 4), n=8, trials=2, seed=1), "d", [3, 4]),
+        (run_fig2(n_list=(6, 9), trials=2, seed=1), "n", [6, 9]),
+        (run_linf_scan(n_list=(5, 7), trials=2, seed=1), "n", [5, 7]),
+    ):
+        keys = [(rec[axis], rec["trial"]) for rec in report.raw]
+        assert keys == [(x, t) for x in values for t in range(2)]
