@@ -23,6 +23,20 @@ and the grid search returns the point maximizing k (ties by lexicographic
 parameter order).  The result is self-certifying: the inequality holds at k
 and fails at k+1.
 
+The search walks the grid in nested loops and computes each quantity once,
+at the level it depends on: t, a1, a2 per delta; alpha and beta per (delta,
+theta, gamma), skipping the triple unless both are positive; 1/2+eps, its
+square root and H(1/2+eps) per epsilon; D per (epsilon, xi1, xi2).  The
+union-bound condition is tested before k, so k is searched only at feasible
+points, and the winner is evaluated once more through `feasibility`.  Every
+expression keeps the operand order of `feasibility`, so the winner and its
+constants are bit-identical to a point-by-point search, which also searched
+k at infeasible points with alpha > 0.  At p = 1e-5 and below those
+searches hit their iteration cap; this search discards such points first
+and reports that no point is feasible.  The arithmetic is scalar `math`:
+numpy's log can differ from math.log in the last ulp, and the constants
+are written with 17 significant digits.
+
 Note on the default grid: with these formulas beta can never exceed
 4C/9 <= 1/288, so the union-bound condition forces the binary entropy of
 1/2+eps below ~3.5e-3, i.e. eps within about 3e-4 of 1/2, and forces
@@ -285,40 +299,53 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     """Largest k over all feasible grid points, ties by lexicographic order
     of (delta, theta, gamma, epsilon, xi1, xi2).
 
-    Raises ValueError when p is out of range and RuntimeError when no grid
-    point is feasible with a positive k.
+    Raises ValueError when p is out of range or a grid point fails the
+    BoundParams checks (the first such point in loop order), and
+    RuntimeError when no grid point is feasible with a positive k.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     if grid is None:
         grid = GridSpec()
-    best: ConstantsResult | None = None
+    c = c_constant(p)
+    alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
+    d_scale = 2.0 * math.sqrt(p * (1.0 - p))
     best_key: tuple | None = None
     for delta in grid.deltas:
         _, a1, _ = tail_constants(p, delta)
-        c = c_constant(p)
-        alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
         for theta in grid.thetas:
             gamma_max = alpha_ceiling * (1.0 - theta) / a1
             for frac in grid.gamma_fractions:
                 gamma = frac * gamma_max
+                # the point checks, in BoundParams order and words: alpha_beta
+                # checks theta and gamma, BoundParams each epsilon (every xi
+                # passed GridSpec's check), skipped points included
+                alpha, beta = alpha_beta(p, delta, theta, gamma)
                 for gap in grid.epsilon_gaps:
                     epsilon = 0.5 - gap
+                    BoundParams(p, delta, theta, gamma, epsilon, grid.xi1s[0], grid.xi2s[0])
+                    if not (alpha > 0.0 and beta > 0.0):
+                        continue
+                    half = 0.5 + epsilon
+                    root = math.sqrt(half)
+                    entropy = binary_entropy(half)
+                    if not entropy < beta * half:
+                        continue
+                    d_base = d_scale * (1.0 + root)
                     for xi1 in grid.xi1s:
+                        if not entropy < xi1**2 / 32.0:
+                            continue
                         for xi2 in grid.xi2s:
-                            params = BoundParams(
-                                p=p, delta=delta, theta=theta, gamma=gamma,
-                                epsilon=epsilon, xi1=xi1, xi2=xi2,
-                            )
-                            res = feasibility(params)
-                            if not res.feasible or res.k < 1:
+                            if not entropy < xi2**2 * half / 8.0:
                                 continue
-                            key = (-res.k, delta, theta, gamma, epsilon, xi1, xi2)
-                            if best_key is None or key < best_key:
-                                best, best_key = res, key
-    if best is None:
+                            d = d_base + xi1 + xi2 * root
+                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d))
+                            key = (-k, delta, theta, gamma, epsilon, xi1, xi2)
+                            if k >= 1 and (best_key is None or key < best_key):
+                                best_key = key
+    if best_key is None:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
-    return best
+    return feasibility(BoundParams(p, *best_key[1:]))
 
 
 def kp_formula(p: float) -> int:

@@ -77,6 +77,14 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # refuse leftovers where they are parsed, so that a subcommand's
+        # unknown flag is reported with that subcommand's usage
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _parse_int(text: str) -> int:
     try:
@@ -409,8 +417,13 @@ _FORMAT = {"format": "csv"}
 _OUT = {"out": None}
 
 
-def _experiment_command(text: str, runner: Callable[..., ExperimentReport]) -> dict[str, Any]:
-    """An exp-* subcommand: one flag per runner argument, defaulting as the runner does."""
+def _experiment_command(
+    text: str,
+    runner: Callable[..., ExperimentReport],
+    check: Callable[[dict[str, Any]], None] | None = None,
+) -> dict[str, Any]:
+    """An exp-* subcommand: one flag per runner argument, defaulting as the
+    runner does; check, if given, applies a rule across flags."""
     params = inspect.signature(runner).parameters
     names = tuple(params)
 
@@ -418,7 +431,12 @@ def _experiment_command(text: str, runner: Callable[..., ExperimentReport]) -> d
         return _emit_report(runner(**{name: opts[name] for name in names}), opts, argv)
 
     defaults = {name.replace("_", "-"): param.default for name, param in params.items()}
-    return {"help": text, "options": {**defaults, **_FORMAT, **_OUT}, "run": run}
+    return {"help": text, "options": {**defaults, **_FORMAT, **_OUT}, "run": run, "check": check}
+
+
+def _check_tuple_sizes(opts: dict[str, Any]) -> None:
+    if any(k >= opts["n"] for k in opts["k_list"]):
+        raise _UsageError(f"tuple sizes must satisfy 1 <= k < n, got {opts['k_list']}")
 
 
 _COMMANDS: dict[str, dict[str, Any]] = {
@@ -482,7 +500,7 @@ _COMMANDS: dict[str, dict[str, Any]] = {
         "sup norms of adjacency eigenvectors across graph sizes", run_linf_scan),
     "exp-fact": _experiment_command(
         "neighborhood union/intersection fractions for random k-tuples",
-        run_neighborhood_fact),
+        run_neighborhood_fact, _check_tuple_sizes),
     "exp-courant": _experiment_command(
         "how often eigenvector #k has more than k weak domains", run_courant_report),
 }
@@ -526,6 +544,8 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
         spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
         if value is not None and spec.ok is not None and not spec.ok(value):
             raise _UsageError(f"{spec.message}, got {value}")
+    if command.get("check") is not None:
+        command["check"](opts)
     return opts
 
 

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
@@ -421,14 +423,60 @@ def read_graph(source: str | IO[str]) -> Graph:
 
     Lines starting with '#' are treated as comments and skipped (command-line
     outputs prepend one).  Any structural defect raises GraphParseError with
-    the offending physical line number.
+    the offending physical line number.  Lines end at '\n', after the
+    stream's own newline translation.
+
+    A clean file is read in one np.loadtxt call; anything else (comments
+    past the leading block, a count mismatch, an unparsable field, a bad
+    edge) goes to the line parser, which names the line at fault.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
+            text = fh.read()
     else:
-        raw_lines = source.readlines()
+        text = source.read()
+    g = _load_edge_array(text)
+    return g if g is not None else _parse_edge_lines(text.split("\n"))
 
+
+def _load_edge_array(text: str) -> Graph | None:
+    """The graph of text if every line past the leading comment block is
+    "a b" in decimal and the edges pass the edge check; None otherwise."""
+    start = 0
+    while True:  # skip what the line parser skips before the header
+        end = text.find("\n", start)
+        line = (text[start:] if end < 0 else text[start:end]).strip()
+        if line and not line.startswith("#"):
+            break
+        if end < 0:
+            return None
+        start = end + 1
+    rest = text[start:]
+    if "#" in rest or not rest.isascii():  # loadtxt misreads some non-ASCII digits
+        return None
+    try:
+        # a failed parse only means the line parser must name the line; at
+        # numpy 1.24 loadtxt reads "1.0" as 1 with only a DeprecationWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(rest), dtype=np.int64, ndmin=2)
+    except Exception:
+        return None
+    if rows.shape[1] != 2:
+        return None
+    n, m = rows[0].tolist()
+    edges = rows[1:]
+    if n < 1 or m < 0 or edges.shape[0] != m:
+        return None
+    try:
+        u, v = _checked_edges(n, edges[:, 0], edges[:, 1])
+    except _EdgeError:
+        return None
+    return Graph(n, u, v)
+
+
+def _parse_edge_lines(raw_lines: Sequence[str]) -> Graph:
+    """The line-by-line parser of read_graph, which names the first bad line."""
     numbered = [
         (i + 1, line.strip())
         for i, line in enumerate(raw_lines)

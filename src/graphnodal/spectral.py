@@ -138,8 +138,9 @@ def write_spectrum_csv(spectrum: Spectrum, stream: IO[str]) -> None:
     """One row per eigenpair: index (1-based), eigenvalue, then n coordinates.
 
     All values are written with 17 significant digits, enough to round-trip
-    a double exactly.
+    a double exactly.  Rows are formatted one at a time, so only one
+    column is ever held as Python floats.
     """
-    for i in range(spectrum.n):
-        coords = ",".join(f"{x:.17g}" for x in spectrum.eigenvectors[:, i])
-        stream.write(f"{i + 1},{spectrum.eigenvalues[i]:.17g},{coords}\n")
+    row = "%d,%.17g" + ",%.17g" * spectrum.n + "\n"
+    for i, value in enumerate(spectrum.eigenvalues.tolist()):
+        stream.write(row % (i + 1, value, *spectrum.eigenvectors[:, i].tolist()))

@@ -1,0 +1,53 @@
+"""Reference grid search for the bound k, one point at a time.
+
+This is exceptional_bound_k as first written: every grid point becomes a
+validated BoundParams and goes through the scalar feasibility, which also
+searches k wherever alpha > 0.  graphnodal.bounds computes each quantity
+once per loop level instead, and must return the same ConstantsResult and
+raise the same ValueError.
+"""
+
+import math
+
+from graphnodal.bounds import (
+    BoundParams,
+    ConstantsResult,
+    GridSpec,
+    c_constant,
+    feasibility,
+    tail_constants,
+)
+
+
+def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0,1), got {p}")
+    if grid is None:
+        grid = GridSpec()
+    best: ConstantsResult | None = None
+    best_key: tuple | None = None
+    for delta in grid.deltas:
+        _, a1, _ = tail_constants(p, delta)
+        c = c_constant(p)
+        alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
+        for theta in grid.thetas:
+            gamma_max = alpha_ceiling * (1.0 - theta) / a1
+            for frac in grid.gamma_fractions:
+                gamma = frac * gamma_max
+                for gap in grid.epsilon_gaps:
+                    epsilon = 0.5 - gap
+                    for xi1 in grid.xi1s:
+                        for xi2 in grid.xi2s:
+                            params = BoundParams(
+                                p=p, delta=delta, theta=theta, gamma=gamma,
+                                epsilon=epsilon, xi1=xi1, xi2=xi2,
+                            )
+                            res = feasibility(params)
+                            if not res.feasible or res.k < 1:
+                                continue
+                            key = (-res.k, delta, theta, gamma, epsilon, xi1, xi2)
+                            if best_key is None or key < best_key:
+                                best, best_key = res, key
+    if best is None:
+        raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
+    return best

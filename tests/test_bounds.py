@@ -6,6 +6,7 @@ transcription slip in either place shows up as a mismatch.
 """
 
 import math
+import random
 
 import pytest
 
@@ -21,7 +22,8 @@ from graphnodal import (
     tail_constants,
     substream,
 )
-from graphnodal.bounds import REFERENCE_K_TABLE, binary_entropy
+from graphnodal.bounds import REFERENCE_K_TABLE, ConstantsResult, binary_entropy
+from bounds_reference import reference_bound_k
 
 
 def test_c_constant_values():
@@ -193,6 +195,57 @@ def test_grid_search_respects_custom_grid():
         exceptional_bound_k(1.5)
     with pytest.raises(ValueError):
         GridSpec(deltas=())
+
+
+def search_outcome(search, p, grid):
+    try:
+        return search(p, grid)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def test_grid_search_matches_point_by_point_reference():
+    for p, _ in REFERENCE_K_TABLE:
+        assert exceptional_bound_k(p) == reference_bound_k(p), p
+    rng = random.Random(17)
+    ranges = {
+        "deltas": (9.0, 999.0, 1e4, 1e6, 1e9),
+        "thetas": (0.1, 0.3, 0.5, 0.9, 0.99),
+        "gamma_fractions": (0.01, 0.05, 0.5, 0.9, 0.99),
+        "epsilon_gaps": (1e-3, 1e-4, 1e-5, 3e-6, 1e-8),
+        "xi1s": (0.25, 0.5, 1.0, 2.0, 8.0),
+        "xi2s": (0.25, 0.5, 1.0, 2.0, 8.0),
+    }
+    found = 0
+    for _ in range(60):
+        grid = GridSpec(**{name: tuple(rng.sample(values, rng.randint(1, 3)))
+                           for name, values in ranges.items()})
+        p = rng.choice([rng.uniform(0.1, 0.9), rng.choice(REFERENCE_K_TABLE)[0]])
+        got = search_outcome(exceptional_bound_k, p, grid)
+        assert got == search_outcome(reference_bound_k, p, grid), (p, grid)
+        found += isinstance(got, ConstantsResult)
+    assert found >= 20  # most random grids have a feasible point
+
+
+@pytest.mark.parametrize("bad", [
+    {"thetas": (0.5, 1.0)}, {"thetas": (1.5, 0.5)}, {"epsilon_gaps": (1e-3, 0.5)},
+    {"epsilon_gaps": (0.7,)}, {"thetas": (0.5, 1.0), "epsilon_gaps": (1e-4, 0.6)},
+    {"thetas": (2.0,), "epsilon_gaps": (0.5,)}, {"gamma_fractions": (0.5, 1e12)},
+])
+def test_grid_search_raises_the_reference_error_on_invalid_grids(bad):
+    grid = GridSpec(**{**vars(GridSpec()), **bad})
+    got = search_outcome(exceptional_bound_k, 0.5, grid)
+    assert got[0] is ValueError
+    assert got == search_outcome(reference_bound_k, 0.5, grid)
+
+
+def test_grid_search_searches_k_at_feasible_points_only():
+    # at p = 1e-5 no point is feasible; the point-by-point search gave up in
+    # its k search instead, at a point it would have discarded
+    with pytest.raises(RuntimeError, match="^no feasible grid point"):
+        exceptional_bound_k(1e-5)
+    with pytest.raises(RuntimeError, match="^k search exceeded iteration cap"):
+        reference_bound_k(1e-5)
 
 
 def test_kp_formula_values():

@@ -341,8 +341,19 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         "exp-fig1,exp-fig2,exp-gnp,exp-tails,exp-inner,exp-linf,exp-fact,exp-courant}\n"
         "                  ...\n"
     )
+    gnp_usage = (
+        "usage: graphnodal exp-gnp [-h] [--config CONFIG] [--n N] [--p P]\n"
+        "                          [--trials TRIALS] [--seed SEED] [--tau TAU]\n"
+        "                          [--threads THREADS] [--format FORMAT] [--out OUT]\n"
+    )
+    sizes = "error: tuple sizes must satisfy 1 <= k < n, got "
     cases = [
-        (["exp-gnp", "--bogus", "1"], usage + "error: unrecognized arguments: --bogus 1\n"),
+        # an unknown flag is reported by the parser it was given to
+        (["exp-gnp", "--bogus", "1"], gnp_usage + "error: unrecognized arguments: --bogus 1\n"),
+        (["--bogus", "exp-gnp"], usage + "error: unrecognized arguments: --bogus\n"),
+        # the cross-flag rule of exp-fact is a usage error too, defaults included
+        (["exp-fact", "--n", "3", "--k-list", "3"], sizes + "(3,)\n"),
+        (["exp-fact", "--n", "3"], sizes + "(1, 2, 3)\n"),
         (["exp-gnp", "--trials", "0"], "error: trials must be >= 1, got 0\n"),
         (["exp-gnp", "--config", str(cfg)], "error: unknown config key(s): bogus\n"),
         (["exp-tails", "--xi-list", "0.5,0"],

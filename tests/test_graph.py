@@ -191,21 +191,21 @@ def test_read_graph_tolerates_comments_and_blank_lines():
     assert g.edges == ((0, 1), (1, 2))
 
 
-@pytest.mark.parametrize(
-    "text,lineno",
-    [
-        ("", 1),
-        ("abc\n", 1),
-        ("3 1\n0 1 2\n", 2),
-        ("0 0\n", 1),
-        ("3 -1\n", 1),
-        ("3 2\n0 1\n", 1),  # count mismatch reported at the header
-        ("3 1\n1 1\n", 2),
-        ("3 1\n0 5\n", 2),
-        ("3 1\n1 0\n", 2),  # order violation
-        ("3 2\n0 1\n0 1\n", 3),
-    ],
-)
+ERROR_LINES = [
+    ("", 1),
+    ("abc\n", 1),
+    ("3 1\n0 1 2\n", 2),
+    ("0 0\n", 1),
+    ("3 -1\n", 1),
+    ("3 2\n0 1\n", 1),  # count mismatch reported at the header
+    ("3 1\n1 1\n", 2),
+    ("3 1\n0 5\n", 2),
+    ("3 1\n1 0\n", 2),  # order violation
+    ("3 2\n0 1\n0 1\n", 3),
+]
+
+
+@pytest.mark.parametrize("text,lineno", ERROR_LINES)
 def test_read_graph_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphParseError) as err:
         read_graph(io.StringIO(text))
@@ -317,6 +317,101 @@ def test_read_graph_unparsed_line_before_defect_wins():
 def test_read_graph_sorts_edge_lines():
     g = read_graph(io.StringIO(edge_list_text([(2, 3), (0, 2), (0, 1)])))
     assert g == Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
+
+
+# --- read_graph's loadtxt path against the line parser -----------------------
+
+
+def parsed(text):
+    """read_graph's Graph or error text for text, and the line parser's."""
+    def outcome(parse):
+        try:
+            return parse()
+        except GraphParseError as err:
+            return str(err)
+
+    return (outcome(lambda: read_graph(io.StringIO(text))),
+            outcome(lambda: graph_core._parse_edge_lines(text.split("\n"))))
+
+
+def test_read_graph_takes_the_array_path_on_written_graphs():
+    g = sample_gnp(30, 0.3, substream(2, "fast"))
+    buf = io.StringIO()
+    write_graph(g, buf)
+    text = "# one\n  # two\n\n" + buf.getvalue()
+    assert graph_core._load_edge_array(text) == g
+    assert graph_core._load_edge_array("3 0") == Graph.from_edges(3, [])
+
+
+MALFORMED = [
+    *(text for text, _ in ERROR_LINES),
+    *(edge_list_text(pairs, tail)
+      for pairs, _, _ in {**EDGE_DEFECTS, **FILE_DEFECTS}.values() for tail in ((), ("x y",))),
+    edge_list_text([(0, 1)], ("0 1 2", "3 3")),
+    edge_list_text([(0, 1)], ("0 99999999999999999999",)),
+]
+
+ODD_BUT_READABLE = [
+    "3 2\n0 1\n# middle\n1 2\n",  # a comment past the header
+    "3 2\n0 1 # x\n1 2\n",  # a comment on an edge line
+    "# a\n\n  # b\n3 1\n\n1 2\n\n",
+    "3 2\r\n0 1\r\n1 2\r\n", "3 2\r\n0 1\r\n1 2", "3 1\r0 1\r",
+    "3\t2\n0\t1\n 1  \t 2 \n", "+3 1\n0 +2\n", "1_0 1\n0 1_1\n", "3 1\n1.0 2\n",
+    "3 1\n0 1e0\n", "0x3 1\n0 1\n", "03 1\n00 0001\n", "3 1\n\x0c0 1\x0b\n",
+    "3 1\n\u0661 2\n", "\u01fe3 1\n0 1\n", "\ufeff3 1\n0 1\n", "3 1\n0\xa01\n",
+]
+
+BIG = 1 << 63
+EXTREMES = [
+    f"{BIG} 1\n0 1\n", f"{-BIG} 1\n0 1\n", f"3 {BIG}\n0 1\n", f"3 {-BIG}\n0 1\n",
+    f"{BIG - 1} 1\n0 1\n", f"3 1\n0 {BIG}\n", f"3 1\n0 {-BIG}\n", f"3 1\n{-BIG} 1\n",
+    f"3 1\n{BIG - 1} 1\n",
+]
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED + ODD_BUT_READABLE + EXTREMES + ["", "\n \n", "# a\n#b\n", "# only"]
+)
+def test_read_graph_agrees_with_line_parser(text):
+    fast, lines = parsed(text)
+    assert fast == lines
+
+
+def test_read_graph_agrees_with_line_parser_on_generated_lists():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    token = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(["x", "1.0", "+1", "", "-0"]))
+    line = st.one_of(
+        st.tuples(token, st.sampled_from([" ", "\t", "  ", " \t "]), token).map("".join),
+        st.sampled_from(["", " ", "# c", "0 1 2"]),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(-1, 6), st.integers(-1, 6), st.lists(line, max_size=8),
+        st.sampled_from(["\n", "\r\n"]), st.booleans(),
+    )
+    def check(n, m, body, end, comment):
+        text = end.join(["# header"] * comment + [f"{n} {m}"] + body) + end
+        fast, lines = parsed(text)
+        assert fast == lines
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(1, 9).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))),
+        st.sampled_from([" ", "\t", "  "]),
+    )
+    def check_edge_list(graph, sep):
+        n, pairs = graph
+        text = "".join(f"{a}{sep}{b}\n" for a, b in [(n, len(pairs)), *pairs])
+        fast, lines = parsed(text)
+        assert fast == lines
+        if isinstance(lines, Graph):
+            assert graph_core._load_edge_array(text) == lines
+
+    check()
+    check_edge_list()
 
 
 @pytest.fixture(params=["dense", "sparse"])

@@ -12,7 +12,7 @@ from graphnodal import (
     sample_regular,
     substream,
 )
-from graphnodal.spectral import write_spectrum_csv
+from graphnodal.spectral import Spectrum, write_spectrum_csv
 
 
 def test_k2_eigensystem():
@@ -139,3 +139,24 @@ def test_spectrum_csv_format():
     assert float(first[1]) == 1.0
     # 17 significant digits round-trip doubles exactly
     assert float(first[2]) == spectrum.vector(0)[0]
+
+
+def test_spectrum_csv_matches_per_value_formatting():
+    import io
+
+    values = np.array([1e300, -0.0, 5e-324, -3.0])
+    vectors = np.array([
+        [-0.0, 1.0, 2.0**53, 1e-300],
+        [5e-324, -1e300, 0.1, -2.5e-310],
+        [1.0 / 3.0, -7.0, 0.0, 123456789.0],
+        [-1e-300, 2.0**-1074 * 3, -0.5, 1e16],
+    ])
+    spectrum = Spectrum(values, vectors, "descending", 0.0, 0.0)
+    expected = "".join(
+        f"{i + 1},{values[i]:.17g}," + ",".join(f"{x:.17g}" for x in vectors[:, i]) + "\n"
+        for i in range(4)
+    )
+    buf = io.StringIO()
+    write_spectrum_csv(spectrum, buf)
+    assert buf.getvalue() == expected
+    assert expected.startswith("1,1.0000000000000001e+300,-0,4.9406564584124654e-324,")
