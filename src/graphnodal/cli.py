@@ -216,13 +216,14 @@ def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, An
         f" | seed: {'none' if seed is None else seed}\n"
     )
     config_line = "# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n"
-    text = header + config_line + body
+    # written piece by piece: joined, a large body would be copied once more
+    pieces = (header, config_line, body)
     out = opts.get("out")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _read_vector(path: str, n: int):

@@ -146,13 +146,6 @@ def _histogram(counts: Iterable[int]) -> dict[str, int]:
     return {str(c): tally[c] for c in sorted(tally)}
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
 def _fmt(value: Any, digits: int = 10) -> str:
     """One CSV cell: None empty, bools lower case, floats to `digits` significant digits."""
     if value is None:
@@ -215,19 +208,27 @@ def run_fig1(
     def trial(d: int, t: int) -> NodalCensus:
         return _adjacency_census(sample_regular(n, d, substream(seed, f"fig1-d{d}", t)), tau)
 
+    def by_index(counts: list[np.ndarray]) -> np.ndarray:
+        # index i's trials as row i of a C-contiguous array: a reduction
+        # along axis 1 sums each row in the order it sums the row alone
+        return np.ascontiguousarray(np.array(counts, dtype=np.float64).T)
+
     def summarize(d: int, censuses: list[NodalCensus]):
-        weak = np.array([c.weak_count for c in censuses], dtype=np.int64)
-        strong = np.array([c.strong_count for c in censuses], dtype=np.int64)
+        weak = by_index([c.weak_count for c in censuses])
+        strong = by_index([c.strong_count for c in censuses])
+        mean = weak.mean(axis=1).tolist()
+        std = weak.std(axis=1, ddof=1).tolist() if len(censuses) > 1 else [0.0] * n
         extras = {
             "disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected],
-            "strong_mean_by_index": [float(strong[:, i].mean()) for i in range(n)],
+            "strong_mean_by_index": strong.mean(axis=1).tolist(),
         }
         records = [
             {"connected": c.connected, "weak": c.weak_count.tolist(),
              "strong": c.strong_count.tolist()}
             for c in censuses
         ]
-        return [(d, i + 1, *_mean_std(weak[:, i])) for i in range(n)], extras, records
+        rows = [(d, i + 1, m, s) for i, (m, s) in enumerate(zip(mean, std))]
+        return rows, extras, records
 
     return _experiment("fig1", args, ("d", "index", "mean_domains", "std_domains"),
                        trial, summarize, sweep="d_list")

@@ -12,14 +12,17 @@ entire connected components of G on which f vanishes identically.  The
 brute-force oracle below enumerates maximal sets directly and pins this down.
 
 The census and the weak lists read one labeling, _sign_labels: one pass of
-the graph_core labeler over a stack of vertex masks (sign >= 0, sign <= 0,
-sign = +1 and sign = -1 per column, plus one all-true row for connectivity)
-names each component by its smallest vertex, and the weak-domain rule above
-marks which components are weak domains.  nodal_census counts, for every
-column of an eigenvector matrix at once, by array tallies over those labels:
-weak and strong counts and the P/N/E/Z sizes.  nodal_summary is its
-one-column case.  weak_nodal_domains lists each kept component of one
-column, strong_nodal_domains each component of its two strict masks.
+the graph_core labeler over a stack of vertex masks names each component by
+its smallest vertex.  The stack holds sign = +1 and sign = -1 for each of
+the k columns, sign >= 0 and sign <= 0 only for the z columns with a zero
+(in the others they are the strict masks), and one all-true row for
+connectivity: 2k + 2z + 1 rows.  The weak-domain rule above marks which
+components are weak domains, from component sizes tallied once and shared
+with the census.  nodal_census counts, for every column of an eigenvector
+matrix at once, by array tallies over those labels: weak and strong counts
+and the P/N/E/Z sizes.  nodal_summary is its one-column case.
+weak_nodal_domains lists each kept component of one column,
+strong_nodal_domains each component of its two strict masks.
 """
 
 from __future__ import annotations
@@ -298,14 +301,17 @@ class _SignLabels(NamedTuple):
 
     A component's label is its smallest vertex; a root labels itself.  The
     (k, n) label rows are those of the masks sign >= 0, sign <= 0, sign = +1
-    and sign = -1; whole labels G.  pos_in (neg_in) counts the strictly
-    positive (negative) vertices of a sign >= 0 (<= 0) component at its
-    root.  The kept roots are the weak domains: a sign >= 0 component with a
-    strictly positive vertex (weak_pos), the mirror image (weak_neg), and a
-    whole component of G on which the row is zero (closed: the same vertex
-    set and root in both labelings).  Any other sign >= 0 or sign <= 0
-    component is all-zero and touches the opposite sign, so it lies inside
-    a domain of that sign and is not maximal.
+    and sign = -1; whole labels G.  In a row with no zero the weak masks are
+    the strict ones, and so are their labels.  nonneg_size (nonpos_size)
+    counts the vertices of a sign >= 0 (<= 0) component at its root, and
+    pos_in (neg_in) its strictly positive (negative) ones.  The kept roots
+    are the weak domains: a sign >= 0 component with a strictly positive
+    vertex (weak_pos), the mirror image (weak_neg), and a whole component of
+    G on which the row is zero (closed: a root of both labelings whose two
+    components hold no strictly signed vertex, hence are the same set).  Any
+    other sign >= 0 or sign <= 0 component is all-zero and touches the
+    opposite sign, so it lies inside a domain of that sign and is not
+    maximal.
     """
 
     nonneg: np.ndarray
@@ -313,6 +319,8 @@ class _SignLabels(NamedTuple):
     strict_pos: np.ndarray
     strict_neg: np.ndarray
     whole: np.ndarray
+    nonneg_size: np.ndarray
+    nonpos_size: np.ndarray
     pos_in: np.ndarray
     neg_in: np.ndarray
     weak_pos: np.ndarray
@@ -321,33 +329,39 @@ class _SignLabels(NamedTuple):
 
 
 def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -> _SignLabels:
-    """Label a (k, n) sign stack in one label call, and keep its weak domains."""
+    """Label a (k, n) sign stack in one label call, and keep its weak domains.
+
+    The label call takes the 2k strict masks, the two weak masks of only
+    the z rows that have a zero, and the all-true row: 2k + 2z + 1 rows.
+    """
     k, n = signs.shape
-    pos, neg = signs > 0, signs < 0
-    labels = label(np.concatenate([~neg, ~pos, pos, neg, np.ones((1, n), dtype=bool)]))
-    nonneg, nonpos, strict_pos, strict_neg = labels[:4 * k].reshape(4, k, n)
-    pos_in = _tally(nonneg, pos)[:, :n]
-    neg_in_full = _tally(nonpos, neg)
-    neg_in = neg_in_full[:, :n]
+    pos, neg, zero = signs > 0, signs < 0, signs == 0
+    z = np.flatnonzero(zero.any(axis=1))
+    labels = label(np.concatenate([pos, neg, ~neg[z], ~pos[z], np.ones((1, n), dtype=bool)]))
+    strict_pos, strict_neg = labels[:k], labels[k:2 * k]
+    nonneg, nonpos = strict_pos.copy(), strict_neg.copy()
+    nonneg[z], nonpos[z] = labels[2 * k:-1].reshape(2, z.size, n)
+    nonneg_size, nonpos_size = _tally(nonneg), _tally(nonpos)
+    pos_in, neg_in = nonneg_size.copy(), nonpos_size.copy()
+    pos_in[z] -= _tally(nonneg[z], zero[z])
+    neg_in[z] -= _tally(nonpos[z], zero[z])
     vertex = np.arange(n)
-    nonneg_root = nonneg == vertex
+    nonneg_root, nonpos_root = nonneg == vertex, nonpos == vertex
     weak_pos = nonneg_root & (pos_in > 0)
-    weak_neg = (nonpos == vertex) & (neg_in > 0)
-    # no positive vertex in the sign >= 0 component, and none negative in the
-    # root's sign <= 0 component: no edge leaves the all-zero vertex set
-    closed = nonneg_root & (pos_in == 0)
-    closed &= np.take_along_axis(neg_in_full, nonpos, axis=1) == 0
-    return _SignLabels(nonneg, nonpos, strict_pos, strict_neg, labels[-1],
-                       pos_in, neg_in, weak_pos, weak_neg, closed)
+    weak_neg = nonpos_root & (neg_in > 0)
+    closed = np.zeros((k, n), dtype=bool)
+    closed[z] = nonneg_root[z] & nonpos_root[z] & (pos_in[z] == 0) & (neg_in[z] == 0)
+    return _SignLabels(nonneg, nonpos, strict_pos, strict_neg, labels[-1], nonneg_size,
+                       nonpos_size, pos_in, neg_in, weak_pos, weak_neg, closed)
 
 
 def _tally(labels: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     """[row, root] -> vertices of that component (inside `where`, if given), a
-    (k, n + 1) array whose column n gathers the vertices outside the labeled mask."""
+    (k, n) array; vertices outside the labeled mask are not counted."""
     k, n = labels.shape
     keys = labels + np.arange(k)[:, np.newaxis] * (n + 1)
     keys = keys.ravel() if where is None else keys[where]
-    return np.bincount(keys, minlength=k * (n + 1)).reshape(k, n + 1)
+    return np.bincount(keys, minlength=k * (n + 1)).reshape(k, n + 1)[:, :n]
 
 
 def _census(
@@ -362,16 +376,15 @@ def _census(
     weak = s.weak_pos.sum(axis=1) + s.weak_neg.sum(axis=1) + s.closed.sum(axis=1)
     strong = (s.strict_pos == vertex).sum(axis=1) + (s.strict_neg == vertex).sum(axis=1)
 
-    def pick(lab, candidate, strict):
+    def pick(lab, size, candidate, strict):
         # largest, then most strictly signed, then smallest root
-        size = _tally(lab)[:, :n]
         key = np.where(candidate, (size * (n + 1) + strict) * (n + 1) + (n - vertex), -1)
         root = key.argmax(axis=1)
         found = key[np.arange(k), root] >= 0
         return (lab == root[:, np.newaxis]) & found[:, np.newaxis]
 
-    in_p = pick(s.nonneg, s.weak_pos | s.closed, s.pos_in)
-    in_n = pick(s.nonpos, s.weak_neg | s.closed, s.neg_in)
+    in_p = pick(s.nonneg, s.nonneg_size, s.weak_pos | s.closed, s.pos_in)
+    in_n = pick(s.nonpos, s.nonpos_size, s.weak_neg | s.closed, s.neg_in)
     covered = in_p | in_n
     zero = signs == 0
     table = np.stack([

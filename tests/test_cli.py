@@ -78,6 +78,11 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 1\n", encoding="utf-8")
     assert run_cli(capsys, "spectrum", "--graph", str(bad))[0] == 2
+    # a vertex count too large for the edge check fails as a bad header does
+    for header in ("0 1", "4294967296 1"):
+        bad.write_text(f"{header}\n2147483648 2147483649\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "summary", "--graph", str(bad), "--vector", str(bad))
+        assert code == 2 and err.startswith("error: line 1: vertex count"), err
 
 
 def test_help_exits_zero(capsys):

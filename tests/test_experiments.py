@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from graphnodal import (
     adjacency_matrix,
@@ -58,6 +59,23 @@ def test_fig1_schema_and_aggregates():
     assert math.isclose(r.rows[1][3], float(w2.std(ddof=1)), rel_tol=1e-12, abs_tol=1e-15)
     header = csv_of(r).splitlines()[0]
     assert header == "d,index,mean_domains,std_domains"
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9, 33])
+def test_fig1_aggregates_match_per_index_statistics(trials):
+    # each index's mean and sample std, to the bit, as computed over that
+    # index's trials alone
+    r = run_fig1(d_list=(3,), n=10, trials=trials, seed=23)
+    for key, column in (("weak", 2), ("strong", None)):
+        counts = np.array([rec[key] for rec in r.raw], dtype=np.float64)
+        for i in range(10):
+            values = np.ascontiguousarray(counts[:, i])
+            mean = float(values.mean())
+            if column is None:
+                assert r.extras["strong_mean_by_index"]["3"][i] == mean
+                continue
+            std = float(values.std(ddof=1)) if trials > 1 else 0.0
+            assert r.rows[i][column:] == (mean, std), (key, i)
 
 
 def test_fig1_multiple_degrees_are_independent():

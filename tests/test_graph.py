@@ -128,6 +128,16 @@ def test_regular_budget_exhaustion():
         sample_regular(10, 3, substream(0, "t"), restart_budget=0)
 
 
+def test_regular_budget_message_states_expected_restarts():
+    with pytest.raises(SamplingError) as err:
+        sample_regular(300, 6, substream(0, "t"), restart_budget=3)
+    assert str(err.value) == (
+        "no simple 6-regular graph on 300 vertices within 3 restarts"
+        " (a try is accepted with probability about exp(-(d^2-1)/4) = 0.00016,"
+        " so about 6311 restarts are expected)"
+    )
+
+
 def test_rng_stream_determinism():
     a = substream(123, "exp", 7).generator().random(16)
     b = substream(123, "exp", 7).generator().random(16)
@@ -445,3 +455,20 @@ def test_connected_components_match_reference(labeler, kind, param):
         for density in (0.3, 0.6, 0.9):
             mask = gen.random(g.n) < density
             assert connected_components(g, mask) == reference_components(g, mask)
+
+
+def test_vertex_count_beyond_int64_keys_is_refused():
+    # the edge check's keys u*n + v are exact int64 only up to MAX_VERTICES
+    top = graph_core.MAX_VERTICES
+    assert top * top < 2**63 <= (top + 1) * (top + 1)
+    with pytest.raises(GraphParseError, match=f"^line 1: vertex count must be at most {top}"):
+        read_graph(io.StringIO("4294967296 1\n2147483648 2147483649\n"))
+    with pytest.raises(ValueError, match=f"^vertex count must be at most {top}"):
+        Graph.from_edges(4294967296, [(2147483648, 2147483649)])
+    # the header is refused before any edge line is read
+    with pytest.raises(GraphParseError, match="^line 1: vertex count"):
+        read_graph(io.StringIO("4294967296 1\nx y\n"))
+    # at the limit the keys are still exact
+    g = read_graph(io.StringIO(f"{top} 2\n0 {top - 1}\n{top - 2} {top - 1}\n"))
+    assert g.edges == ((0, top - 1), (top - 2, top - 1))
+    assert Graph.from_edges(top, [(top - 1, top - 2), (top - 1, 0)]) == g

@@ -444,6 +444,56 @@ def test_census_blocks_and_chunks_leave_counts_unchanged(monkeypatch):
         assert nodal_census(g, vectors).rows() == whole["sparse"] == whole["dense"]
 
 
+def test_label_call_takes_weak_masks_only_of_zero_columns(monkeypatch):
+    shapes = []
+    build = graph_core._labeler
+
+    def spied(g):
+        label = build(g)
+
+        def spy(masks):
+            shapes.append(masks.shape)
+            return label(masks)
+        return spy
+    monkeypatch.setattr(nodal, "_labeler", spied)
+    g = path(5)
+    # k = 4 columns, z = 2 of them with a zero
+    columns = [[1, -1, 1, -1, 1], [0, 1, -1, 2, 2], [3, 2, 1, -1, -2], [1, 1, 0, 0, -1]]
+    values = np.array(columns, dtype=float).T
+    assert_census_matches_reference(g, values, 0.0)
+    assert shapes[0] == (2 * 4 + 2 * 2 + 1, 5)
+    for f, rows in ((sf(columns[0]), 3), (sf(columns[1]), 5)):
+        for entry in (nodal_summary, weak_nodal_domains):
+            shapes.clear()
+            entry(g, f)
+            assert shapes == [(rows, 5)], entry.__name__
+
+
+def _mixed_spectrum():
+    """A G(n,p) adjacency spectrum and a tau > 0 that puts a zero in some
+    columns but not in all."""
+    g = _sample("gnp", 60, 0.1, 3)
+    vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
+    tau = float(np.median(np.abs(vectors).min(axis=0)))
+    has_zero = (np.abs(vectors) <= tau).any(axis=0)
+    assert 0 < has_zero.sum() < has_zero.size
+    return g, vectors, tau, has_zero
+
+
+def test_census_of_mixed_zero_columns(backend):
+    g, vectors, tau, _ = _mixed_spectrum()
+    assert_census_matches_reference(g, vectors, tau)
+
+
+def test_census_blocks_straddle_zero_and_zero_free_columns(backend, monkeypatch):
+    g, vectors, tau, has_zero = _mixed_spectrum()
+    width = 4
+    # some block edge has a zero column on one side and none on the other
+    assert (has_zero[width - 1:-1:width] != has_zero[width::width]).any()
+    monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", width * g.n)
+    assert_census_matches_reference(g, vectors, tau)
+
+
 def test_census_backend_follows_edge_density():
     assert graph_core._labeler(_sample("gnp", 200, 0.5, 0)).func is graph_core._labels_dense
     assert graph_core._labeler(_sample("regular", 200, 3, 0)).func is graph_core._labels_sparse
