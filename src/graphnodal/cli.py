@@ -20,11 +20,12 @@ lines starting with '#' before parsing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import io
 import json
 import sys
-from typing import Any, Callable, NamedTuple
+from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from . import __version__
 from .bounds import GridSpec, exceptional_bound_k, kp_formula, reference_k
@@ -208,22 +209,30 @@ def _scrub_argv(argv: list[str]) -> list[str]:
     return scrubbed
 
 
-def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> None:
+@contextlib.contextmanager
+def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> Iterator[IO[str]]:
+    """The command's output stream, stdout or --out, with its two comment
+    lines written; a large body is written to it as it is made."""
     seed = opts.get("seed")
     header = (
         f"# graphnodal {__version__}"
         f" | argv: {' '.join(_scrub_argv(argv))}"
         f" | seed: {'none' if seed is None else seed}\n"
+        "# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n"
     )
-    config_line = "# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n"
-    # written piece by piece: joined, a large body would be copied once more
-    pieces = (header, config_line, body)
     out = opts.get("out")
     if out is None:
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(header)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(pieces)
+            fh.write(header)
+            yield fh
+
+
+def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> None:
+    with _output(opts, argv, config) as stream:
+        stream.write(body)
 
 
 def _read_vector(path: str, n: int):
@@ -247,17 +256,15 @@ def _read_vector(path: str, n: int):
 
 def _run_gen_gnp(opts, argv) -> int:
     g = sample_gnp(opts["n"], opts["p"], substream(opts["seed"], "gen-gnp"))
-    buf = io.StringIO()
-    write_graph(g, buf)
-    _emit(buf.getvalue(), opts, argv, {k: opts[k] for k in ("n", "p", "seed")})
+    with _output(opts, argv, {k: opts[k] for k in ("n", "p", "seed")}) as stream:
+        write_graph(g, stream)
     return 0
 
 
 def _run_gen_regular(opts, argv) -> int:
     g = sample_regular(opts["n"], opts["d"], substream(opts["seed"], "gen-regular"))
-    buf = io.StringIO()
-    write_graph(g, buf)
-    _emit(buf.getvalue(), opts, argv, {k: opts[k] for k in ("n", "d", "seed")})
+    with _output(opts, argv, {k: opts[k] for k in ("n", "d", "seed")}) as stream:
+        write_graph(g, stream)
     return 0
 
 
@@ -273,20 +280,18 @@ def _run_spectrum(opts, argv) -> int:
     spectrum = eigendecompose(matrix, ordering)
     config = {"graph": opts["graph"], "matrix": opts["matrix"], "ordering": ordering}
     if opts["format"] == "csv":
-        buf = io.StringIO()
-        write_spectrum_csv(spectrum, buf)
-        body = buf.getvalue()
-    else:
-        payload = {
-            "n": spectrum.n,
-            "ordering": spectrum.ordering,
-            "eigenvalues": spectrum.eigenvalues.tolist(),
-            "eigenvectors": [spectrum.vector(i).tolist() for i in range(spectrum.n)],
-            "residual_bound": spectrum.residual_bound,
-            "orthogonality_defect": spectrum.orthogonality_defect,
-        }
-        body = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    _emit(body, opts, argv, config)
+        with _output(opts, argv, config) as stream:
+            write_spectrum_csv(spectrum, stream)
+        return 0
+    payload = {
+        "n": spectrum.n,
+        "ordering": spectrum.ordering,
+        "eigenvalues": spectrum.eigenvalues.tolist(),
+        "eigenvectors": [spectrum.vector(i).tolist() for i in range(spectrum.n)],
+        "residual_bound": spectrum.residual_bound,
+        "orthogonality_defect": spectrum.orthogonality_defect,
+    }
+    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", opts, argv, config)
     return 0
 
 
@@ -362,8 +367,20 @@ def _constants_row(res) -> dict[str, Any]:
     }
 
 
+def _probabilities(opts: dict[str, Any]) -> tuple[float, ...]:
+    """The p values of kp and constants: --p-list if given, else --p."""
+    return opts["p_list"] if opts["p_list"] is not None else (opts["p"],)
+
+
+def _check_open_probabilities(opts: dict[str, Any]) -> None:
+    # the bounds need 0 < p < 1; refusing p here keeps it a usage error
+    for p in _probabilities(opts):
+        if not 0.0 < p < 1.0:
+            raise _UsageError(f"p must lie in (0,1), got {p}")
+
+
 def _run_constants(opts, argv) -> int:
-    ps = opts["p_list"] if opts["p_list"] is not None else (opts["p"],)
+    ps = _probabilities(opts)
     grid_fields = {
         "deltas": opts["deltas"], "thetas": opts["thetas"],
         "gamma_fractions": opts["gamma_fractions"],
@@ -388,7 +405,7 @@ def _run_constants(opts, argv) -> int:
 
 
 def _run_kp(opts, argv) -> int:
-    ps = opts["p_list"] if opts["p_list"] is not None else (opts["p"],)
+    ps = _probabilities(opts)
     rows = [(p, kp_formula(p)) for p in ps]
     config = {"p_list": list(ps)}
     if opts["format"] == "csv":
@@ -481,11 +498,13 @@ _COMMANDS: dict[str, dict[str, Any]] = {
             **_FORMAT, **_OUT,
         },
         "run": _run_constants,
+        "check": _check_open_probabilities,
     },
     "kp": {
         "help": "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))",
         "options": {"p": 0.5, "p-list": None, **_FORMAT, **_OUT},
         "run": _run_kp,
+        "check": _check_open_probabilities,
     },
     "exp-fig1": _experiment_command(
         "nodal counts across the spectrum of random regular graphs", run_fig1),

@@ -3,12 +3,13 @@
 A Graph on vertices 0..n-1 is two read-only int64 arrays u < v, one entry
 per edge, sorted by (u, v).  The samplers and read_graph hand them in; the
 matrix builders, degrees, write_graph and the labeler read them; the tuple
-views edges and adjacency are derived on demand.  Graph.from_edges and
-read_graph share one vectorized edge check: per pair, in this order, no
-self-loop, both ends in range, u < v, and no repeat, found by sorting the
-keys u*n + v and comparing neighbours.  The first bad pair in input order is
-the one reported.  Both refuse n above MAX_VERTICES, where those int64 keys
-would wrap.
+views edges and adjacency are derived on demand.  write_graph formats the
+ids with the spectrum CSV's array formatter (_text), '%d' byte for byte.
+Graph.from_edges and read_graph share one vectorized edge check: per pair,
+in this order, no self-loop, both ends in range, u < v, and no repeat, found
+by sorting the keys u*n + v and comparing neighbours.  The first bad pair
+in input order is the one reported.  Both refuse n above MAX_VERTICES,
+where those int64 keys would wrap.
 
 connected_components and the nodal layer share one labeler, which names
 each component of each induced subgraph in a stack of vertex masks by its
@@ -40,6 +41,8 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import _text
 
 __all__ = [
     "Graph",
@@ -421,15 +424,21 @@ def sample_sym_xp_matrix(k: int, p: float, rng: RngStream) -> np.ndarray:
 
 
 def write_graph(g: Graph, target: str | IO[str]) -> None:
-    """Write the edge-list format: "n m" then one sorted "u v" line per edge."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in zip(g.u.tolist(), g.v.tolist()))
-    text = "\n".join(lines) + "\n"
+    """Write the edge-list format: "n m" then one sorted "u v" line per edge.
+
+    The edge lines are formatted by array code in blocks of about
+    _text.BLOCK_CELLS vertex ids, each written as it is made.
+    """
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
+            write_graph(g, fh)
+        return
+    target.write(f"{g.n} {g.num_edges}\n")
+    lines = _text.BLOCK_CELLS // 2
+    seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), lines)
+    for i in range(0, g.num_edges, lines):
+        ids = np.column_stack((g.u[i:i + lines], g.v[i:i + lines]))
+        target.write(_text.int_text(ids, seps[:ids.size]))
 
 
 def read_graph(source: str | IO[str]) -> Graph:

@@ -16,6 +16,8 @@ from typing import IO
 
 import numpy as np
 
+from . import _text
+
 __all__ = ["Spectrum", "eigendecompose", "operator_norm", "write_spectrum_csv"]
 
 # max_i ||A v_i - lambda_i v_i||_2 <= RESIDUAL_TOL * (1 + ||A||_F)
@@ -137,10 +139,20 @@ def operator_norm(m: np.ndarray) -> float:
 def write_spectrum_csv(spectrum: Spectrum, stream: IO[str]) -> None:
     """One row per eigenpair: index (1-based), eigenvalue, then n coordinates.
 
-    All values are written with 17 significant digits, enough to round-trip
-    a double exactly.  Rows are formatted one at a time, so only one
-    column is ever held as Python floats.
+    Values are written as '%.17g' writes them, 17 significant digits, enough
+    to round-trip a double exactly; the index, a whole number, is written
+    the same way, which is its '%d'.  Rows are formatted by array code in
+    blocks of about _text.BLOCK_CELLS values, each written as it is made, so
+    the working memory does not grow with n.
     """
-    row = "%d,%.17g" + ",%.17g" * spectrum.n + "\n"
-    for i, value in enumerate(spectrum.eigenvalues.tolist()):
-        stream.write(row % (i + 1, value, *spectrum.eigenvectors[:, i].tolist()))
+    n = spectrum.n
+    rows = max(1, _text.BLOCK_CELLS // (n + 2))
+    seps = np.full((rows, n + 2), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    for i in range(0, n, rows):
+        j = min(n, i + rows)
+        block = np.empty((j - i, n + 2))
+        block[:, 0] = np.arange(i + 1, j + 1)
+        block[:, 1] = spectrum.eigenvalues[i:j]
+        block[:, 2:] = spectrum.eigenvectors[:, i:j].T
+        stream.write(_text.g17_text(block, seps[:j - i]))

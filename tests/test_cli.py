@@ -365,6 +365,11 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
          "error: xi-list entries must be > 0, got (0.5, 0.0)\n"),
         (["exp-fig1", "--d-list", "3,x"], "error: expected an integer, got 'x'\n"),
         (["exp-courant", "--source", "bad"], "error: expected one of gnp, regular, got 'bad'\n"),
+        # kp and constants need 0 < p < 1, for every p they would use
+        (["kp", "--p", "0"], "error: p must lie in (0,1), got 0.0\n"),
+        (["kp", "--p-list", "0.5,1.5"], "error: p must lie in (0,1), got 1.5\n"),
+        (["constants", "--p", "1"], "error: p must lie in (0,1), got 1.0\n"),
+        (["constants", "--p-list", "-0.2"], "error: p must lie in (0,1), got -0.2\n"),
     ]
     for argv, err in cases:
         assert run_cli(capsys, *argv) == (1, "", err), argv

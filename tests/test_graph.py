@@ -195,6 +195,38 @@ def test_edge_list_round_trip():
     assert back == g
 
 
+def reference_edge_list(g):
+    """The edge list as an f-string per line, the writer's reference."""
+    lines = [f"{g.n} {g.num_edges}"]
+    lines.extend(f"{u} {v}" for u, v in zip(g.u.tolist(), g.v.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 9999, 10000, 10001])
+def test_write_graph_matches_the_reference(n, tmp_path):
+    rng = np.random.default_rng(n)
+    # enough edges at n >= 10^4 to span several blocks of the writer
+    pairs = rng.integers(0, n, (min(n * (n - 1) // 2, 40000), 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+    g = Graph.from_edges(n, pairs)
+    buf = io.StringIO()
+    write_graph(g, buf)
+    assert buf.getvalue() == reference_edge_list(g)
+    path = tmp_path / "g.txt"
+    write_graph(g, str(path))
+    assert path.read_bytes() == reference_edge_list(g).encode()
+
+
+def test_write_graph_near_the_vertex_limit():
+    top = graph_core.MAX_VERTICES
+    for n in (top, top - 1, 10**9, 10**9 + 1):
+        g = Graph.from_edges(n, [(0, n - 1), (n - 2, n - 1), (9, 10), (99_999, 10**8)])
+        buf = io.StringIO()
+        write_graph(g, buf)
+        assert buf.getvalue() == reference_edge_list(g)
+        assert read_graph(io.StringIO(buf.getvalue())) == g
+
+
 def test_read_graph_tolerates_comments_and_blank_lines():
     text = "# header comment\n\n3 2\n0 1\n\n# trailing\n1 2\n"
     g = read_graph(io.StringIO(text))

@@ -9,6 +9,7 @@ from graphnodal import (
     eigendecompose,
     laplacian_matrix,
     operator_norm,
+    sample_gnp,
     sample_regular,
     substream,
 )
@@ -160,3 +161,22 @@ def test_spectrum_csv_matches_per_value_formatting():
     write_spectrum_csv(spectrum, buf)
     assert buf.getvalue() == expected
     assert expected.startswith("1,1.0000000000000001e+300,-0,4.9406564584124654e-324,")
+
+
+def test_spectrum_csv_is_the_same_in_blocks_of_any_size(monkeypatch):
+    import io
+
+    from graphnodal import _text
+
+    g = sample_gnp(30, 0.2, substream(8, "blocks"))
+    spectrum = eigendecompose(laplacian_matrix(g))
+    expected = "".join(
+        "%d,%.17g," % (i + 1, spectrum.eigenvalues[i])
+        + ",".join("%.17g" % x for x in spectrum.vector(i)) + "\n"
+        for i in range(spectrum.n)
+    )
+    for cells in (1, 33, 100, 1 << 15):
+        monkeypatch.setattr(_text, "BLOCK_CELLS", cells)
+        buf = io.StringIO()
+        write_spectrum_csv(spectrum, buf)
+        assert buf.getvalue() == expected, cells
