@@ -73,12 +73,24 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser gets its flags (options, flag name -> default)
+    only when it first parses, so a call builds the one subcommand it runs."""
+
+    def __init__(self, *args, options: dict[str, Any] | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._options = options
+
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
 
     def parse_known_args(self, args=None, namespace=None):
+        if self._options is not None:
+            self.add_argument("--config", default=None, help="file of 'key = value' defaults")
+            for flag in self._options:
+                self.add_argument(f"--{flag}", default=None)
+            self._options = None
         # refuse leftovers where they are parsed, so that a subcommand's
         # unknown flag is reported with that subcommand's usage
         namespace, extras = super().parse_known_args(args, namespace)
@@ -534,10 +546,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"graphnodal {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=command["help"])
-        sub.add_argument("--config", default=None, help="file of 'key = value' defaults")
-        for flag in command["options"]:
-            sub.add_argument(f"--{flag}", default=None)
+        subparsers.add_parser(name, help=command["help"], options=command["options"])
     return parser
 
 

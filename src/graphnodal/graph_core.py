@@ -11,14 +11,21 @@ by sorting the keys u*n + v and comparing neighbours.  The first bad pair
 in input order is the one reported.  Both refuse n above MAX_VERTICES,
 where those int64 keys would wrap.
 
-connected_components and the nodal layer share one labeler, which names
-each component of each induced subgraph in a stack of vertex masks by its
-smallest vertex; _components turns one row of labels into vertex lists.
-Graphs of mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n grow
-components by 0/1 float32 products with the adjacency matrix, exact integer
-counts, so the labels do not depend on how BLAS splits a product; sparser
-graphs hook trees of labels to the smaller root across every edge and then
-pointer-jump.
+connected_components and the nodal layer share one labeler.  It takes a
+stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
+vertices of one nonzero class, and names each component by its smallest
+vertex: a sign row labels its positive and negative components in one row,
+and a vertex mask is the one-class case.  The census labels k + 2z + 1
+class rows for k eigenvectors, z of them with a zero coordinate (see
+nodal).  _components turns one row of labels into vertex lists.  Graphs of
+mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n split each row into its
+two sign masks and grow components by 0/1 float32 products with the
+adjacency matrix, exact integer counts, so the labels do not depend on how
+BLAS splits a product; sparser graphs hook trees of labels to the smaller
+root across every live edge, drop the edges inside one tree, and
+pointer-jump only the nodes not yet at a root.  On a 3-regular graph with
+n=300 this labels the class rows of all 300 adjacency eigenvectors in 8-9
+ms, against 12-15 ms for their eigh.
 
 Samplers draw from G(n,p), from the uniform simple d-regular distribution
 (configuration model with full rejection), and from the centered Bernoulli
@@ -227,18 +234,19 @@ def _components(labels: np.ndarray) -> list[list[int]]:
 
 
 # The dense labeler runs on graphs whose mean degree 2m/n is at least
-# DENSE_DEGREE_OVER_LOG_N * ln n, that is 1.5 times the connectivity threshold
-# of G(n,p); sparser graphs split the sign masks into many small components,
+# DENSE_DEGREE_OVER_LOG_N * ln n, that is twice the connectivity threshold
+# of G(n,p); sparser graphs split the sign rows into many small components,
 # each of which costs the dense labeler one or more full products.  Measured
 # on the census of whole G(n,p) adjacency spectra, BLAS pinned to one thread,
 # 2-core x86-64 (Xeon, OpenBLAS 0.3.31): the two labelers break even near
-# mean degree 6 for n=100, 7.5 for n=300 and 11 for n=1000 (1.3, 1.3 and
-# 1.6 ln n); with the choice made here the slower labeler ran at worst 1.2x
-# the faster one (n=300, mean degree 8.1: 56 ms against 48 ms).  Either
-# labeler alone is far slower on the other's graphs: at n=1000 dense took
-# 5.1 s against 0.60 s at mean degree 6, sparse 2.8 s against 0.40 s at
-# mean degree 50.
-DENSE_DEGREE_OVER_LOG_N = 1.5
+# mean degree 7.8 for n=100, 9.5 for n=300 and 17 for n=1000 (1.7, 1.7 and
+# 2.5 ln n); with the choice made here the slower labeler ran at worst 1.5x
+# the faster one (n=1000, mean degree 13.8: 915 ms against 592 ms; n=100,
+# mean degree 9: 5.0 ms against 4.0 ms).  Either labeler alone is far
+# slower on the other's graphs: at n=1000 dense took 3.7 s against 0.58 s
+# at mean degree 8, and at n=300 sparse took 43 ms against 24 ms at mean
+# degree 13.
+DENSE_DEGREE_OVER_LOG_N = 2.0
 
 # working-memory bound: _labels_sparse takes at most this many (row, edge)
 # pairs per chunk, a few MB
@@ -246,29 +254,34 @@ _SPARSE_CHUNK_EDGES = 1 << 15
 
 
 def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """The labeling function, masks -> labels, for g's edge density."""
+    """The labeling function, classes -> labels, for g's edge density."""
     if 2 * g.num_edges >= DENSE_DEGREE_OVER_LOG_N * math.log(g.n) * g.n:
         return functools.partial(_labels_dense, adjacency_matrix(g).astype(np.float32))
     return functools.partial(_labels_sparse, g.u, g.v)
 
 
-# Both labelers take a (k, n) stack of vertex masks and return (k, n) labels:
-# labels[r, x] is the smallest vertex of x's component in the subgraph
-# induced on masks[r], and n where masks[r, x] is false.
+# Both labelers take a (k, n) stack of vertex classes, int8 in {-1, 0, 1}
+# or bool, and return (k, n) labels.  In row r an edge joins x and y when
+# classes[r, x] == classes[r, y] != 0, so a sign row labels its positive and
+# its negative components at once and a mask is the one-class case:
+# labels[r, x] is the smallest vertex of x's component, and n where
+# classes[r, x] is 0.
 
 
-def _labels_dense(adj: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Component labels of a (k, n) mask stack by frontier products.
+def _labels_dense(adj: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Component labels of a (k, n) class stack by frontier products.
 
-    Each row grows a component from its smallest unlabeled vertex, one
-    float32 product with the 0/1 adjacency matrix per step, for all rows at
-    once; a row whose component stopped growing labels it with that seed
-    and moves to its next one.  Every product entry is a count below 2**24,
-    exact in float32, so the labels do not depend on how BLAS splits it.
+    The stack is split into its masks classes > 0 and classes < 0.  Each
+    mask grows a component from its smallest unlabeled vertex, one float32
+    product with the 0/1 adjacency matrix per step, for all masks at once
+    (an empty mask takes no part); a mask whose component stopped growing
+    labels it with that seed and moves to its next one.  Every product
+    entry is a count below 2**24, exact in float32, so the labels do not
+    depend on how BLAS splits it.
     """
-    n = masks.shape[1]
-    labels = np.full(masks.shape, n, dtype=np.int64)
-    todo = masks.copy()
+    k, n = classes.shape
+    todo = np.concatenate([classes > 0, classes < 0])
+    labels = np.full(todo.shape, n, dtype=np.int64)
     rows = np.flatnonzero(todo.any(axis=1))
     seeds = todo[rows].argmax(axis=1)
     reached = np.zeros((rows.size, n), dtype=bool)
@@ -283,7 +296,8 @@ def _labels_dense(adj: np.ndarray, masks: np.ndarray) -> np.ndarray:
         if not done.any():
             continue
         finished = rows[done]
-        labels[finished] = np.where(reached[done], seeds[done, np.newaxis], labels[finished])
+        # reached vertices are unlabeled, that is n, until now
+        labels[finished] -= reached[done] * (n - seeds[done, np.newaxis])
         todo[finished] &= ~reached[done]
         restart = np.flatnonzero(done)[todo[finished].any(axis=1)]
         seeds[restart] = todo[rows[restart]].argmax(axis=1)
@@ -292,42 +306,56 @@ def _labels_dense(adj: np.ndarray, masks: np.ndarray) -> np.ndarray:
         keep = ~done
         keep[restart] = True
         rows, seeds, reached = rows[keep], seeds[keep], reached[keep]
-    return labels
+    # a vertex has a label below n in at most one of its row's two masks
+    return np.minimum(labels[:k], labels[k:])
 
 
-def _labels_sparse(u: np.ndarray, v: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Component labels of a (k, n) mask stack by hooking and pointer jumping.
+def _labels_sparse(u: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Component labels of a (k, n) class stack by hooking and pointer jumping.
 
-    Vertex x of row r is the node r*n + x of one forest.  Each round hooks
-    the root at either end of every edge that still joins two trees to the
-    smaller of the two roots, then jumps pointers until every node points
-    at a root (Shiloach & Vishkin, J. Algorithms 3, 1982).  Roots only ever
-    point lower, so each component ends with its smallest vertex as root.
+    Vertex x of row r is the node x*k + r of one forest, and edge (x, y)
+    is live in row r when it joins two vertices of one class there.  Each
+    round hooks the root at either end of every live edge that still joins
+    two trees to the smaller of the two roots; then the nodes that do not
+    yet point at a root jump to their grandparent until every node does,
+    and the edges now inside one tree are dropped (Shiloach & Vishkin, J.
+    Algorithms 3, 1982; the dropping as in FastSV, Zhang, Azad & Hu, SIAM
+    PP 2020).  Roots only ever point lower, and within a row nodes are in
+    vertex order, so each component ends with its smallest vertex as root.
     """
-    k, n = masks.shape
+    k, n = classes.shape
     chunk = max(1, _SPARSE_CHUNK_EDGES // max(1, u.size))
     if k > chunk:
         return np.concatenate([
-            _labels_sparse(u, v, masks[i:i + chunk]) for i in range(0, k, chunk)
+            _labels_sparse(u, v, classes[i:i + chunk]) for i in range(0, k, chunk)
         ])
-    offsets = np.arange(k, dtype=np.int64)[:, np.newaxis] * n
-    inside = masks[:, u] & masks[:, v]
-    eu = (offsets + u)[inside]
-    ev = (offsets + v)[inside]
-    parent = np.arange(k * n, dtype=np.int64)
+    # vertex-major: the k classes of a vertex sit side by side
+    by_vertex = np.ascontiguousarray(classes.T)
+    at_u = by_vertex[u]
+    edge, row = np.divmod(np.flatnonzero((at_u == by_vertex[v]) & (at_u != 0)), k)
+    eu = u[edge] * k + row
+    ev = v[edge] * k + row
+    parent = np.arange(n * k, dtype=np.int64)
+    pu, pv = eu, ev  # every node starts as a root
     while eu.size:
-        pu, pv = parent[eu], parent[ev]
-        cross = pu != pv
-        eu, ev, pu, pv = eu[cross], ev[cross], pu[cross], pv[cross]
         low = np.minimum(pu, pv)
         np.minimum.at(parent, pu, low)
         np.minimum.at(parent, pv, low)
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-    return np.where(masks, parent.reshape(k, n) - offsets, n)
+        jump = np.flatnonzero(parent[parent] != parent)
+        while jump.size:
+            up = parent[parent[jump]]
+            parent[jump] = up
+            jump = jump[parent[up] != up]
+        pu, pv = parent[eu], parent[ev]
+        cross = pu != pv
+        eu, ev, pu, pv = eu[cross], ev[cross], pu[cross], pv[cross]
+    return np.where(classes != 0, (parent.reshape(n, k) // k).T, n)
+
+
+# working-memory bound: sample_gnp draws the coins of at most this many
+# vertex pairs at a time, 2 MB of float64; the chunks continue one stream,
+# so the graph does not depend on it
+_GNP_CHUNK_DRAWS = 1 << 18
 
 
 def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
@@ -341,9 +369,17 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     gen = rng.generator()
-    iu, ju = np.triu_indices(n, k=1)
-    keep = gen.random(iu.size) < p
-    return Graph.from_edges(n, np.column_stack((iu[keep], ju[keep])))
+    # the pairs (u, v), u < v, in row-major order: (u, v) is number
+    # start[u] + v - u - 1, and its coin is that draw of the stream
+    rows = np.arange(n, dtype=np.int64)
+    start = rows * (n - 1) - rows * (rows - 1) // 2
+    pairs = n * (n - 1) // 2
+    kept = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        i + np.flatnonzero(gen.random(min(_GNP_CHUNK_DRAWS, pairs - i)) < p)
+        for i in range(0, pairs, _GNP_CHUNK_DRAWS)
+    ])
+    u = np.searchsorted(start, kept, side="right") - 1
+    return Graph.from_edges(n, np.column_stack((u, kept - start[u] + u + 1)))
 
 
 def sample_regular(

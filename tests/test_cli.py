@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so exit codes and outputs are
 observable without a subprocess.
 """
 
+import argparse
 import inspect
 import io
 import json
@@ -373,3 +374,38 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
     ]
     for argv, err in cases:
         assert run_cli(capsys, *argv) == (1, "", err), argv
+
+
+def test_a_call_adds_the_flags_of_its_subcommand_only(monkeypatch, capsys):
+    built = []
+    add = cli._Parser.add_argument
+
+    def spy(self, *args, **kwargs):
+        if args[0] == "--config":
+            built.append(self.prog)
+        return add(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "add_argument", spy)
+    assert run_cli(capsys, "kp", "--p", "0.5")[0] == 0
+    assert built == ["graphnodal kp"]
+
+
+def test_usage_answers_as_if_every_subcommand_were_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("bogus = 1\n", encoding="utf-8")
+    corpus = [[], ["--help"], ["--version"], ["no-such-command"], ["--bogus", "kp"],
+              ["gen-gnp", "--p", "0.5"], ["summary", "--graph", "g.txt"]]
+    for command in cli._COMMANDS:
+        corpus += [[command, "--help"], [command, "--bogus", "1"], [command, "--config", str(cfg)]]
+    lazy = [run_cli(capsys, *argv) for argv in corpus]
+    build = cli._build_parser
+
+    def eager():
+        parser = build()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for sub in commands.choices.values():
+            sub.parse_known_args([])  # adds the subcommand's flags
+        return parser
+    monkeypatch.setattr(cli, "_build_parser", eager)
+    assert [run_cli(capsys, *argv) for argv in corpus] == lazy
+    assert {code for code, _, _ in lazy} == {0, 1}

@@ -489,6 +489,65 @@ def test_connected_components_match_reference(labeler, kind, param):
             assert connected_components(g, mask) == reference_components(g, mask)
 
 
+def triu_sample_gnp(n, p, rng):
+    """sample_gnp as first written: one coin per np.triu_indices pair."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.generator().random(iu.size) < p
+    return Graph.from_edges(n, np.column_stack((iu[keep], ju[keep])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 301])
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.5, 1.0])
+def test_sample_gnp_matches_triu_indices_form(n, p, monkeypatch):
+    stream = substream(19, "gnp-triu", n)
+    expected = triu_sample_gnp(n, p, stream)
+    assert sample_gnp(n, p, stream) == expected
+    # row 0 holds the first n - 1 pairs, so chunks of 7 end inside rows
+    monkeypatch.setattr(graph_core, "_GNP_CHUNK_DRAWS", 7)
+    assert sample_gnp(n, p, stream) == expected
+
+
+def reference_labels(g, classes):
+    """Per class row, each vertex's smallest component-mate among the
+    vertices of its own class, and n on class 0, from the BFS reference."""
+    labels = np.full(classes.shape, g.n)
+    for row, cls in zip(labels, classes):
+        for value in (1, -1):
+            for comp in reference_components(g, cls == value):
+                row[comp] = comp[0]
+    return labels
+
+
+@pytest.mark.parametrize("backend", ["dense", "sparse"])
+def test_class_rows_match_reference(backend, monkeypatch):
+    gen = substream(23, f"class-rows-{backend}").generator()
+    graphs = [Graph.from_edges(1, []), Graph.from_edges(6, []),
+              Graph.from_edges(7, [(i, i + 1) for i in range(6)])]
+    for index in range(3):
+        stream = substream(23, "class-rows", index)
+        graphs += [sample_gnp(40, p, stream) for p in (0.05, 0.2, 0.6)]
+        graphs.append(sample_regular(40, 3, stream))
+    for g in graphs:
+        dense = adjacency_matrix(g).astype(np.float32)
+        classes = gen.integers(-1, 2, size=(7, g.n), dtype=np.int8)
+        classes[0] = 0
+        classes[1] = 1
+        classes[2] = -1
+        classes[3] = gen.random(g.n) < 0.5  # a mask as a 0/1 class row
+        expected = reference_labels(g, classes)
+        chunks = [graph_core._SPARSE_CHUNK_EDGES, 1, max(1, g.num_edges - 1)]
+        for chunk in chunks if backend == "sparse" else chunks[:1]:
+            monkeypatch.setattr(graph_core, "_SPARSE_CHUNK_EDGES", chunk)
+            if backend == "dense":
+                got = graph_core._labels_dense(dense, classes)
+                as_mask = graph_core._labels_dense(dense, classes[3:4] > 0)
+            else:
+                got = graph_core._labels_sparse(g.u, g.v, classes)
+                as_mask = graph_core._labels_sparse(g.u, g.v, classes[3:4] > 0)
+            assert np.array_equal(got, expected), (g.n, g.num_edges, chunk)
+            assert np.array_equal(as_mask, expected[3:4])
+
+
 def test_vertex_count_beyond_int64_keys_is_refused():
     # the edge check's keys u*n + v are exact int64 only up to MAX_VERTICES
     top = graph_core.MAX_VERTICES

@@ -461,8 +461,8 @@ def test_label_call_takes_weak_masks_only_of_zero_columns(monkeypatch):
     columns = [[1, -1, 1, -1, 1], [0, 1, -1, 2, 2], [3, 2, 1, -1, -2], [1, 1, 0, 0, -1]]
     values = np.array(columns, dtype=float).T
     assert_census_matches_reference(g, values, 0.0)
-    assert shapes[0] == (2 * 4 + 2 * 2 + 1, 5)
-    for f, rows in ((sf(columns[0]), 3), (sf(columns[1]), 5)):
+    assert shapes[0] == (4 + 2 * 2 + 1, 5)
+    for f, rows in ((sf(columns[0]), 2), (sf(columns[1]), 4)):
         for entry in (nodal_summary, weak_nodal_domains):
             shapes.clear()
             entry(g, f)
