@@ -5,7 +5,9 @@ gen-regular, spectrum, domains, summary, constants, kp, exp-fig1, exp-fig2,
 exp-gnp, exp-tails, exp-inner, exp-linf, exp-fact, exp-courant.
 
 Conventions shared by every subcommand:
-  * output goes to stdout, or to --out PATH;
+  * output goes to stdout, or to --out PATH.  A subcommand computes its
+    result first; main opens the output only then, so a failed run leaves
+    stdout empty and creates no --out file;
   * the first output line is a comment "# graphnodal VERSION | argv: ... |
     seed: ...", the second echoes the fully resolved configuration.  --threads
     is scrubbed from the echoed argv because it never affects results;
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
-import io
 import json
 import sys
 from typing import IO, Any, Callable, Iterator, NamedTuple
@@ -46,6 +48,7 @@ from .experiments import (
 )
 from .graph_core import (
     adjacency_matrix,
+    check_regular,
     laplacian_matrix,
     read_graph,
     sample_gnp,
@@ -224,7 +227,7 @@ def _scrub_argv(argv: list[str]) -> list[str]:
 @contextlib.contextmanager
 def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> Iterator[IO[str]]:
     """The command's output stream, stdout or --out, with its two comment
-    lines written; a large body is written to it as it is made."""
+    lines written; the command's writer streams its body into it."""
     seed = opts.get("seed")
     header = (
         f"# graphnodal {__version__}"
@@ -240,11 +243,6 @@ def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> It
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header)
             yield fh
-
-
-def _emit(body: str, opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> None:
-    with _output(opts, argv, config) as stream:
-        stream.write(body)
 
 
 def _read_vector(path: str, n: int):
@@ -264,23 +262,34 @@ def _read_vector(path: str, n: int):
 
 
 # ---------------------------------------------------------------- commands
+# A command's run(opts) computes its result and returns the configuration its
+# output echoes and a writer of its body; main opens the output after that.
+_Writer = Callable[[IO[str]], None]
 
 
-def _run_gen_gnp(opts, argv) -> int:
+def _json(payload: Any) -> _Writer:
+    """A writer of payload as indented, key-sorted JSON and a newline."""
+    def write(stream: IO[str]) -> None:
+        json.dump(payload, stream, indent=1, sort_keys=True)
+        stream.write("\n")
+    return write
+
+
+def _text(body: str) -> _Writer:
+    return lambda stream: stream.write(body)
+
+
+def _run_gen_gnp(opts) -> tuple[dict[str, Any], _Writer]:
     g = sample_gnp(opts["n"], opts["p"], substream(opts["seed"], "gen-gnp"))
-    with _output(opts, argv, {k: opts[k] for k in ("n", "p", "seed")}) as stream:
-        write_graph(g, stream)
-    return 0
+    return {k: opts[k] for k in ("n", "p", "seed")}, functools.partial(write_graph, g)
 
 
-def _run_gen_regular(opts, argv) -> int:
+def _run_gen_regular(opts) -> tuple[dict[str, Any], _Writer]:
     g = sample_regular(opts["n"], opts["d"], substream(opts["seed"], "gen-regular"))
-    with _output(opts, argv, {k: opts[k] for k in ("n", "d", "seed")}) as stream:
-        write_graph(g, stream)
-    return 0
+    return {k: opts[k] for k in ("n", "d", "seed")}, functools.partial(write_graph, g)
 
 
-def _run_spectrum(opts, argv) -> int:
+def _run_spectrum(opts) -> tuple[dict[str, Any], _Writer]:
     g = read_graph(opts["graph"])
     if opts["matrix"] == "adjacency":
         matrix = adjacency_matrix(g)
@@ -292,19 +301,15 @@ def _run_spectrum(opts, argv) -> int:
     spectrum = eigendecompose(matrix, ordering)
     config = {"graph": opts["graph"], "matrix": opts["matrix"], "ordering": ordering}
     if opts["format"] == "csv":
-        with _output(opts, argv, config) as stream:
-            write_spectrum_csv(spectrum, stream)
-        return 0
-    payload = {
+        return config, functools.partial(write_spectrum_csv, spectrum)
+    return config, _json({
         "n": spectrum.n,
         "ordering": spectrum.ordering,
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "eigenvectors": [spectrum.vector(i).tolist() for i in range(spectrum.n)],
         "residual_bound": spectrum.residual_bound,
         "orthogonality_defect": spectrum.orthogonality_defect,
-    }
-    _emit(json.dumps(payload, indent=1, sort_keys=True) + "\n", opts, argv, config)
-    return 0
+    })
 
 
 def _signed_input(opts):
@@ -314,7 +319,7 @@ def _signed_input(opts):
     return g, f
 
 
-def _run_domains(opts, argv) -> int:
+def _run_domains(opts) -> tuple[dict[str, Any], _Writer]:
     g, f = _signed_input(opts)
     if opts["kind"] == "weak":
         part = weak_nodal_domains(g, f)
@@ -325,37 +330,26 @@ def _run_domains(opts, argv) -> int:
         "kind": opts["kind"], "tau": opts["tau"],
     }
     if opts["format"] == "csv":
-        buf = io.StringIO()
-        write_domains_csv(part, buf)
-        body = buf.getvalue()
-    else:
-        payload = {
-            "kind": part.kind,
-            "count": part.count,
-            "domains": [
-                {"sign": _SIGN_LABEL[sign], "vertices": list(verts)}
-                for verts, sign in part.domains
-            ],
-        }
-        body = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    _emit(body, opts, argv, config)
-    return 0
+        return config, functools.partial(write_domains_csv, part)
+    return config, _json({
+        "kind": part.kind,
+        "count": part.count,
+        "domains": [
+            {"sign": _SIGN_LABEL[sign], "vertices": list(verts)}
+            for verts, sign in part.domains
+        ],
+    })
 
 
-def _run_summary(opts, argv) -> int:
+def _run_summary(opts) -> tuple[dict[str, Any], _Writer]:
     g, f = _signed_input(opts)
     summary = nodal_summary(g, f)
     config = {"graph": opts["graph"], "vector": opts["vector"], "tau": opts["tau"]}
-    if opts["format"] == "csv":
-        stats = summary_dict(summary)
-        keys = sorted(stats)
-        body = ",".join(keys) + "\n" + ",".join(str(stats[k]) for k in keys) + "\n"
-    else:
-        buf = io.StringIO()
-        write_summary_json(summary, buf)
-        body = buf.getvalue()
-    _emit(body, opts, argv, config)
-    return 0
+    if opts["format"] == "json":
+        return config, functools.partial(write_summary_json, summary)
+    stats = summary_dict(summary)
+    keys = sorted(stats)
+    return config, _text(",".join(keys) + "\n" + ",".join(str(stats[k]) for k in keys) + "\n")
 
 
 _CONSTANTS_COLUMNS = (
@@ -391,7 +385,7 @@ def _check_open_probabilities(opts: dict[str, Any]) -> None:
             raise _UsageError(f"p must lie in (0,1), got {p}")
 
 
-def _run_constants(opts, argv) -> int:
+def _run_constants(opts) -> tuple[dict[str, Any], _Writer]:
     ps = _probabilities(opts)
     grid_fields = {
         "deltas": opts["deltas"], "thetas": opts["thetas"],
@@ -406,37 +400,20 @@ def _run_constants(opts, argv) -> int:
         "p_list": list(ps),
         **{k: list(v) for k, v in vars(grid).items()},
     }
-    if opts["format"] == "csv":
-        lines = [",".join(_CONSTANTS_COLUMNS)]
-        lines += [",".join(_fmt(row[col], 17) for col in _CONSTANTS_COLUMNS) for row in rows]
-        body = "\n".join(lines) + "\n"
-    else:
-        body = json.dumps(_round_floats(rows), indent=1, sort_keys=True) + "\n"
-    _emit(body, opts, argv, config)
-    return 0
+    if opts["format"] == "json":
+        return config, _json(_round_floats(rows))
+    lines = [",".join(_CONSTANTS_COLUMNS)]
+    lines += [",".join(_fmt(row[col], 17) for col in _CONSTANTS_COLUMNS) for row in rows]
+    return config, _text("\n".join(lines) + "\n")
 
 
-def _run_kp(opts, argv) -> int:
+def _run_kp(opts) -> tuple[dict[str, Any], _Writer]:
     ps = _probabilities(opts)
     rows = [(p, kp_formula(p)) for p in ps]
     config = {"p_list": list(ps)}
-    if opts["format"] == "csv":
-        body = "p,kp\n" + "".join(f"{_fmt(p, 17)},{k}\n" for p, k in rows)
-    else:
-        body = json.dumps(_round_floats([{"p": p, "kp": k} for p, k in rows]),
-                          indent=1, sort_keys=True) + "\n"
-    _emit(body, opts, argv, config)
-    return 0
-
-
-def _emit_report(report: ExperimentReport, opts, argv) -> int:
-    buf = io.StringIO()
-    if opts["format"] == "csv":
-        write_report_csv(report, buf)
-    else:
-        write_report_json(report, buf)
-    _emit(buf.getvalue(), opts, argv, report.config)
-    return 0
+    if opts["format"] == "json":
+        return config, _json(_round_floats([{"p": p, "kp": k} for p, k in rows]))
+    return config, _text("p,kp\n" + "".join(f"{_fmt(p, 17)},{k}\n" for p, k in rows))
 
 
 # Per-command options: flag name -> default.  A None default means
@@ -457,8 +434,10 @@ def _experiment_command(
     params = inspect.signature(runner).parameters
     names = tuple(params)
 
-    def run(opts, argv) -> int:
-        return _emit_report(runner(**{name: opts[name] for name in names}), opts, argv)
+    def run(opts) -> tuple[dict[str, Any], _Writer]:
+        report = runner(**{name: opts[name] for name in names})
+        write = write_report_csv if opts["format"] == "csv" else write_report_json
+        return report.config, functools.partial(write, report)
 
     defaults = {name.replace("_", "-"): param.default for name, param in params.items()}
     return {"help": text, "options": {**defaults, **_FORMAT, **_OUT}, "run": run, "check": check}
@@ -467,6 +446,16 @@ def _experiment_command(
 def _check_tuple_sizes(opts: dict[str, Any]) -> None:
     if any(k >= opts["n"] for k in opts["k_list"]):
         raise _UsageError(f"tuple sizes must satisfy 1 <= k < n, got {opts['k_list']}")
+
+
+def _check_regular(opts: dict[str, Any]) -> None:
+    # a degree with no simple regular graph on n vertices is a usage error
+    if opts.get("source", "regular") == "regular":
+        for d in opts.get("d_list", (opts.get("d"),)):
+            try:
+                check_regular(opts["n"], d)
+            except ValueError as exc:
+                raise _UsageError(exc) from None
 
 
 _COMMANDS: dict[str, dict[str, Any]] = {
@@ -479,6 +468,7 @@ _COMMANDS: dict[str, dict[str, Any]] = {
         "help": "sample a uniform d-regular simple graph and write its edge list",
         "options": {"n": _REQUIRED, "d": _REQUIRED, "seed": 0, **_OUT},
         "run": _run_gen_regular,
+        "check": _check_regular,
     },
     "spectrum": {
         "help": "eigenvalues and eigenvectors of a graph matrix",
@@ -519,7 +509,7 @@ _COMMANDS: dict[str, dict[str, Any]] = {
         "check": _check_open_probabilities,
     },
     "exp-fig1": _experiment_command(
-        "nodal counts across the spectrum of random regular graphs", run_fig1),
+        "nodal counts across the spectrum of random regular graphs", run_fig1, _check_regular),
     "exp-fig2": _experiment_command(
         "fraction of G(n,p) whose top Laplacian eigenvector has 3 weak domains", run_fig2),
     "exp-gnp": _experiment_command(
@@ -534,7 +524,8 @@ _COMMANDS: dict[str, dict[str, Any]] = {
         "neighborhood union/intersection fractions for random k-tuples",
         run_neighborhood_fact, _check_tuple_sizes),
     "exp-courant": _experiment_command(
-        "how often eigenvector #k has more than k weak domains", run_courant_report),
+        "how often eigenvector #k has more than k weak domains", run_courant_report,
+        _check_regular),
 }
 
 
@@ -592,13 +583,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:
-        return command["run"](opts, argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        config, write = command["run"](opts)
+        with _output(opts, argv, config) as stream:
+            write(stream)
     except Exception as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -48,9 +48,9 @@ from .graph_core import (
     substream,
 )
 from .nodal import (
-    DEFAULT_TAU_SCALE,
     NodalCensus,
     SignedFunction,
+    _zero_tolerance,
     nodal_census,
     weak_nodal_domains,
 )
@@ -416,10 +416,10 @@ def run_linf_scan(
 
     def trial(n: int, t: int) -> tuple[list[float], int]:
         g = sample_gnp(n, p, substream(seed, f"linf-n{n}", t))
-        abs_vecs = np.abs(_adjacency_spectrum(g).eigenvectors)
-        linfs = abs_vecs.max(axis=0)
-        taus = np.full(n, tau, dtype=np.float64) if tau is not None else DEFAULT_TAU_SCALE * linfs
-        return linfs.tolist(), int((abs_vecs <= taus[np.newaxis, :]).sum())
+        vectors = _adjacency_spectrum(g).eigenvectors
+        abs_vecs = np.abs(vectors)
+        zeros = int((abs_vecs <= _zero_tolerance(vectors, tau)).sum())
+        return abs_vecs.max(axis=0).tolist(), zeros
 
     def summarize(n: int, results: list[tuple[list[float], int]]):
         all_linfs = np.concatenate([np.asarray(linfs) for linfs, _ in results])

@@ -15,13 +15,13 @@ connected_components and the nodal layer share one labeler.  It takes a
 stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
 vertices of one nonzero class, and names each component by its smallest
 vertex: a sign row labels its positive and negative components in one row,
-and a vertex mask is the one-class case.  The census labels k + 2z + 1
-class rows for k eigenvectors, z of them with a zero coordinate (see
-nodal).  _components turns one row of labels into vertex lists.  Graphs of
-mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n split each row into its
-two sign masks and grow components by 0/1 float32 products with the
-adjacency matrix, exact integer counts, so the labels do not depend on how
-BLAS splits a product; sparser graphs hook trees of labels to the smaller
+and a vertex mask is the one-class case.  The census labels k + 2z class
+rows for k eigenvectors, z of them with a zero coordinate, a block of
+columns at a time (see nodal).  _components turns one row of labels into
+vertex lists.  Graphs of mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n
+split each row into its two sign masks and grow components by 0/1 float32
+products with the adjacency matrix, exact integer counts, so the labels do
+not depend on how BLAS splits a product; sparser graphs hook trees of labels to the smaller
 root across every live edge, drop the edges inside one tree, and
 pointer-jump only the nodes not yet at a root.  On a 3-regular graph with
 n=300 this labels the class rows of all 300 adjacency eigenvectors in 8-9
@@ -57,6 +57,7 @@ __all__ = [
     "RngStream",
     "SamplingError",
     "adjacency_matrix",
+    "check_regular",
     "connected_components",
     "laplacian_matrix",
     "read_graph",
@@ -248,10 +249,6 @@ def _components(labels: np.ndarray) -> list[list[int]]:
 # degree 13.
 DENSE_DEGREE_OVER_LOG_N = 2.0
 
-# working-memory bound: _labels_sparse takes at most this many (row, edge)
-# pairs per chunk, a few MB
-_SPARSE_CHUNK_EDGES = 1 << 15
-
 
 def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     """The labeling function, classes -> labels, for g's edge density."""
@@ -324,11 +321,6 @@ def _labels_sparse(u: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.ndar
     vertex order, so each component ends with its smallest vertex as root.
     """
     k, n = classes.shape
-    chunk = max(1, _SPARSE_CHUNK_EDGES // max(1, u.size))
-    if k > chunk:
-        return np.concatenate([
-            _labels_sparse(u, v, classes[i:i + chunk]) for i in range(0, k, chunk)
-        ])
     # vertex-major: the k classes of a vertex sit side by side
     by_vertex = np.ascontiguousarray(classes.T)
     at_u = by_vertex[u]
@@ -382,6 +374,16 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     return Graph.from_edges(n, np.column_stack((u, kept - start[u] + u + 1)))
 
 
+def check_regular(n: int, d: int) -> None:
+    """Refuse (n, d) for which no simple d-regular graph on n vertices exists."""
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    if d < 0 or d >= n:
+        raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
+    if (n * d) % 2 != 0:
+        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+
+
 def sample_regular(
     n: int, d: int, rng: RngStream, restart_budget: int = REGULAR_RESTART_BUDGET
 ) -> Graph:
@@ -395,12 +397,7 @@ def sample_regular(
     probability is far from 0; at n=300 the default budget fails on some
     seeds at d = 6 and seldom succeeds from d = 7.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    if d < 0 or d >= n:
-        raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
-    if (n * d) % 2 != 0:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    check_regular(n, d)
     gen = rng.generator()
     stubs = np.repeat(np.arange(n), d)
     for _ in range(restart_budget):

@@ -14,10 +14,11 @@ brute-force oracle below enumerates maximal sets directly and pins this down.
 The census and the weak lists read one labeling, _sign_labels: one pass of
 the graph_core labeler over a stack of class rows names each component by
 its smallest vertex, where an edge joins two vertices of one nonzero class.
-The stack holds k + 2z + 1 class rows: the sign row of each of the k
-columns, which names its positive and its negative components at once; the
-masks sign >= 0 and sign <= 0 only for the z columns with a zero (in the
-others they are the strict masks); and one all-true row for connectivity.
+The stack holds k + 2z class rows: the sign row of each of the k columns,
+which names its positive and its negative components at once, and the masks
+sign >= 0 and sign <= 0 only for the z columns with a zero (in the others
+they are the strict masks).  nodal_census labels connectivity once, in one
+all-true row of its own.
 The weak-domain rule above marks which components are weak domains, from
 component sizes tallied once and shared with the census.  nodal_census
 counts, for every column of an eigenvector matrix at once, by array tallies
@@ -65,6 +66,20 @@ BRUTE_FORCE_LIMIT = 20
 _SIGN_LABEL = {1: "+", -1: "-", 0: "0"}
 
 
+def _zero_tolerance(values: np.ndarray, tau: float | None):
+    """The zero tolerance of each column of values (of values, if flat):
+    tau, or DEFAULT_TAU_SCALE * the column's sup norm when tau is None.
+    Refuses values that are not finite and a negative tau."""
+    if not np.isfinite(values).all():
+        raise ValueError("function values must be finite")
+    if tau is None:
+        return DEFAULT_TAU_SCALE * np.abs(values).max(axis=0, initial=0.0)
+    tau = float(tau)
+    if not tau >= 0.0:
+        raise ValueError(f"zero tolerance must be nonnegative, got {tau}")
+    return tau
+
+
 def _signs(values: np.ndarray, tau) -> np.ndarray:
     """sign(values) as int8, with 0 wherever |values| <= tau."""
     return np.where(np.abs(values) <= tau, 0, np.sign(values)).astype(np.int8)
@@ -90,13 +105,7 @@ class SignedFunction:
         vals = np.asarray(values, dtype=np.float64).copy()
         if vals.ndim != 1:
             raise ValueError(f"expected a flat value array, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("function values must be finite")
-        if tau is None:
-            tau = DEFAULT_TAU_SCALE * float(np.abs(vals).max()) if vals.size else 0.0
-        tau = float(tau)
-        if not tau >= 0.0:
-            raise ValueError(f"zero tolerance must be nonnegative, got {tau}")
+        tau = float(_zero_tolerance(vals, tau))
         signs = _signs(vals, tau)
         vals.flags.writeable = False
         signs.flags.writeable = False
@@ -231,7 +240,7 @@ class NodalSummary:
 def nodal_summary(g: Graph, f: SignedFunction) -> NodalSummary:
     """The P/N/E/Z decomposition of f: the one-column case of the census."""
     _check_lengths(g, f)
-    table, _, in_p, in_n = _census(f.signs[np.newaxis, :], _labeler(g))
+    table, in_p, in_n = _census(f.signs[np.newaxis, :], _labeler(g))
     weak, strong, *_, e_cap_z = table[:, 0].tolist()
     covered = in_p[0] | in_n[0]
     return NodalSummary(
@@ -281,28 +290,25 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     vals = np.asarray(vectors, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[0] != g.n:
         raise ValueError(f"expected an n-by-k matrix with n={g.n}, got shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise ValueError("function values must be finite")
-    if tau is not None and not float(tau) >= 0.0:
-        raise ValueError(f"zero tolerance must be nonnegative, got {tau}")
     label = _labeler(g)
     # columns go through in blocks, which bounds the working memory
     width = max(1, _CENSUS_BLOCK_ENTRIES // g.n)
-    blocks = []
-    for i in range(0, max(1, vals.shape[1]), width):
-        block = vals[:, i:i + width]
-        taus = DEFAULT_TAU_SCALE * np.abs(block).max(axis=0) if tau is None else float(tau)
-        blocks.append(_census(_signs(block, taus).T, label))
-    table = np.concatenate([block[0] for block in blocks], axis=1)
-    return NodalCensus(*table, connected=blocks[0][1])
+    blocks = [vals[:, i:i + width] for i in range(0, max(1, vals.shape[1]), width)]
+    table = np.concatenate([
+        _census(_signs(block, _zero_tolerance(block, tau)).T, label)[0] for block in blocks
+    ], axis=1)
+    connected = bool((label(np.ones((1, g.n), dtype=bool)) == 0).all())
+    return NodalCensus(*table, connected=connected)
 
 
 # working-memory bound: nodal_census takes at most this many (vertex,
-# column) pairs per block, a few MB.  Larger blocks pay only at large n:
-# timed in a trial loop (each census right after its eigendecompose, BLAS on
-# one thread, 2-vCPU Xeon), 1 << 16 took 4.6 ms against 4.1 at n=200,
-# p=1/2 and 15.9 ms against 14.7 on 3-regular graphs with n=300, but 146 ms
-# against 199 at n=1000, p=1/2.
+# column) pairs per block, and a label call at most three class rows per
+# column of its block: at n=1000, mean degree 13 and a zero in every column,
+# 48 rows over about 6400 edges, and the census allocates at most 12 MB at
+# a time.  Larger blocks pay only at large n: timed in a trial loop (each
+# census right after its eigendecompose, BLAS on one thread, 2-vCPU Xeon),
+# 1 << 16 took 4.6 ms against 4.1 at n=200, p=1/2 and 15.9 ms against 14.7
+# on 3-regular graphs with n=300, but 146 ms against 199 at n=1000, p=1/2.
 _CENSUS_BLOCK_ENTRIES = 1 << 14
 
 
@@ -313,10 +319,10 @@ class _SignLabels(NamedTuple):
     (k, n) label rows are those of the masks sign >= 0 (nonneg) and
     sign <= 0 (nonpos), and of the sign rows themselves (strict), whose
     labels where the sign is +1 (-1) are those of the strictly positive
-    (negative) set; whole labels G.  A row with no zero has the strict
-    masks as its weak masks, so its nonneg and nonpos rows are its strict
-    row, which also labels and sizes the components of the other sign; only
-    roots of the mask's own sign are kept below.  nonneg_size (nonpos_size)
+    (negative) set.  A row with no zero has the strict masks as its weak
+    masks, so its nonneg and nonpos rows are its strict row, which also
+    labels and sizes the components of the other sign; only roots of the
+    mask's own sign are kept below.  nonneg_size (nonpos_size)
     counts the vertices of a component at its root, and pos_in (neg_in) its
     strictly positive (negative) ones.  The kept roots are the weak domains: a
     sign >= 0 component with a strictly positive vertex (weak_pos), the
@@ -330,7 +336,6 @@ class _SignLabels(NamedTuple):
     nonneg: np.ndarray
     nonpos: np.ndarray
     strict: np.ndarray
-    whole: np.ndarray
     nonneg_size: np.ndarray
     nonpos_size: np.ndarray
     pos_in: np.ndarray
@@ -343,17 +348,16 @@ class _SignLabels(NamedTuple):
 def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -> _SignLabels:
     """Label a (k, n) sign stack in one label call, and keep its weak domains.
 
-    The label call takes the k sign rows as class rows, the two weak masks
-    of only the z rows that have a zero, and the all-true row: k + 2z + 1
-    rows.
+    The label call takes the k sign rows as class rows and the two weak
+    masks of only the z rows that have a zero: k + 2z rows.
     """
     k, n = signs.shape
     pos, neg, zero = signs > 0, signs < 0, signs == 0
     z = np.flatnonzero(zero.any(axis=1))
-    labels = label(np.concatenate([signs, ~neg[z], ~pos[z], np.ones((1, n), dtype=bool)]))
+    labels = label(np.concatenate([signs, ~neg[z], ~pos[z]]))
     strict = labels[:k]
     nonneg, nonpos = strict.copy(), strict.copy()
-    nonneg[z], nonpos[z] = labels[k:-1].reshape(2, z.size, n)
+    nonneg[z], nonpos[z] = labels[k:].reshape(2, z.size, n)
     nonneg_size, nonpos_size = _tally(nonneg), _tally(nonpos)
     pos_in, neg_in = nonneg_size.copy(), nonpos_size.copy()
     pos_in[z] -= _tally(nonneg[z], zero[z])
@@ -364,7 +368,7 @@ def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -
     weak_neg = nonpos_root & (neg_in > 0)
     closed = np.zeros((k, n), dtype=bool)
     closed[z] = nonneg_root[z] & nonpos_root[z] & (pos_in[z] == 0) & (neg_in[z] == 0)
-    return _SignLabels(nonneg, nonpos, strict, labels[-1], nonneg_size, nonpos_size,
+    return _SignLabels(nonneg, nonpos, strict, nonneg_size, nonpos_size,
                        pos_in, neg_in, weak_pos, weak_neg, closed)
 
 
@@ -379,10 +383,10 @@ def _tally(labels: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
 
 def _census(
     signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, bool, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Census of a (k, n) sign stack: the (7, k) table of NodalCensus's
-    array fields in order, whether the graph is connected, and the (k, n)
-    masks of P and N, all tallied from _sign_labels at the roots."""
+    array fields but connected, in order, and the (k, n) masks of P and N,
+    all tallied from _sign_labels at the roots."""
     k, n = signs.shape
     s = _sign_labels(signs, label)
     vertex = np.arange(n)
@@ -404,7 +408,7 @@ def _census(
         weak, strong, in_p.sum(axis=1), in_n.sum(axis=1), n - covered.sum(axis=1),
         zero.sum(axis=1), (zero & ~covered).sum(axis=1),
     ])
-    return table, bool((s.whole == 0).all()), in_p, in_n
+    return table, in_p, in_n
 
 
 def write_domains_csv(partition: DomainPartition, stream: IO[str]) -> None:

@@ -371,9 +371,20 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         (["kp", "--p-list", "0.5,1.5"], "error: p must lie in (0,1), got 1.5\n"),
         (["constants", "--p", "1"], "error: p must lie in (0,1), got 1.0\n"),
         (["constants", "--p-list", "-0.2"], "error: p must lie in (0,1), got -0.2\n"),
+        # so is a degree for which no simple regular graph on n vertices exists
+        (["gen-regular", "--n", "5", "--d", "3"], "error: n*d must be even, got n=5, d=3\n"),
+        (["gen-regular", "--n", "4", "--d", "4"],
+         "error: degree must satisfy 0 <= d < n, got d=4, n=4\n"),
+        (["exp-fig1", "--d-list", "3", "--n", "5"], "error: n*d must be even, got n=5, d=3\n"),
+        (["exp-fig1", "--d-list", "4,6", "--n", "6"],
+         "error: degree must satisfy 0 <= d < n, got d=6, n=6\n"),
+        (["exp-courant", "--source", "regular", "--n", "5", "--d", "3"],
+         "error: n*d must be even, got n=5, d=3\n"),
     ]
     for argv, err in cases:
         assert run_cli(capsys, *argv) == (1, "", err), argv
+    # d is not read when the source is gnp
+    assert run_cli(capsys, "exp-courant", "--n", "5", "--d", "3", "--trials", "1")[0] == 0
 
 
 def test_a_call_adds_the_flags_of_its_subcommand_only(monkeypatch, capsys):
@@ -409,3 +420,34 @@ def test_usage_answers_as_if_every_subcommand_were_built(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "_build_parser", eager)
     assert [run_cli(capsys, *argv) for argv in corpus] == lazy
     assert {code for code, _, _ in lazy} == {0, 1}
+
+
+def test_stdout_and_out_file_carry_the_same_payload(tmp_path, capsys):
+    gpath, vpath = write_path_graph(tmp_path)
+    tiny = {
+        "gen-gnp": ["--n", "6", "--p", "0.5"],
+        "gen-regular": ["--n", "6", "--d", "3"],
+        "spectrum": ["--graph", gpath],
+        "domains": ["--graph", gpath, "--vector", vpath],
+        "summary": ["--graph", gpath, "--vector", vpath],
+        "constants": ["--p-list", "0.3,0.5"],
+        "kp": ["--p-list", "0.3,0.5"],
+        **{command: spec[1] for command, spec in EXPERIMENTS.items()},
+    }
+    assert sorted(tiny) == sorted(cli._COMMANDS)
+    out = tmp_path / "out.txt"
+    for command, flags in tiny.items():
+        formats = ("csv", "json") if "format" in cli._COMMANDS[command]["options"] else (None,)
+        for fmt in formats:
+            argv = [command, *flags] + ([] if fmt is None else ["--format", fmt])
+            code, printed, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            if fmt == "json":
+                json.loads("\n".join(body_lines(printed)))
+            assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", ""), argv
+            assert out.read_text(encoding="utf-8") == printed, argv
+            out.unlink()
+    # a run that fails prints nothing and creates no file
+    code, printed, _ = run_cli(capsys, "spectrum", "--graph", str(tmp_path / "missing.txt"),
+                               "--out", str(out))
+    assert (code, printed, out.exists()) == (2, "", False)

@@ -519,7 +519,7 @@ def reference_labels(g, classes):
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
-def test_class_rows_match_reference(backend, monkeypatch):
+def test_class_rows_match_reference(backend):
     gen = substream(23, f"class-rows-{backend}").generator()
     graphs = [Graph.from_edges(1, []), Graph.from_edges(6, []),
               Graph.from_edges(7, [(i, i + 1) for i in range(6)])]
@@ -535,17 +535,14 @@ def test_class_rows_match_reference(backend, monkeypatch):
         classes[2] = -1
         classes[3] = gen.random(g.n) < 0.5  # a mask as a 0/1 class row
         expected = reference_labels(g, classes)
-        chunks = [graph_core._SPARSE_CHUNK_EDGES, 1, max(1, g.num_edges - 1)]
-        for chunk in chunks if backend == "sparse" else chunks[:1]:
-            monkeypatch.setattr(graph_core, "_SPARSE_CHUNK_EDGES", chunk)
-            if backend == "dense":
-                got = graph_core._labels_dense(dense, classes)
-                as_mask = graph_core._labels_dense(dense, classes[3:4] > 0)
-            else:
-                got = graph_core._labels_sparse(g.u, g.v, classes)
-                as_mask = graph_core._labels_sparse(g.u, g.v, classes[3:4] > 0)
-            assert np.array_equal(got, expected), (g.n, g.num_edges, chunk)
-            assert np.array_equal(as_mask, expected[3:4])
+        if backend == "dense":
+            got = graph_core._labels_dense(dense, classes)
+            as_mask = graph_core._labels_dense(dense, classes[3:4] > 0)
+        else:
+            got = graph_core._labels_sparse(g.u, g.v, classes)
+            as_mask = graph_core._labels_sparse(g.u, g.v, classes[3:4] > 0)
+        assert np.array_equal(got, expected), (g.n, g.num_edges)
+        assert np.array_equal(as_mask, expected[3:4])
 
 
 def test_vertex_count_beyond_int64_keys_is_refused():

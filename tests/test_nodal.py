@@ -433,12 +433,14 @@ def test_domains_of_spectra_on_both_labelers(backend, kind, n, param):
     test_domains_of_spectra_match_reference(kind, n, param)
 
 
-def test_census_blocks_and_chunks_leave_counts_unchanged(monkeypatch):
+def test_census_blocks_leave_counts_unchanged(monkeypatch):
     g = _sample("gnp", 40, 0.1, 7)
     vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
-    whole = {kind: nodal_census(g, vectors).rows() for kind in ("dense", "sparse")}
+    whole = {}
+    for kind in ("dense", "sparse"):
+        monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
+        whole[kind] = nodal_census(g, vectors).rows()
     monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", 3 * g.n)
-    monkeypatch.setattr(graph_core, "_SPARSE_CHUNK_EDGES", 2 * g.num_edges)
     for kind in ("dense", "sparse"):
         monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
         assert nodal_census(g, vectors).rows() == whole["sparse"] == whole["dense"]
@@ -461,8 +463,9 @@ def test_label_call_takes_weak_masks_only_of_zero_columns(monkeypatch):
     columns = [[1, -1, 1, -1, 1], [0, 1, -1, 2, 2], [3, 2, 1, -1, -2], [1, 1, 0, 0, -1]]
     values = np.array(columns, dtype=float).T
     assert_census_matches_reference(g, values, 0.0)
-    assert shapes[0] == (4 + 2 * 2 + 1, 5)
-    for f, rows in ((sf(columns[0]), 2), (sf(columns[1]), 4)):
+    # k + 2z class rows, then one all-true row for connectivity
+    assert shapes[:2] == [(4 + 2 * 2, 5), (1, 5)]
+    for f, rows in ((sf(columns[0]), 1), (sf(columns[1]), 3)):
         for entry in (nodal_summary, weak_nodal_domains):
             shapes.clear()
             entry(g, f)
@@ -498,6 +501,13 @@ def test_census_backend_follows_edge_density():
     assert graph_core._labeler(_sample("gnp", 200, 0.5, 0)).func is graph_core._labels_dense
     assert graph_core._labeler(_sample("regular", 200, 3, 0)).func is graph_core._labels_sparse
     assert graph_core._labeler(Graph.from_edges(3, [])).func is graph_core._labels_sparse
+
+
+def test_census_default_tau_is_per_column():
+    # 2e-9 is above the default tau of its own column (1e-9), not of the other (1e-6)
+    values = np.array([[1, 2e-9, -1], [1000, -1000, 1000]]).T
+    assert_census_matches_reference(path(3), values, None)
+    assert nodal_census(path(3), values).z_size.tolist() == [0, 0]
 
 
 def test_census_input_checks():
