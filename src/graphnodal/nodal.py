@@ -13,20 +13,25 @@ brute-force oracle below enumerates maximal sets directly and pins this down.
 
 The census and the weak lists read one labeling, _sign_labels: one pass of
 the graph_core labeler over a stack of class rows names each component by
-its smallest vertex, where an edge joins two vertices of one nonzero class.
-The stack holds k + 2z class rows: the sign row of each of the k columns,
-which names its positive and its negative components at once, and the masks
-sign >= 0 and sign <= 0 only for the z columns with a zero (in the others
-they are the strict masks).  nodal_census labels connectivity once, in one
-all-true row of its own.
-The weak-domain rule above marks which components are weak domains, from
-component sizes tallied once and shared with the census.  nodal_census
-counts, for every column of an eigenvector matrix at once, by array tallies
-over those labels: weak and strong counts and the P/N/E/Z sizes.
-nodal_summary is its one-column case.  weak_nodal_domains lists each kept
-component of one column, strong_nodal_domains each component of its sign
-row.  On a 3-regular graph with n=300 the census of all 300 adjacency
-eigenvectors takes 17-18 ms against 12-15 ms for eigh (4-regular: 17-21
+its smallest vertex, its root, where an edge joins two vertices of one
+nonzero class.  The stack holds k + 2z class rows: the sign row of each of
+the k columns, which names its positive and its negative components at
+once, and the masks sign >= 0 and sign <= 0 only for the z columns with a
+zero (in the others they are the strict masks).  nodal_census labels
+connectivity once, in one all-true row of its own.  The weak domains are
+read off component sizes, tallied once for the sign rows and, for the weak
+masks and their zeros, only in the z rows, as a list of (row, root) pairs:
+for an eigenvector of G(n,p) about two per row, by the paper's theorem.
+nodal_census counts, for every column of an eigenvector matrix at once,
+weak and strong counts and the P/N/E/Z sizes from that list: P and N are
+picked among the roots, and E and E cap Z follow from root sizes, with
+vertex masks only for P cap N in the z rows.  nodal_summary is its
+one-column case.  weak_nodal_domains lists each kept component of one
+column, strong_nodal_domains each component of its sign row.  The census of
+all adjacency eigenvectors takes 0.75x the eigh of the same matrix on
+G(200, 1/2) (4.3-4.5 against 5.8-6.0 ms), 0.64x on G(1000, 1/2) (167-178
+against 270-276 ms), 0.92-0.97x on 3-regular graphs with n=300 (11-15
+against 12-15 ms) and 1.15-1.18x on 4-regular ones (14-17 against 13-15
 ms; BLAS on one thread, 2-vCPU Xeon).
 """
 
@@ -82,7 +87,7 @@ def _zero_tolerance(values: np.ndarray, tau: float | None):
 
 def _signs(values: np.ndarray, tau) -> np.ndarray:
     """sign(values) as int8, with 0 wherever |values| <= tau."""
-    return np.where(np.abs(values) <= tau, 0, np.sign(values)).astype(np.int8)
+    return (values > tau).view(np.int8) - (values < -tau).view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +153,13 @@ def weak_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
     _check_lengths(g, f)
     s = _sign_labels(f.signs[np.newaxis, :], _labeler(g))
     raw: list[tuple[list[int], int]] = []
-    for labels, kept, sign in ((s.nonneg, s.weak_pos, 1), (s.nonpos, s.weak_neg, -1),
-                               (s.nonneg, s.closed, 0)):
-        row = labels[0]
+    d = s.domains
+    for side, kept, sign in ((0, d.signed > 0, 1), (1, d.signed > 0, -1), (0, d.signed == 0, 0)):
+        row = _row_labels(s, side)
         # one entry more for label n, outside the labeled mask
-        inside = np.append(kept[0], False)[row]
-        raw += [(comp, sign) for comp in _components(np.where(inside, row, row.size))]
+        inside = np.zeros(g.n + 1, dtype=bool)
+        inside[d.root[kept & (d.side == side)]] = True
+        raw += [(comp, sign) for comp in _components(np.where(inside[row], row, g.n))]
     return _canonical("weak", raw)
 
 
@@ -240,12 +246,15 @@ class NodalSummary:
 def nodal_summary(g: Graph, f: SignedFunction) -> NodalSummary:
     """The P/N/E/Z decomposition of f: the one-column case of the census."""
     _check_lengths(g, f)
-    table, in_p, in_n = _census(f.signs[np.newaxis, :], _labeler(g))
+    signs = f.signs[np.newaxis, :]
+    s = _sign_labels(signs, _labeler(g))
+    table, roots = _census(signs, s)
     weak, strong, *_, e_cap_z = table[:, 0].tolist()
-    covered = in_p[0] | in_n[0]
+    in_p, in_n = (_row_labels(s, side) == roots[side, 0] for side in (0, 1))
+    covered = in_p | in_n
     return NodalSummary(
-        positive_part=tuple(np.flatnonzero(in_p[0]).tolist()),
-        negative_part=tuple(np.flatnonzero(in_n[0]).tolist()),
+        positive_part=tuple(np.flatnonzero(in_p).tolist()),
+        negative_part=tuple(np.flatnonzero(in_n).tolist()),
         exceptional=tuple(np.flatnonzero(~covered).tolist()),
         zeros=tuple(np.flatnonzero(f.signs == 0).tolist()),
         weak_count=weak,
@@ -295,7 +304,8 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     width = max(1, _CENSUS_BLOCK_ENTRIES // g.n)
     blocks = [vals[:, i:i + width] for i in range(0, max(1, vals.shape[1]), width)]
     table = np.concatenate([
-        _census(_signs(block, _zero_tolerance(block, tau)).T, label)[0] for block in blocks
+        _census(signs, _sign_labels(signs, label))[0]
+        for signs in (_signs(block, _zero_tolerance(block, tau)).T for block in blocks)
     ], axis=1)
     connected = bool((label(np.ones((1, g.n), dtype=bool)) == 0).all())
     return NodalCensus(*table, connected=connected)
@@ -305,71 +315,99 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
 # column) pairs per block, and a label call at most three class rows per
 # column of its block: at n=1000, mean degree 13 and a zero in every column,
 # 48 rows over about 6400 edges, and the census allocates at most 12 MB at
-# a time.  Larger blocks pay only at large n: timed in a trial loop (each
-# census right after its eigendecompose, BLAS on one thread, 2-vCPU Xeon),
-# 1 << 16 took 4.6 ms against 4.1 at n=200, p=1/2 and 15.9 ms against 14.7
-# on 3-regular graphs with n=300, but 146 ms against 199 at n=1000, p=1/2.
+# a time.  Larger blocks pay only at large n.  Timed in a trial loop, each
+# census right after its eigendecompose and the three widths in turn (BLAS
+# on one thread, 2-vCPU Xeon, medians of 150, 60 and 6 trials), 1 << 14,
+# 1 << 15 and 1 << 16 took 4.4-4.6, 4.8-5.0 and 4.5-4.7 ms at n=200,
+# p=1/2; 13.3-14.4, 12.9-13.8 and 14.3-15.5 ms on 3-regular graphs with
+# n=300; and 193, 149 and 126 ms at n=1000, p=1/2.  Neither larger width
+# is as fast at both smaller sizes.
 _CENSUS_BLOCK_ENTRIES = 1 << 14
+
+
+class _Domains(NamedTuple):
+    """The weak domains of a sign stack, one entry per component root and
+    side: side 0 for a domain without a strictly negative vertex, side 1
+    for one without a strictly positive vertex; its row, its root (smallest
+    vertex), its size and its strictly signed vertices."""
+
+    side: np.ndarray
+    row: np.ndarray
+    root: np.ndarray
+    size: np.ndarray
+    signed: np.ndarray
 
 
 class _SignLabels(NamedTuple):
     """The labels of a (k, n) sign stack and its weak domains.
 
-    A component's label is its smallest vertex; a root labels itself.  The
-    (k, n) label rows are those of the masks sign >= 0 (nonneg) and
-    sign <= 0 (nonpos), and of the sign rows themselves (strict), whose
-    labels where the sign is +1 (-1) are those of the strictly positive
-    (negative) set.  A row with no zero has the strict masks as its weak
-    masks, so its nonneg and nonpos rows are its strict row, which also
-    labels and sizes the components of the other sign; only roots of the
-    mask's own sign are kept below.  nonneg_size (nonpos_size)
-    counts the vertices of a component at its root, and pos_in (neg_in) its
-    strictly positive (negative) ones.  The kept roots are the weak domains: a
-    sign >= 0 component with a strictly positive vertex (weak_pos), the
-    mirror image (weak_neg), and a whole component of G on which the row is
-    zero (closed: a root of both labelings whose two components hold no
-    strictly signed vertex, hence are the same set).  Any other sign >= 0
-    or sign <= 0 component is all-zero and touches the opposite sign, so it
-    lies inside a domain of that sign and is not maximal.
+    A component's label is its smallest vertex, its root.  strict labels
+    the sign rows, whose labels where the sign is +1 (-1) are those of the
+    strictly positive (negative) set; zero_rows lists the rows with a zero,
+    and weak[0] (weak[1]) labels the masks sign >= 0 (sign <= 0) of those
+    rows alone.  A row with no zero has the strict masks as its weak masks,
+    so its strict row labels both.  strong counts each row's strict roots.
+    The weak domains of side 0 are the sign >= 0 components with a strictly
+    positive vertex and the whole components of G on which the row is zero
+    (closed, signed 0: a root of both weak labelings whose two components
+    hold no strictly signed vertex, hence are the same set); side 1 is the
+    mirror image, so a closed component is on both sides.  Any other sign
+    >= 0 or sign <= 0 component is all-zero and touches the opposite sign,
+    so it lies inside a domain of that sign and is not maximal.
     """
 
-    nonneg: np.ndarray
-    nonpos: np.ndarray
     strict: np.ndarray
-    nonneg_size: np.ndarray
-    nonpos_size: np.ndarray
-    pos_in: np.ndarray
-    neg_in: np.ndarray
-    weak_pos: np.ndarray
-    weak_neg: np.ndarray
-    closed: np.ndarray
+    zero_rows: np.ndarray
+    weak: np.ndarray
+    strong: np.ndarray
+    domains: _Domains
 
 
 def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -> _SignLabels:
     """Label a (k, n) sign stack in one label call, and keep its weak domains.
 
     The label call takes the k sign rows as class rows and the two weak
-    masks of only the z rows that have a zero: k + 2z rows.
+    masks of only the z rows that have a zero: k + 2z rows.  A root is a
+    label its row's tally counts, so the domains are read off the tallies:
+    once for the strict rows, and for the weak labels and their zeros only
+    in the z rows.
     """
     k, n = signs.shape
-    pos, neg, zero = signs > 0, signs < 0, signs == 0
+    zero = signs == 0
     z = np.flatnonzero(zero.any(axis=1))
-    labels = label(np.concatenate([signs, ~neg[z], ~pos[z]]))
-    strict = labels[:k]
-    nonneg, nonpos = strict.copy(), strict.copy()
-    nonneg[z], nonpos[z] = labels[k:].reshape(2, z.size, n)
-    nonneg_size, nonpos_size = _tally(nonneg), _tally(nonpos)
-    pos_in, neg_in = nonneg_size.copy(), nonpos_size.copy()
-    pos_in[z] -= _tally(nonneg[z], zero[z])
-    neg_in[z] -= _tally(nonpos[z], zero[z])
-    vertex = np.arange(n)
-    nonneg_root, nonpos_root = (nonneg == vertex) & ~neg, (nonpos == vertex) & ~pos
-    weak_pos = nonneg_root & (pos_in > 0)
-    weak_neg = nonpos_root & (neg_in > 0)
-    closed = np.zeros((k, n), dtype=bool)
-    closed[z] = nonneg_root[z] & nonpos_root[z] & (pos_in[z] == 0) & (neg_in[z] == 0)
-    return _SignLabels(nonneg, nonpos, strict, nonneg_size, nonpos_size,
-                       pos_in, neg_in, weak_pos, weak_neg, closed)
+    labels = label(np.concatenate([signs, signs[z] >= 0, signs[z] <= 0]))
+    strict, weak = labels[:k], labels[k:].reshape(2, z.size, n)
+    size = _tally(strict)
+    row, root = _cells(size > 0)
+    size = size[row, root]
+    strong = np.bincount(row, minlength=k)
+    # in a zero-free row every strict component is a weak domain
+    domains = [signs[row, root] < 0, row, root, size, size]
+    if z.size:
+        free = ~np.isin(row, z)
+        domains = [part[free] for part in domains]
+        both = weak.reshape(2 * z.size, n)
+        total = _tally(both)
+        signed = total - _tally(both, np.tile(zero[z], (2, 1)))
+        unsigned = (total > 0) & (signed == 0)
+        closed = np.tile(unsigned[:z.size] & unsigned[z.size:], (2, 1))
+        i, x = _cells((signed > 0) | closed)
+        side = i >= z.size
+        domains = [np.concatenate(pair) for pair in zip(
+            domains, (side, z[i % z.size], x, total[i, x], signed[i, x]))]
+    return _SignLabels(strict, z, weak, strong, _Domains(*domains))
+
+
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each true cell of a 2-d mask, row by row: np.nonzero,
+    which takes several times as long on these shapes."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
+def _row_labels(s: _SignLabels, side: int) -> np.ndarray:
+    """The labels of the mask sign >= 0 (side 0) or sign <= 0 (side 1) of
+    a one-row stack."""
+    return s.weak[side, 0] if s.zero_rows.size else s.strict[0]
 
 
 def _tally(labels: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
@@ -381,34 +419,42 @@ def _tally(labels: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     return np.bincount(keys, minlength=k * (n + 1)).reshape(k, n + 1)[:, :n]
 
 
-def _census(
-    signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Census of a (k, n) sign stack: the (7, k) table of NodalCensus's
-    array fields but connected, in order, and the (k, n) masks of P and N,
-    all tallied from _sign_labels at the roots."""
+def _census(signs: np.ndarray, s: _SignLabels) -> tuple[np.ndarray, np.ndarray]:
+    """Census of a (k, n) sign stack from its labels s: the (7, k) table of
+    NodalCensus's array fields but connected, in order, and the (2, k)
+    roots of P and N (-1 where there is none).
+
+    P (N) is the largest domain of side 0 (1), then the most strictly
+    signed, then the one of smallest root.  P and N of a zero-free row are
+    disjoint and hold no zero, so only the z rows with a zero count their
+    zeros and P cap N, with vertex masks; everything else is read off the
+    domains at their roots.
+    """
     k, n = signs.shape
-    s = _sign_labels(signs, label)
-    vertex = np.arange(n)
-    weak = s.weak_pos.sum(axis=1) + s.weak_neg.sum(axis=1) + s.closed.sum(axis=1)
-    strong = (s.strict == vertex).sum(axis=1)
-
-    def pick(lab, size, candidate, strict):
-        # largest, then most strictly signed, then smallest root
-        key = np.where(candidate, (size * (n + 1) + strict) * (n + 1) + (n - vertex), -1)
-        root = key.argmax(axis=1)
-        found = key[np.arange(k), root] >= 0
-        return (lab == root[:, np.newaxis]) & found[:, np.newaxis]
-
-    in_p = pick(s.nonneg, s.nonneg_size, s.weak_pos | s.closed, s.pos_in)
-    in_n = pick(s.nonpos, s.nonpos_size, s.weak_neg | s.closed, s.neg_in)
-    covered = in_p | in_n
-    zero = signs == 0
-    table = np.stack([
-        weak, strong, in_p.sum(axis=1), in_n.sum(axis=1), n - covered.sum(axis=1),
-        zero.sum(axis=1), (zero & ~covered).sum(axis=1),
-    ])
-    return table, in_p, in_n
+    d, z = s.domains, s.zero_rows
+    group = d.side * k + d.row
+    # keep the domains at their side and row's best of each key in turn;
+    # roots differ within a row, so one is left per side and row
+    keep = np.arange(group.size)
+    for key in (d.size, d.signed, -d.root):
+        best = np.full(2 * k, np.iinfo(np.int64).min)
+        np.maximum.at(best, group[keep], key[keep])
+        keep = keep[key[keep] == best[group[keep]]]
+    picked = np.zeros((3, 2 * k), dtype=np.int64)
+    picked[0] = -1
+    picked[:, group[keep]] = d.root[keep], d.size[keep], d.signed[keep]
+    (p_root, n_root), (p_size, n_size), (p_signed, n_signed) = picked.reshape(3, 2, k)
+    # a closed component is on both sides but one domain
+    weak = np.bincount(d.row[(d.side == 0) | (d.signed > 0)], minlength=k)
+    zeros, p_cap_n = np.zeros((2, k), dtype=np.int64)
+    zeros[z] = (signs[z] == 0).sum(axis=1)
+    p_cap_n[z] = ((s.weak[0] == p_root[z, np.newaxis])
+                  & (s.weak[1] == n_root[z, np.newaxis])).sum(axis=1)
+    e_size = n - p_size - n_size + p_cap_n
+    # Z outside P and N; the zeros of P cap N were taken away twice
+    e_cap_z = zeros - (p_size - p_signed) - (n_size - n_signed) + p_cap_n
+    table = np.stack([weak, s.strong, p_size, n_size, e_size, zeros, e_cap_z])
+    return table, np.stack([p_root, n_root])
 
 
 def write_domains_csv(partition: DomainPartition, stream: IO[str]) -> None:

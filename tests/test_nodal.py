@@ -61,6 +61,14 @@ def test_signed_function_basics():
         SignedFunction.from_values([[1.0, 2.0]])
 
 
+def test_values_at_the_tolerance_are_zero():
+    values = [0.5, -0.5, 0.6, -0.6, 0.0, -0.0]
+    f = sf(values, tau=0.5)
+    assert f.signs.dtype == np.int8
+    assert f.signs.tolist() == [0, 0, 1, -1, 0, 0]
+    assert nodal_census(path(6), np.array([values]).T, 0.5).z_size.tolist() == [4]
+
+
 def test_path_with_interior_zero():
     # (1, 0, -1) on a path: the zero belongs to both weak domains
     g = path(3)
@@ -167,6 +175,19 @@ def test_summary_tie_breaks_prefer_strict_then_smallest():
     s = nodal_summary(g, f)
     assert s.positive_part == (0, 1)
     assert s.negative_part == (2,)
+
+
+def test_summary_pick_past_two_million_vertices():
+    # a pick key packing size, signed count and root into one int64 wraps
+    # from n near 2.1e6, well under graph_core.MAX_VERTICES
+    n = 2_200_000
+    v = np.arange(n - 1)
+    g = Graph.from_edges(n, np.column_stack((v, v + 1)))
+    s = summary_dict(nodal_summary(g, sf(np.ones(n))))
+    assert s == {
+        "P_size": n, "N_size": 0, "E_size": 0, "Z_size": 0,
+        "weak_count": 1, "strong_count": 1, "E_cap_Z": 0,
+    }
 
 
 def test_summary_all_zero():
@@ -375,6 +396,44 @@ def test_census_hand_cases(backend, case):
     assert_census_matches_reference(g, np.array(columns, dtype=float).T, 0.0)
 
 
+# (graph, function, P, N) where the pick of P and N turns on one rule
+ROOT_PICK_CASES = {
+    # P = {0,1,2} and N = {1,2,3} share the zeros 1 and 2
+    "P cap N nonempty": (path(4), [2, 0, 0, -1], (0, 1, 2), (1, 2, 3)),
+    # {0,1,2} and {3,4,5} have 3 vertices each, {3,4,5} 3 strictly signed
+    "size tie, signed count decides": (
+        Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        [0, 1, 0, 1, 1, 1, -1], (3, 4, 5), (6,),
+    ),
+    "mirrored size tie": (
+        Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+        [0, -1, 0, -1, -1, -1, 1], (6,), (3, 4, 5),
+    ),
+    # {1,3} and {0,2} tie on size and signed count; the smaller root wins
+    "full tie, smallest root decides": (
+        Graph.from_edges(5, [(1, 3), (0, 2)]), [1, 1, 1, 1, -1], (0, 2), (4,),
+    ),
+    # the closed zero component {0,1} ties on size with {2,3} and loses on
+    # signed count, but is the only candidate without a positive vertex
+    "closed component against a signed one": (
+        Graph.from_edges(4, [(0, 1), (2, 3)]), [0, 0, 1, 1], (2, 3), (0, 1),
+    ),
+    # the larger closed component {0,1,2} beats {3} on both sides
+    "closed component larger": (
+        Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)]), [0, 0, 0, 1, -1],
+        (0, 1, 2), (0, 1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_PICK_CASES))
+def test_census_root_pick(backend, case):
+    g, values, p_part, n_part = ROOT_PICK_CASES[case]
+    s = nodal_summary(g, sf(values))
+    assert (s.positive_part, s.negative_part) == (p_part, n_part)
+    assert_census_matches_reference(g, np.array([values], dtype=float).T, 0.0)
+
+
 def test_census_random_rational_vectors(backend):
     gen = substream(4242, "census-rational").generator()
     for _ in range(40):
@@ -530,9 +589,22 @@ def test_labels_match_scipy_at_n_1000(labels):
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     n = 1000
     gen = substream(5, "census-labels").generator()
-    for g in (_sample("gnp", n, 0.004, 0), _sample("regular", n, 3, 0)):
+    cases = [(g, gen.random((4, n)) < np.array([[0.4], [0.6], [0.8], [1.0]]))
+             for g in (_sample("gnp", n, 0.004, 0), _sample("regular", n, 3, 0))]
+    if labels == "dense":
+        # at p=1/2 a seed's adjacency row alone reaches most of its mask;
+        # vertex 0 is the first seed and vertex x a later one of some
+        # masks, each with no neighbour left in them
+        g = _sample("gnp", n, 0.5, 0)
+        adj = adjacency_matrix(g) > 0
+        x = np.flatnonzero(~adj[0])[-1]
+        masks = gen.random((4, n)) < np.array([[0.01], [0.3], [0.6], [1.0]])
+        masks[1:3, adj[0]] = False
+        masks[2, adj[x]] = False
+        masks[1:3, 0] = masks[2, x] = True
+        cases.append((g, masks))
+    for g, masks in cases:
         u, v = g.u, g.v
-        masks = gen.random((4, n)) < np.array([[0.4], [0.6], [0.8], [1.0]])
         if labels == "dense":
             got = graph_core._labels_dense(adjacency_matrix(g).astype(np.float32), masks)
         else:
