@@ -8,8 +8,9 @@ ids with the spectrum CSV's array formatter (_text), '%d' byte for byte.
 Graph.from_edges and read_graph share one vectorized edge check: per pair,
 in this order, no self-loop, both ends in range, u < v, and no repeat, found
 by sorting the keys u*n + v and comparing neighbours.  The first bad pair
-in input order is the one reported.  Both refuse n above MAX_VERTICES,
-where those int64 keys would wrap.
+in input order is the one reported.  The samplers skip it: their arrays
+hold the invariants by construction.  Every constructor refuses n above
+MAX_VERTICES, where those int64 keys would wrap.
 
 connected_components and the nodal layer share one labeler.  It takes a
 stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
@@ -123,22 +124,27 @@ def substream(seed: int, label: str, index: int = 0) -> RngStream:
 class Graph:
     """Undirected simple graph: vertex count and the edge arrays u, v.
 
-    Edge i joins u[i] < v[i]; the pairs are sorted by (u, v) and the arrays
-    are read-only.  Construct through from_edges so these invariants hold.
+    Edge i joins u[i] < v[i]; the pairs are sorted by (u, v), no pair
+    repeats, and construction makes the arrays read-only.  Construct through
+    from_edges, which checks these invariants, as read_graph does.
+    sample_gnp and sample_regular construct directly from arrays that hold
+    them by construction: the kept draws in row-major order, and the sorted
+    keys of a try that passed the acceptance test.
     """
 
     n: int
     u: np.ndarray
     v: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.u.flags.writeable = False
+        self.v.flags.writeable = False
+
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Graph on n vertices from an (m, 2) int array or any iterable of pairs,
         each pair in either order."""
-        if n < 1:
-            raise ValueError(f"vertex count must be positive, got {n}")
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
+        _check_vertex_count(n)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"expected an (m, 2) array of vertex pairs, got shape {pairs.shape}")
@@ -171,6 +177,13 @@ class Graph:
         return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
+
+
 class _EdgeError(ValueError):
     """An edge failed the check; index is its position in the input."""
 
@@ -185,8 +198,8 @@ def _repeats(ranked: np.ndarray) -> np.ndarray:
 
 
 def _checked_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (u[i], v[i]) as sorted read-only edge arrays once all pass the
-    edge check (module docstring); else _EdgeError for the first bad pair."""
+    """The pairs (u[i], v[i]) as sorted edge arrays once all pass the edge
+    check (module docstring); else _EdgeError for the first bad pair."""
     keys = u * n + v
     ranked = np.sort(keys)
     checks = (
@@ -206,10 +219,7 @@ def _checked_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
         i = int((failed | repeat).argmax())
         message = next(text for bad, text in checks if bad[i])
         raise _EdgeError(i, message.format(u=int(u[i]), v=int(v[i]), n=n))
-    u, v = np.divmod(ranked, n)
-    u.flags.writeable = False
-    v.flags.writeable = False
-    return u, v
+    return np.divmod(ranked, n)
 
 
 def connected_components(
@@ -255,7 +265,7 @@ DENSE_DEGREE_OVER_LOG_N = 2.0
 def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
     """The labeling function, classes -> labels, for g's edge density."""
     if 2 * g.num_edges >= DENSE_DEGREE_OVER_LOG_N * math.log(g.n) * g.n:
-        return functools.partial(_labels_dense, adjacency_matrix(g).astype(np.float32))
+        return functools.partial(_labels_dense, adjacency_matrix(g, np.float32))
     return functools.partial(_labels_sparse, g.u, g.v)
 
 
@@ -366,8 +376,7 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     The endpoints p=0 and p=1 are allowed and give the empty and complete
     graph deterministically.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     gen = rng.generator()
@@ -380,14 +389,17 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
         i + np.flatnonzero(gen.random(min(_GNP_CHUNK_DRAWS, pairs - i)) < p)
         for i in range(0, pairs, _GNP_CHUNK_DRAWS)
     ])
-    u = np.searchsorted(start, kept, side="right") - 1
-    return Graph.from_edges(n, np.column_stack((u, kept - start[u] + u + 1)))
+    # kept draws ascend, so each row's kept pairs are one run of them, and
+    # the pairs are distinct, in range and sorted by (u, v), with u < v:
+    # Graph's invariants without the edge check
+    u = np.repeat(rows, np.diff(np.searchsorted(kept, start), append=kept.size))
+    return Graph(n, u, kept - start[u] + u + 1)
 
 
 def check_regular(n: int, d: int) -> None:
-    """Refuse (n, d) for which no simple d-regular graph on n vertices exists."""
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+    """Refuse (n, d) for which no simple d-regular graph on n vertices
+    exists, or n above MAX_VERTICES."""
+    _check_vertex_count(n)
     if d < 0 or d >= n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
@@ -413,8 +425,12 @@ def sample_regular(
     for _ in range(restart_budget):
         pairs = gen.permutation(stubs).reshape(-1, 2)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        if not (lo == hi).any() and not _repeats(np.sort(lo * n + hi)).any():
-            return Graph.from_edges(n, pairs)
+        if (lo == hi).any():
+            continue
+        keys = np.sort(lo * n + hi)
+        if not _repeats(keys).any():
+            # no loop and no repeat: the sorted keys are a simple graph
+            return Graph(n, *np.divmod(keys, n))
     # the configuration model's per-try acceptance as n grows (Bender &
     # Canfield 1978); at n=300 it is close for d <= 5
     accept = min(1.0, math.exp(-(d * d - 1) / 4))
@@ -425,9 +441,12 @@ def sample_regular(
     )
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix with zero diagonal; exactly symmetric."""
-    a = np.zeros((g.n, g.n), dtype=np.float64)
+def adjacency_matrix(g: Graph, dtype: type = np.float64) -> np.ndarray:
+    """Dense 0/1 adjacency matrix with zero diagonal; exactly symmetric.
+
+    The labeler takes it in float32; everything else in float64.
+    """
+    a = np.zeros((g.n, g.n), dtype=dtype)
     a[g.u, g.v] = 1.0
     a[g.v, g.u] = 1.0
     return a
@@ -435,7 +454,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian: degree diagonal minus adjacency; row sums zero."""
-    lap = -adjacency_matrix(g)
+    lap = adjacency_matrix(g)
+    np.negative(lap, out=lap)  # zeros become -0.0, as in -adjacency_matrix(g)
     np.fill_diagonal(lap, g.degrees().astype(np.float64))
     return lap
 

@@ -7,6 +7,16 @@ sorted per the requested ordering, and runs of exactly equal eigenvalues are
 ordered by the lexicographic order of their sign-fixed eigenvectors.  Every
 decomposition is checked against the residual and orthogonality tolerances
 below, and two decompositions of the same matrix are bit-identical.
+
+Around its one eigh call, eigendecompose makes at most one n x n copy,
+the sign-fixed columns in descending order (ascending order flips eigh's
+own array), and two products, A V and V^T V; every other n x n step works
+in place.  The residual A V - V diag(w) is formed, squared and summed by
+column inside the first product's buffer, which gives the per-column
+residual norms (Spectrum.residuals), and |V^T V - I| inside the second's.
+Entries are tested for finiteness through the Frobenius norm that the
+residual tolerance needs anyway; only a norm that is not finite, from a
+non-finite entry or from overflow, takes a pass over the entries.
 """
 
 from __future__ import annotations
@@ -29,47 +39,56 @@ ORTHOGONALITY_TOL = 1e-8
 class Spectrum:
     """Full eigensystem of a symmetric matrix.
 
-    eigenvalues[i] pairs with the column eigenvectors[:, i].  residual_bound
-    is the exact max over i of ||A v_i - lambda_i v_i||_2 for the returned
-    pairs; orthogonality_defect is max |V^T V - I|.
+    eigenvalues[i] pairs with the column eigenvectors[:, i].  residuals[i]
+    is ||A v_i - lambda_i v_i||_2 for the returned pair, computed exactly
+    as np.linalg.norm(A @ V - V * w, axis=0) would; residual_bound is
+    their max and orthogonality_defect is max |V^T V - I|.  All three
+    arrays are read-only.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     ordering: str
-    residual_bound: float
+    residuals: np.ndarray
     orthogonality_defect: float
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def residual_bound(self) -> float:
+        return float(self.residuals.max())
+
     def vector(self, i: int) -> np.ndarray:
         """i-th eigenvector (0-based, in the spectrum's ordering)."""
         return self.eigenvectors[:, i]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # flip each column so its largest-|.| coordinate (first on ties) is positive
+def _fixed_columns(vectors: np.ndarray, ordering: str) -> np.ndarray:
+    """eigh's columns in the requested order, each flipped so its
+    largest-|.| coordinate (first on ties) is positive: one pass, into a
+    fresh array for descending order and in place for ascending."""
     lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
-    return vectors * np.where(lead < 0, -1.0, 1.0)
+    signs = np.where(lead < 0, -1.0, 1.0)
+    if ordering == "descending":
+        return np.multiply(vectors[:, ::-1], signs[::-1], out=np.empty(vectors.shape))
+    return np.multiply(vectors, signs, out=vectors)
 
 
-def _order_equal_runs(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Within each run of exactly equal eigenvalues, sort columns lexicographically."""
+def _order_equal_runs(values: np.ndarray, vectors: np.ndarray) -> None:
+    """Within each run of exactly equal eigenvalues, sort columns
+    lexicographically, in place."""
     n = values.shape[0]
     start = 0
-    out = vectors
     while start < n:
         stop = start + 1
         while stop < n and values[stop] == values[start]:
             stop += 1
         if stop - start > 1:
-            block = sorted((tuple(out[:, j]), j) for j in range(start, stop))
-            out = out.copy() if out is vectors else out
-            out[:, start:stop] = np.column_stack([vectors[:, j] for _, j in block])
+            block = sorted((tuple(vectors[:, j]), j) for j in range(start, stop))
+            vectors[:, start:stop] = vectors[:, [j for _, j in block]]
         start = stop
-    return out
 
 
 def eigendecompose(a: np.ndarray, ordering: str = "descending") -> Spectrum:
@@ -84,7 +103,9 @@ def eigendecompose(a: np.ndarray, ordering: str = "descending") -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # a non-finite entry makes the norm non-finite; so can overflow
+    fro = float(np.linalg.norm(a))
+    if not np.isfinite(fro) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be exactly symmetric")
@@ -92,16 +113,21 @@ def eigendecompose(a: np.ndarray, ordering: str = "descending") -> Spectrum:
     values, vectors = np.linalg.eigh(a)
     if ordering == "descending":
         values = values[::-1].copy()
-        vectors = vectors[:, ::-1].copy()
-    vectors = _fix_signs(vectors)
-    vectors = _order_equal_runs(values, vectors)
+    vectors = _fixed_columns(vectors, ordering)
+    _order_equal_runs(values, vectors)
 
-    residual = a @ vectors - vectors * values[np.newaxis, :]
-    residual_bound = float(np.linalg.norm(residual, axis=0).max())
+    # the same operations, in the same order, as np.linalg.norm(a @ vectors
+    # - vectors * values, axis=0): the same bits with one temporary, not four
+    residual = a @ vectors
+    residual -= vectors * values
+    np.square(residual, out=residual)
+    residuals = np.sqrt(np.add.reduce(residual, axis=0))
+    del residual  # before the Gram product takes its n x n
+    residual_bound = float(residuals.max())
     gram = vectors.T @ vectors
-    orthogonality_defect = float(np.abs(gram - np.eye(a.shape[0])).max())
+    gram.flat[::a.shape[0] + 1] -= 1.0
+    orthogonality_defect = float(np.abs(gram, out=gram).max())
 
-    fro = float(np.linalg.norm(a))
     if residual_bound > RESIDUAL_TOL * (1.0 + fro):
         raise RuntimeError(
             f"eigendecomposition residual {residual_bound:.3e} exceeds "
@@ -113,13 +139,13 @@ def eigendecompose(a: np.ndarray, ordering: str = "descending") -> Spectrum:
             f"{ORTHOGONALITY_TOL:.0e}"
         )
 
-    values.flags.writeable = False
-    vectors.flags.writeable = False
+    for array in (values, vectors, residuals):
+        array.flags.writeable = False
     return Spectrum(
         eigenvalues=values,
         eigenvectors=vectors,
         ordering=ordering,
-        residual_bound=residual_bound,
+        residuals=residuals,
         orthogonality_defect=orthogonality_defect,
     )
 

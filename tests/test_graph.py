@@ -163,6 +163,10 @@ def test_matrices_match_graph():
     lap = laplacian_matrix(g)
     assert np.array_equal(lap, np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float))
     assert np.array_equal(lap.sum(axis=1), np.zeros(3))
+    # off the diagonal a non-edge is -0.0, the negated adjacency entry
+    assert np.signbit(lap).tolist() == [[False, True, True], [True, False, True],
+                                        [True, True, False]]
+    assert adjacency_matrix(g, np.float32).tobytes() == a.astype(np.float32).tobytes()
 
 
 def test_xp_matrix_support_and_mean():
@@ -507,6 +511,25 @@ def test_sample_gnp_matches_triu_indices_form(n, p, monkeypatch):
     assert sample_gnp(n, p, stream) == expected
 
 
+def assert_checked_arrays(g):
+    # what the edge check of from_edges would make of the same pairs
+    assert g == Graph.from_edges(g.n, np.column_stack((g.u, g.v)))
+    for ends in (g.u, g.v):
+        assert ends.dtype == np.int64 and not ends.flags.writeable
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (40, 0.0), (40, 1.0), (97, 0.1), (800, 0.5)])
+def test_sample_gnp_builds_what_the_edge_check_would(n, p):
+    # n=800 has C(800,2) = 319600 pairs, so its draws span two chunks
+    assert_checked_arrays(sample_gnp(n, p, substream(3, "direct", n)))
+
+
+@pytest.mark.parametrize("n, d", [(7, 0), (4, 3), (20, 3), (31, 4), (60, 4)])
+def test_sample_regular_builds_what_the_edge_check_would(n, d):
+    for i in range(4):
+        assert_checked_arrays(sample_regular(n, d, substream(3, "direct", i)))
+
+
 def reference_labels(g, classes):
     """Per class row, each vertex's smallest component-mate among the
     vertices of its own class, and n on class 0, from the BFS reference."""
@@ -553,6 +576,11 @@ def test_vertex_count_beyond_int64_keys_is_refused():
         read_graph(io.StringIO("4294967296 1\n2147483648 2147483649\n"))
     with pytest.raises(ValueError, match=f"^vertex count must be at most {top}"):
         Graph.from_edges(4294967296, [(2147483648, 2147483649)])
+    # the samplers refuse it before they draw or allocate anything
+    with pytest.raises(ValueError, match=f"^vertex count must be at most {top}"):
+        sample_gnp(top + 1, 0.5, substream(0, "t"))
+    with pytest.raises(ValueError, match=f"^vertex count must be at most {top}"):
+        sample_regular(top + 1, 3, substream(0, "t"))
     # the header is refused before any edge line is read
     with pytest.raises(GraphParseError, match="^line 1: vertex count"):
         read_graph(io.StringIO("4294967296 1\nx y\n"))

@@ -62,6 +62,49 @@ def test_input_validation():
         eigendecompose(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_refused_before_asymmetry(bad):
+    symmetric = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    asymmetric = symmetric + np.triu(np.ones((3, 3)), 1)
+    for a in (symmetric, asymmetric):
+        for i, j in ((0, 0), (0, 2), (2, 1)):
+            m = a.copy()
+            m[i, j] = bad
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                eigendecompose(m)
+    with pytest.raises(ValueError, match="^matrix must be exactly symmetric$"):
+        eigendecompose(asymmetric)
+
+
+def test_finite_entries_whose_norm_overflows_are_accepted():
+    # ||A||_F overflows to inf, which alone must not read as a non-finite entry
+    for a in (np.diag([1e200, -1e200, 3e200]), np.full((3, 3), 1e200)):
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(a) == np.inf
+            spectrum = eigendecompose(a)
+        assert spectrum.eigenvalues[0] == pytest.approx(3e200)
+
+
+def _certificate_matrices():
+    for i, n in enumerate((2, 31, 120)):
+        yield "gnp", adjacency_matrix(sample_gnp(n, 0.5, substream(40, "cert-gnp", i)))
+        yield "laplacian", laplacian_matrix(sample_gnp(n, 0.1, substream(40, "cert-lap", i)))
+    for i, n in enumerate((4, 30, 120)):
+        yield "regular", adjacency_matrix(sample_regular(n, 3, substream(40, "cert-reg", i)))
+
+
+@pytest.mark.parametrize("ordering", ["descending", "ascending"])
+def test_certificates_equal_a_plain_recomputation(ordering):
+    for kind, a in _certificate_matrices():
+        spectrum = eigendecompose(a, ordering)
+        w, v = spectrum.eigenvalues, spectrum.eigenvectors
+        residuals = np.linalg.norm(a @ v - v * w, axis=0)
+        assert np.array_equal(spectrum.residuals, residuals), (kind, a.shape)
+        assert spectrum.residual_bound == residuals.max()
+        assert spectrum.orthogonality_defect == np.abs(v.T @ v - np.eye(a.shape[0])).max()
+        assert not spectrum.residuals.flags.writeable
+
+
 def test_certificates_on_random_symmetric_matrices():
     gen = substream(31, "cert").generator()
     for trial in range(20):
@@ -152,7 +195,7 @@ def test_spectrum_csv_matches_per_value_formatting():
         [1.0 / 3.0, -7.0, 0.0, 123456789.0],
         [-1e-300, 2.0**-1074 * 3, -0.5, 1e16],
     ])
-    spectrum = Spectrum(values, vectors, "descending", 0.0, 0.0)
+    spectrum = Spectrum(values, vectors, "descending", np.zeros(4), 0.0)
     expected = "".join(
         f"{i + 1},{values[i]:.17g}," + ",".join(f"{x:.17g}" for x in vectors[:, i]) + "\n"
         for i in range(4)
