@@ -10,7 +10,8 @@ Conventions shared by every subcommand:
     stdout empty and creates no --out file;
   * the first output line is a comment "# graphnodal VERSION | argv: ... |
     seed: ...", the second echoes the fully resolved configuration.  --threads
-    is scrubbed from the echoed argv because it never affects results;
+    and --out, in every spelling the parser accepts, are scrubbed from the
+    echoed argv because they never affect results;
   * an optional --config FILE of "key = value" lines supplies defaults that
     explicit flags override; unknown keys are usage errors;
   * exit code 0 on success, 1 on usage errors, 2 on runtime failures.
@@ -47,6 +48,7 @@ from .experiments import (
     write_report_json,
 )
 from .graph_core import (
+    MAX_VERTICES,
     adjacency_matrix,
     check_regular,
     laplacian_matrix,
@@ -76,30 +78,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """A subcommand's parser gets its flags (options, flag name -> default)
-    only when it first parses, so a call builds the one subcommand it runs."""
-
-    def __init__(self, *args, options: dict[str, Any] | None = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._options = options
+    """argparse with the CLI's exit code for usage errors."""
 
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._options is not None:
-            self.add_argument("--config", default=None, help="file of 'key = value' defaults")
-            for flag in self._options:
-                self.add_argument(f"--{flag}", default=None)
-            self._options = None
-        # refuse leftovers where they are parsed, so that a subcommand's
-        # unknown flag is reported with that subcommand's usage
-        namespace, extras = super().parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {' '.join(extras)}")
-        return namespace, extras
 
 
 def _parse_int(text: str) -> int:
@@ -116,18 +100,18 @@ def _parse_float(text: str) -> float:
         raise _UsageError(f"expected a number, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}")
-    return tuple(_parse_int(s) for s in items)
+def _list_of(parse: Callable[[str], Any], kind: str) -> Callable[[str], tuple]:
+    def parse_list(text: str) -> tuple:
+        items = [s.strip() for s in text.split(",") if s.strip()]
+        if not items:
+            raise _UsageError(f"expected a comma-separated {kind} list, got {text!r}")
+        return tuple(parse(s) for s in items)
+
+    return parse_list
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise _UsageError(f"expected a comma-separated number list, got {text!r}")
-    return tuple(_parse_float(s) for s in items)
+_parse_int_list = _list_of(_parse_int, "integer")
+_parse_float_list = _list_of(_parse_float, "number")
 
 
 def _choice(*allowed: str) -> Callable[[str], str]:
@@ -206,21 +190,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _scrub_argv(argv: list[str]) -> list[str]:
+def _scrub_argv(argv: list[str], options: dict[str, Any]) -> list[str]:
     # --threads and --out never affect output content; leaving them in the
     # echoed argv would make otherwise-identical runs produce different bytes.
-    scrubbed = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token in ("--threads", "--out"):
-            skip = True
-            continue
-        if token.startswith(("--threads=", "--out=")):
-            continue
-        scrubbed.append(token)
+    # argparse takes any unique prefix of a flag, so every spelling that the
+    # command's parser resolves to them goes, with its value.
+    flags = ["--config", "--help", *(f"--{flag}" for flag in options)]
+    scrubbed, tokens = [], iter(argv)
+    for token in tokens:
+        name, eq, _ = token.partition("=")
+        spelled = [f for f in flags if f == name] or [f for f in flags if f.startswith(name)]
+        if spelled not in (["--threads"], ["--out"]):
+            scrubbed.append(token)
+        elif not eq:
+            next(tokens, None)  # its value
     return scrubbed
 
 
@@ -231,7 +214,7 @@ def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> It
     seed = opts.get("seed")
     header = (
         f"# graphnodal {__version__}"
-        f" | argv: {' '.join(_scrub_argv(argv))}"
+        f" | argv: {' '.join(argv)}"
         f" | seed: {'none' if seed is None else seed}\n"
         "# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n"
     )
@@ -529,7 +512,16 @@ _COMMANDS: dict[str, dict[str, Any]] = {
 }
 
 
-def _build_parser() -> _Parser:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the one parser it needs: a subcommand's own (--config and
+    its flags, None when absent; args.command names it) when argv starts with
+    one, else the top-level tree of subcommand names, which exits."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"graphnodal {argv[0]}")
+        parser.add_argument("--config", default=None, help="file of 'key = value' defaults")
+        for flag in _COMMANDS[argv[0]]["options"]:
+            parser.add_argument(f"--{flag}", default=None)
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     parser = _Parser(
         prog="graphnodal",
         description="Nodal domains of eigenvectors of random graphs.",
@@ -537,8 +529,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"graphnodal {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in _COMMANDS.items():
-        subparsers.add_parser(name, help=command["help"], options=command["options"])
-    return parser
+        subparsers.add_parser(name, help=command["help"])
+    return parser.parse_args(argv)
 
 
 def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any]:
@@ -564,6 +556,11 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
         spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
         if value is not None and spec.ok is not None and not spec.ok(value):
             raise _UsageError(f"{spec.message}, got {value}")
+    # n, n-list and exp-tails' k become vertex counts: one the graph layer
+    # would refuse is a usage error, found before anything is sampled
+    for count in (opts.get("n"), opts.get("k"), *(opts.get("n_list") or ())):
+        if count is not None and count > MAX_VERTICES:
+            raise _UsageError(f"vertex count must be at most {MAX_VERTICES}, got {count}")
     if command.get("check") is not None:
         command["check"](opts)
     return opts
@@ -572,7 +569,7 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0
@@ -584,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         config, write = command["run"](opts)
-        with _output(opts, argv, config) as stream:
+        with _output(opts, _scrub_argv(argv, command["options"]), config) as stream:
             write(stream)
     except Exception as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from graphnodal import cli, read_graph
+from graphnodal import __version__, cli, read_graph
 from graphnodal.cli import main
 from graphnodal.experiments import (
     run_courant_report,
@@ -322,7 +322,7 @@ def test_experiment_flags_default_as_their_runner(command):
     defaults = {
         name: param.default for name, param in inspect.signature(runner).parameters.items()
     }
-    opts = cli._resolve(cli._build_parser().parse_args([command]), cli._COMMANDS[command])
+    opts = cli._resolve(cli._parse_args([command]), cli._COMMANDS[command])
     assert opts == {**defaults, "format": "csv", "out": None}
 
 
@@ -353,6 +353,7 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         "                          [--threads THREADS] [--format FORMAT] [--out OUT]\n"
     )
     sizes = "error: tuple sizes must satisfy 1 <= k < n, got "
+    big = "3037000500"
     cases = [
         # an unknown flag is reported by the parser it was given to
         (["exp-gnp", "--bogus", "1"], gnp_usage + "error: unrecognized arguments: --bogus 1\n"),
@@ -380,46 +381,104 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
          "error: degree must satisfy 0 <= d < n, got d=6, n=6\n"),
         (["exp-courant", "--source", "regular", "--n", "5", "--d", "3"],
          "error: n*d must be even, got n=5, d=3\n"),
+        # every flag that becomes a vertex count is refused above MAX_VERTICES
+        # before anything is sampled, as gen-regular's is
+        *[(argv, f"error: vertex count must be at most 3037000499, got {big}\n") for argv in (
+            ["gen-gnp", "--n", big, "--p", "0"],
+            ["gen-regular", "--n", big, "--d", "3"],
+            ["exp-gnp", "--n", big],
+            ["exp-inner", "--n", big],
+            ["exp-fact", "--n", big],
+            ["exp-fig1", "--n", big],
+            ["exp-courant", "--n", big],
+            ["exp-fig2", "--n-list", f"10,{big}"],
+            ["exp-linf", "--n-list", big],
+            ["exp-tails", "--k", big],
+        )],
     ]
     for argv, err in cases:
         assert run_cli(capsys, *argv) == (1, "", err), argv
     # d is not read when the source is gnp
     assert run_cli(capsys, "exp-courant", "--n", "5", "--d", "3", "--trials", "1")[0] == 0
+    # the largest vertex count passes the up-front rules (sampling it is a runtime matter)
+    for command, flag in (("gen-gnp", "n"), ("exp-tails", "k")):
+        args = cli._parse_args([command, f"--{flag}", "3037000499", "--p", "0.5"])
+        assert cli._resolve(args, cli._COMMANDS[command])[flag] == 3037000499
 
 
 def test_a_call_adds_the_flags_of_its_subcommand_only(monkeypatch, capsys):
-    built = []
-    add = cli._Parser.add_argument
+    built, parsers = [], []
+    add, init = cli._Parser.add_argument, argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
         if args[0] == "--config":
             built.append(self.prog)
         return add(self, *args, **kwargs)
+
+    def count(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
     monkeypatch.setattr(cli._Parser, "add_argument", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", count)
     assert run_cli(capsys, "kp", "--p", "0.5")[0] == 0
     assert built == ["graphnodal kp"]
+    assert parsers == ["graphnodal kp"]
+    # a call that does not start with a subcommand builds the whole tree
+    assert run_cli(capsys, "--version")[0] == 0
+    assert parsers[1:] == ["graphnodal", *(f"graphnodal {name}" for name in cli._COMMANDS)]
+    assert built == ["graphnodal kp"]
+
+
+def _whole_tree():
+    """The parser tree with every subcommand's flags built: each subparser
+    carries --config and all its flags and reports its own leftovers."""
+    class Parser(cli._Parser):
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
+
+    parser = Parser(prog="graphnodal", description="Nodal domains of eigenvectors of random graphs.")
+    parser.add_argument("--version", action="version", version=f"graphnodal {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
+    for name, command in cli._COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command["help"])
+        sub.add_argument("--config", default=None, help="file of 'key = value' defaults")
+        for flag in command["options"]:
+            sub.add_argument(f"--{flag}", default=None)
+    return parser
 
 
 def test_usage_answers_as_if_every_subcommand_were_built(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\n", encoding="utf-8")
-    corpus = [[], ["--help"], ["--version"], ["no-such-command"], ["--bogus", "kp"],
+    corpus = [[], ["-h"], ["--help"], ["--version"], ["--vers"], ["no-such-command"],
+              ["--bogus", "kp"], ["--", "kp"], ["kp", "--", "--p", "0.3"], ["kp", "extra"],
+              ["kp", "--p=0.3"], ["exp-gnp", "--n", "8", "--tri", "1"],
               ["gen-gnp", "--p", "0.5"], ["summary", "--graph", "g.txt"]]
     for command in cli._COMMANDS:
         corpus += [[command, "--help"], [command, "--bogus", "1"], [command, "--config", str(cfg)]]
-    lazy = [run_cli(capsys, *argv) for argv in corpus]
-    build = cli._build_parser
+        if not command.startswith("exp-"):  # a bare exp-* runs its whole default experiment
+            corpus.append([command])
+    answers = [run_cli(capsys, *argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: _whole_tree().parse_args(argv))
+    assert [run_cli(capsys, *argv) for argv in corpus] == answers
+    assert {code for code, _, _ in answers} == {0, 1}
 
-    def eager():
-        parser = build()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for sub in commands.choices.values():
-            sub.parse_known_args([])  # adds the subcommand's flags
-        return parser
-    monkeypatch.setattr(cli, "_build_parser", eager)
-    assert [run_cli(capsys, *argv) for argv in corpus] == lazy
-    assert {code for code, _, _ in lazy} == {0, 1}
+
+def test_every_spelling_of_threads_and_out_is_scrubbed(tmp_path, capsys):
+    command, *flags = ["exp-gnp", "--n", "8", "--trials", "2"]
+    code, expected, _ = run_cli(capsys, command, *flags, "--threads", "1")
+    assert code == 0
+    for threads in (["--thr", "2"], ["--thread=2"], ["--threads=2"]):
+        assert run_cli(capsys, command, *threads, *flags) == (0, expected, ""), threads
+    out = tmp_path / "r.csv"
+    for spelled in (["--out", str(out)], ["--ou", str(out)], [f"--ou={out}"],
+                    ["--thr", "2", "--ou", str(out)]):
+        assert run_cli(capsys, command, *spelled, *flags) == (0, "", ""), spelled
+        assert out.read_text(encoding="utf-8") == expected, spelled
 
 
 def test_stdout_and_out_file_carry_the_same_payload(tmp_path, capsys):
