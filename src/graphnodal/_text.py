@@ -1,9 +1,13 @@
-"""Decimal text of whole arrays: each float as '%.17g' and each integer as
-'%d' would write it, byte for byte, each followed by its separator.
+"""The text of every payload after its two header comments.
 
-Each cell's text is laid out in one row of a byte matrix, eight bytes at a
-time, from one table of the 10000 four-digit groups; the separator goes
-right after it, and one gather keeps each row's span, in order.
+cell is the one rule for a number in a CSV cell and rounded the one for a
+float in a JSON document; write_csv and write_json write rows and documents.
+g17_text and int_text write whole arrays (the spectrum CSV, the edge list),
+each float as '%.17g' and each integer as '%d' would write it, byte for
+byte, each followed by its separator.  Each cell's text is laid out in one
+row of a byte matrix, eight bytes at a time, from one table of the 10000
+four-digit groups; the separator goes right after it, and one gather keeps
+each row's span, in order.
 
 '%.17g' is the correctly rounded conversion to 17 significant digits (Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", AT&T
@@ -20,7 +24,46 @@ other cell (exponent notation, |x| >= 1e17, non-finite) is formatted by
 
 from __future__ import annotations
 
+import json
+from typing import IO, Any, Iterable
+
 import numpy as np
+
+
+def cell(value: Any, digits: int = 10) -> str:
+    """One CSV cell: None empty, bools lower case, floats to `digits`
+    significant digits, anything else as str gives it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.{digits}g}"
+    return str(value)
+
+
+def rounded(obj: Any) -> Any:
+    """obj with every float rounded to 10 significant digits, tuples as lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    if isinstance(obj, dict):
+        return {k: rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [rounded(v) for v in obj]
+    return obj
+
+
+def write_csv(rows: Iterable[Iterable[Any]], stream: IO[str], digits: int = 10) -> None:
+    """One line of comma-separated cells per row."""
+    for row in rows:
+        stream.write(",".join(cell(v, digits) for v in row) + "\n")
+
+
+def write_json(payload: Any, stream: IO[str]) -> None:
+    """payload as indented, key-sorted JSON and a newline."""
+    json.dump(payload, stream, indent=1, sort_keys=True)
+    stream.write("\n")
+
 
 # cells per block for the writers that call this module: a few MB of working
 # memory whatever the input size.  Writing the n=800 spectrum CSV took the

@@ -31,11 +31,10 @@ import sys
 from typing import IO, Any, Callable, Iterator, NamedTuple
 
 from . import __version__
+from ._text import rounded, write_csv, write_json
 from .bounds import GridSpec, exceptional_bound_k, kp_formula, reference_k
 from .experiments import (
     ExperimentReport,
-    _fmt,
-    _round_floats,
     run_courant_report,
     run_fig1,
     run_fig2,
@@ -59,14 +58,13 @@ from .graph_core import (
     write_graph,
 )
 from .nodal import (
-    _SIGN_LABEL,
     SignedFunction,
+    domains_dict,
     nodal_summary,
     strong_nodal_domains,
     summary_dict,
     weak_nodal_domains,
     write_domains_csv,
-    write_summary_json,
 )
 from .spectral import eigendecompose, write_spectrum_csv
 
@@ -216,7 +214,7 @@ def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> It
         f"# graphnodal {__version__}"
         f" | argv: {' '.join(argv)}"
         f" | seed: {'none' if seed is None else seed}\n"
-        "# config: " + json.dumps(_round_floats(config), sort_keys=True) + "\n"
+        "# config: " + json.dumps(rounded(config), sort_keys=True) + "\n"
     )
     out = opts.get("out")
     if out is None:
@@ -250,16 +248,14 @@ def _read_vector(path: str, n: int):
 _Writer = Callable[[IO[str]], None]
 
 
-def _json(payload: Any) -> _Writer:
-    """A writer of payload as indented, key-sorted JSON and a newline."""
-    def write(stream: IO[str]) -> None:
-        json.dump(payload, stream, indent=1, sort_keys=True)
-        stream.write("\n")
-    return write
-
-
-def _text(body: str) -> _Writer:
-    return lambda stream: stream.write(body)
+def _records(records: dict[str, Any] | list[dict[str, Any]], fmt: str) -> _Writer:
+    """A writer of one record, or a list of records with the same keys: as
+    JSON, floats rounded, or as CSV, a header of the keys and one row of
+    values per record, floats to 17 significant digits."""
+    if fmt == "json":
+        return functools.partial(write_json, rounded(records))
+    rows = [records] if isinstance(records, dict) else records
+    return functools.partial(write_csv, [rows[0].keys(), *(r.values() for r in rows)], digits=17)
 
 
 def _run_gen_gnp(opts) -> tuple[dict[str, Any], _Writer]:
@@ -285,7 +281,7 @@ def _run_spectrum(opts) -> tuple[dict[str, Any], _Writer]:
     config = {"graph": opts["graph"], "matrix": opts["matrix"], "ordering": ordering}
     if opts["format"] == "csv":
         return config, functools.partial(write_spectrum_csv, spectrum)
-    return config, _json({
+    return config, functools.partial(write_json, {
         "n": spectrum.n,
         "ordering": spectrum.ordering,
         "eigenvalues": spectrum.eigenvalues.tolist(),
@@ -314,32 +310,14 @@ def _run_domains(opts) -> tuple[dict[str, Any], _Writer]:
     }
     if opts["format"] == "csv":
         return config, functools.partial(write_domains_csv, part)
-    return config, _json({
-        "kind": part.kind,
-        "count": part.count,
-        "domains": [
-            {"sign": _SIGN_LABEL[sign], "vertices": list(verts)}
-            for verts, sign in part.domains
-        ],
-    })
+    return config, functools.partial(write_json, domains_dict(part))
 
 
 def _run_summary(opts) -> tuple[dict[str, Any], _Writer]:
     g, f = _signed_input(opts)
     summary = nodal_summary(g, f)
     config = {"graph": opts["graph"], "vector": opts["vector"], "tau": opts["tau"]}
-    if opts["format"] == "json":
-        return config, functools.partial(write_summary_json, summary)
-    stats = summary_dict(summary)
-    keys = sorted(stats)
-    return config, _text(",".join(keys) + "\n" + ",".join(str(stats[k]) for k in keys) + "\n")
-
-
-_CONSTANTS_COLUMNS = (
-    "p", "k", "feasible", "q", "t", "a1", "a2", "C", "alpha", "beta", "D", "r",
-    "delta", "theta", "gamma", "epsilon", "xi1", "xi2",
-    "reference_k", "matches_reference",
-)
+    return config, _records(dict(sorted(summary_dict(summary).items())), opts["format"])
 
 
 def _constants_row(res) -> dict[str, Any]:
@@ -383,20 +361,13 @@ def _run_constants(opts) -> tuple[dict[str, Any], _Writer]:
         "p_list": list(ps),
         **{k: list(v) for k, v in vars(grid).items()},
     }
-    if opts["format"] == "json":
-        return config, _json(_round_floats(rows))
-    lines = [",".join(_CONSTANTS_COLUMNS)]
-    lines += [",".join(_fmt(row[col], 17) for col in _CONSTANTS_COLUMNS) for row in rows]
-    return config, _text("\n".join(lines) + "\n")
+    return config, _records(rows, opts["format"])
 
 
 def _run_kp(opts) -> tuple[dict[str, Any], _Writer]:
     ps = _probabilities(opts)
-    rows = [(p, kp_formula(p)) for p in ps]
-    config = {"p_list": list(ps)}
-    if opts["format"] == "json":
-        return config, _json(_round_floats([{"p": p, "kp": k} for p, k in rows]))
-    return config, _text("p,kp\n" + "".join(f"{_fmt(p, 17)},{k}\n" for p, k in rows))
+    records = [{"p": p, "kp": kp_formula(p)} for p in ps]
+    return {"p_list": list(ps)}, _records(records, opts["format"])
 
 
 # Per-command options: flag name -> default.  A None default means
@@ -512,22 +483,36 @@ _COMMANDS: dict[str, dict[str, Any]] = {
 }
 
 
+def _command_parser(name: str) -> _Parser:
+    """Subcommand name's parser: --config and its flags, None when absent."""
+    parser = _Parser(prog=f"graphnodal {name}")
+    parser.add_argument("--config", default=None, help="file of 'key = value' defaults")
+    for flag in _COMMANDS[name]["options"]:
+        parser.add_argument(f"--{flag}", default=None)
+    return parser
+
+
+class _Subcommand(_Parser):
+    """A subcommand's entry in the top-level tree, reached only after leading
+    unknown flags: it parses the rest of argv with the subcommand's own
+    parser, so the call answers as if that parser were in the tree."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        return _command_parser(self.prog.rpartition(" ")[2]).parse_args(args, namespace), []
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the one parser it needs: a subcommand's own (--config and
-    its flags, None when absent; args.command names it) when argv starts with
-    one, else the top-level tree of subcommand names, which exits."""
+    """argv parsed by the one parser it needs: a subcommand's own
+    (args.command names it) when argv starts with one, else the top-level
+    tree of subcommand names, which exits."""
     if argv and argv[0] in _COMMANDS:
-        parser = _Parser(prog=f"graphnodal {argv[0]}")
-        parser.add_argument("--config", default=None, help="file of 'key = value' defaults")
-        for flag in _COMMANDS[argv[0]]["options"]:
-            parser.add_argument(f"--{flag}", default=None)
-        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        return _command_parser(argv[0]).parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     parser = _Parser(
         prog="graphnodal",
         description="Nodal domains of eigenvectors of random graphs.",
     )
     parser.add_argument("--version", action="version", version=f"graphnodal {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     for name, command in _COMMANDS.items():
         subparsers.add_parser(name, help=command["help"])
     return parser.parse_args(argv)

@@ -28,7 +28,6 @@ significant digits.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._text import rounded, write_csv, write_json
 from .bounds import tail_constants
 from .graph_core import (
     Graph,
@@ -146,44 +146,16 @@ def _histogram(counts: Iterable[int]) -> dict[str, int]:
     return {str(c): tally[c] for c in sorted(tally)}
 
 
-def _fmt(value: Any, digits: int = 10) -> str:
-    """One CSV cell: None empty, bools lower case, floats to `digits` significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.{digits}g}"
-    return str(value)
-
-
 def write_report_csv(report: ExperimentReport, stream: IO[str]) -> None:
-    stream.write(",".join(report.columns) + "\n")
-    for row in report.rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _round_floats(obj: Any) -> Any:
-    if isinstance(obj, float):
-        return float(f"{obj:.10g}")
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+    write_csv([report.columns, *report.rows], stream)
 
 
 def write_report_json(report: ExperimentReport, stream: IO[str]) -> None:
-    payload = {
-        "config": _round_floats(report.config),
-        "columns": list(report.columns),
-        "rows": _round_floats(report.rows),
-        "extras": _round_floats(report.extras),
-    }
+    payload = {"config": report.config, "columns": report.columns,
+               "rows": report.rows, "extras": report.extras}
     if report.raw is not None:
-        payload["raw"] = _round_floats(report.raw)
-    json.dump(payload, stream, indent=1, sort_keys=True)
-    stream.write("\n")
+        payload["raw"] = report.raw
+    write_json(rounded(payload), stream)
 
 
 def run_fig1(
@@ -346,14 +318,12 @@ def run_tail_mc(
     def summarize(results: list[tuple[float, float, float]]):
         sym_norms, gnp_vals, rect_norms = np.array(results).reshape(-1, 3).T
         rows: list[tuple] = []
-        for xi in xi_list:
-            threshold = (sigma2 + xi) * np.sqrt(k)
-            bound = 4.0 * float(np.exp(-(xi**2) * k / 8.0))
-            rows.append(("sym", k, xi, min(bound, 1.0), float((sym_norms >= threshold).mean())))
-        for xi in xi_list:
-            threshold = (sigma2 + xi) * np.sqrt(k)
-            bound = float(np.exp(-(xi**2) * k / 32.0))
-            rows.append(("gnp", k, xi, min(bound, 1.0), float((gnp_vals >= threshold).mean())))
+        for model, norms, scale, decay in (("sym", sym_norms, 4.0, 8.0),
+                                           ("gnp", gnp_vals, 1.0, 32.0)):
+            for xi in xi_list:
+                threshold = (sigma2 + xi) * np.sqrt(k)
+                bound = scale * float(np.exp(-(xi**2) * k / decay))
+                rows.append((model, k, xi, min(bound, 1.0), float((norms >= threshold).mean())))
         _, a1, a2 = tail_constants(p, delta)
         rect_threshold = a1 * ((p * (1.0 - p)) ** 0.5) * np.sqrt(m)
         rows.append(("rect", m, None, min(float(np.exp(-a2 * m)), 1.0),
@@ -510,18 +480,13 @@ def run_courant_report(
         return _adjacency_census(g, tau)
 
     def summarize(censuses: list[NodalCensus]):
-        weak = [c.weak_count.tolist() for c in censuses]
-        connected_idx = [t for t, c in enumerate(censuses) if c.connected]
-        rows: list[tuple] = []
-        for i in range(n):
-            exceed = [counts[i] > i + 1 for counts in weak]
-            freq = sum(exceed) / trials
-            if connected_idx:
-                freq_conn = sum(exceed[t] for t in connected_idx) / len(connected_idx)
-            else:
-                freq_conn = 0.0
-            rows.append((i + 1, freq, freq_conn))
-        extras = {"disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected]}
+        exceed = np.array([c.weak_count for c in censuses]) > np.arange(1, n + 1)
+        connected = np.array([c.connected for c in censuses], dtype=bool)
+        freq = exceed.sum(axis=0) / trials
+        # 0.0 at every index when no sample was connected
+        freq_conn = exceed[connected].sum(axis=0) / max(int(connected.sum()), 1)
+        rows = list(zip(range(1, n + 1), freq.tolist(), freq_conn.tolist()))
+        extras = {"disconnected_trials": np.flatnonzero(~connected).tolist()}
         return rows, extras, None
 
     return _experiment("courant", args, ("index", "freq_exceeding", "freq_exceeding_connected"),

@@ -37,11 +37,12 @@ ms; BLAS on one thread, 2-vCPU Xeon).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from ._text import write_csv
 
 # connected_components is not called here; perfbench's tracer test still
 # looks the name up in this module, so it stays bound until that test moves
@@ -54,13 +55,13 @@ __all__ = [
     "NodalSummary",
     "SignedFunction",
     "brute_force_domains",
+    "domains_dict",
     "nodal_census",
     "nodal_summary",
     "strong_nodal_domains",
     "weak_nodal_domains",
     "write_domains_csv",
     "summary_dict",
-    "write_summary_json",
 ]
 
 # default zero tolerance = DEFAULT_TAU_SCALE * ||f||_inf
@@ -459,12 +460,19 @@ def _census(signs: np.ndarray, s: _SignLabels) -> tuple[np.ndarray, np.ndarray]:
 
 def write_domains_csv(partition: DomainPartition, stream: IO[str]) -> None:
     """One row per domain: kind, sign, size, semicolon-joined sorted vertices."""
-    for verts, sign in partition.domains:
-        stream.write(
-            f"{partition.kind},{_SIGN_LABEL[sign]},{len(verts)},"
-            + ";".join(str(v) for v in verts)
-            + "\n"
-        )
+    write_csv(((partition.kind, _SIGN_LABEL[sign], len(verts), ";".join(map(str, verts)))
+               for verts, sign in partition.domains), stream)
+
+
+def domains_dict(partition: DomainPartition) -> dict:
+    return {
+        "kind": partition.kind,
+        "count": partition.count,
+        "domains": [
+            {"sign": _SIGN_LABEL[sign], "vertices": list(verts)}
+            for verts, sign in partition.domains
+        ],
+    }
 
 
 def summary_dict(summary: NodalSummary) -> dict:
@@ -477,8 +485,3 @@ def summary_dict(summary: NodalSummary) -> dict:
         "strong_count": summary.strong_count,
         "E_cap_Z": summary.exceptional_zeros,
     }
-
-
-def write_summary_json(summary: NodalSummary, stream: IO[str]) -> None:
-    json.dump(summary_dict(summary), stream, indent=1, sort_keys=True)
-    stream.write("\n")

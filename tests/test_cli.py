@@ -12,6 +12,7 @@ import json
 import pytest
 
 from graphnodal import __version__, cli, read_graph
+from graphnodal.bounds import exceptional_bound_k, kp_formula
 from graphnodal.cli import main
 from graphnodal.experiments import (
     run_courant_report,
@@ -22,6 +23,14 @@ from graphnodal.experiments import (
     run_linf_scan,
     run_neighborhood_fact,
     run_tail_mc,
+)
+from graphnodal.graph_core import Graph
+from graphnodal.nodal import (
+    SignedFunction,
+    nodal_summary,
+    strong_nodal_domains,
+    summary_dict,
+    weak_nodal_domains,
 )
 
 
@@ -151,6 +160,65 @@ def test_summary_json(tmp_path, capsys):
     }
     body = "".join(out.splitlines(keepends=True)[2:])
     assert body == json.dumps(expected, indent=1, sort_keys=True) + "\n"
+
+
+def _csv17(records):
+    """A header of the records' keys and a row of each one's values: None
+    empty, bools lower case, floats as '%.17g'."""
+    def text(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return "%.17g" % v if isinstance(v, float) else str(v)
+    lines = [",".join(records[0])] + [",".join(text(v) for v in r.values()) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _json10(obj):
+    """obj as indented, key-sorted JSON, each float rounded to 10 digits."""
+    def rounded(x):
+        if isinstance(x, float):
+            return float("%.10g" % x)
+        if isinstance(x, dict):
+            return {k: rounded(v) for k, v in x.items()}
+        return [rounded(v) for v in x] if isinstance(x, (list, tuple)) else x
+    return json.dumps(rounded(obj), indent=1, sort_keys=True) + "\n"
+
+
+def test_payload_text_follows_the_per_value_rules(tmp_path, capsys):
+    # an isolated zero vertex (5) makes a weak domain of sign 0
+    gpath, vpath = tmp_path / "g.txt", tmp_path / "f.txt"
+    gpath.write_text("6 3\n0 1\n1 2\n3 4\n", encoding="utf-8")
+    vpath.write_text("1\n0\n-1\n0.5\n-0.002\n0\n", encoding="utf-8")
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    f = SignedFunction.from_values([1.0, 0.0, -1.0, 0.5, -0.002, 0.0], 0.0)
+    signed = ["--graph", str(gpath), "--vector", str(vpath), "--tau", "0"]
+    kp = [{"p": p, "kp": kp_formula(p)} for p in (0.1, 0.3, 0.5)]
+    constants = [cli._constants_row(exceptional_bound_k(p)) for p in (0.35, 0.5)]
+    assert constants[0]["reference_k"] is None and constants[1]["reference_k"] == 46
+    summary = dict(sorted(summary_dict(nodal_summary(g, f)).items()))
+    table = {
+        ("kp", "--p-list", "0.1,0.3,0.5"): (_csv17(kp), _json10(kp)),
+        ("constants", "--p-list", "0.35,0.5"): (_csv17(constants), _json10(constants)),
+        ("summary", *signed): (_csv17([summary]),
+                               json.dumps(summary, indent=1, sort_keys=True) + "\n"),
+    }
+    sign = {1: "+", -1: "-", 0: "0"}
+    for kind, domains in (("weak", weak_nodal_domains), ("strong", strong_nodal_domains)):
+        part = domains(g, f).domains
+        table["domains", *signed, "--kind", kind] = (
+            "".join(f"{kind},{sign[s]},{len(v)},{';'.join(map(str, v))}\n" for v, s in part),
+            json.dumps({"kind": kind, "count": len(part), "domains": [
+                {"sign": sign[s], "vertices": list(v)} for v, s in part
+            ]}, indent=1, sort_keys=True) + "\n",
+        )
+    assert any(s == 0 for _, s in weak_nodal_domains(g, f).domains)
+    for argv, bodies in table.items():
+        for fmt, expected in zip(("csv", "json"), bodies):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            assert "".join(out.splitlines(keepends=True)[2:]) == expected, (argv, fmt)
 
 
 def test_constants_row_contents(capsys):
@@ -457,7 +525,10 @@ def test_usage_answers_as_if_every_subcommand_were_built(tmp_path, capsys, monke
     corpus = [[], ["-h"], ["--help"], ["--version"], ["--vers"], ["no-such-command"],
               ["--bogus", "kp"], ["--", "kp"], ["kp", "--", "--p", "0.3"], ["kp", "extra"],
               ["kp", "--p=0.3"], ["exp-gnp", "--n", "8", "--tri", "1"],
-              ["gen-gnp", "--p", "0.5"], ["summary", "--graph", "g.txt"]]
+              ["gen-gnp", "--p", "0.5"], ["summary", "--graph", "g.txt"],
+              # a leading unknown flag: the subcommand still parses its own flags
+              ["--bogus", "kp", "--p", "0.3"], ["--bogus", "kp", "--x", "1"],
+              ["--bogus", "kp", "--help"]]
     for command in cli._COMMANDS:
         corpus += [[command, "--help"], [command, "--bogus", "1"], [command, "--config", str(cfg)]]
         if not command.startswith("exp-"):  # a bare exp-* runs its whole default experiment

@@ -15,6 +15,7 @@ import pytest
 from graphnodal import (
     adjacency_matrix,
     eigendecompose,
+    nodal_census,
     sample_gnp,
     sample_regular,
     sample_sym_xp_matrix,
@@ -155,6 +156,10 @@ def test_tail_mc_schema_and_monotone_exceedance():
     assert [row[4] for row in sym] == [
         float((norms >= (1.0 + xi) * math.sqrt(30)).mean()) for xi in (0.25, 0.5, 1.0)
     ]
+    assert [row[3] for row in sym] == [min(4 * math.exp(-xi**2 * 30 / 8), 1.0)
+                                       for xi in (0.25, 0.5, 1.0)]
+    assert [row[3] for row in gnp] == [min(math.exp(-xi**2 * 30 / 32), 1.0)
+                                       for xi in (0.25, 0.5, 1.0)]
 
 
 def test_inner_product_zero_on_regular_graphs():
@@ -233,6 +238,18 @@ def test_courant_report_rows():
         assert r.rows[0][2] == 0.0
     reg = run_courant_report(source="regular", n=12, d=3, trials=4, seed=37)
     assert len(reg.rows) == 12
+    # per index, the share of all trials and of the connected ones whose
+    # weak count exceeds it; at p=0.08 no sample is connected
+    for p in (0.08, 0.15):
+        r = run_courant_report(source="gnp", n=20, p=p, trials=6, seed=37)
+        censuses = [nodal_census(g, eigendecompose(adjacency_matrix(g)).eigenvectors)
+                    for g in (sample_gnp(20, p, substream(37, "courant-gnp", t)) for t in range(6))]
+        connected = [c for c in censuses if c.connected]
+        assert len(connected) == 6 - len(r.extras["disconnected_trials"])
+        for i, row in enumerate(r.rows):
+            exceed = [c.weak_count[i] > i + 1 for c in censuses]
+            within = [c.weak_count[i] > i + 1 for c in connected]
+            assert row[1:] == (sum(exceed) / 6, sum(within) / len(within) if within else 0.0)
 
 
 def test_thread_count_does_not_change_bytes():

@@ -26,7 +26,8 @@ from graphnodal import (
     substream,
 )
 from graphnodal import graph_core, nodal
-from graphnodal.nodal import summary_dict, write_domains_csv, write_summary_json
+from graphnodal._text import write_json
+from graphnodal.nodal import summary_dict, write_domains_csv
 from nodal_reference import (
     reference_nodal_summary,
     reference_strong_domains,
@@ -278,7 +279,7 @@ def test_domains_csv_format():
 def test_summary_json_format():
     g = path(3)
     buf = io.StringIO()
-    write_summary_json(nodal_summary(g, sf([1.0, 0.0, -1.0])), buf)
+    write_json(summary_dict(nodal_summary(g, sf([1.0, 0.0, -1.0]))), buf)
     parsed = json.loads(buf.getvalue())
     assert parsed == {
         "P_size": 2, "N_size": 2, "E_size": 0, "Z_size": 1,

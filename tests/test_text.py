@@ -1,4 +1,5 @@
-"""The array formatters against '%.17g' and '%d' one value at a time."""
+"""Payload text: the cell and JSON rules, and the array formatters against
+'%.17g' and '%d' one value at a time."""
 
 import io
 from fractions import Fraction
@@ -15,6 +16,32 @@ from graphnodal import (
     substream,
 )
 from graphnodal.spectral import write_spectrum_csv
+
+
+def test_cell_rule():
+    assert _text.cell(None) == _text.cell(None, 17) == ""
+    assert (_text.cell(True), _text.cell(False)) == ("true", "false")
+    assert _text.cell(1 / 3) == "0.3333333333" == "%.10g" % (1 / 3)
+    assert _text.cell(1 / 3, 17) == "0.33333333333333331" == "%.17g" % (1 / 3)
+    assert _text.cell(0.1) == "0.1" and _text.cell(0.1, 17) == "0.10000000000000001"
+    assert _text.cell(np.float64(2 / 3)) == "0.6666666667"
+    assert _text.cell(np.float64(2 / 3), 17) == "%.17g" % (2 / 3)
+    assert _text.cell(1e-7) == "1e-07" and _text.cell(2.0) == "2"
+    assert _text.cell(np.int64(12345678901)) == _text.cell(12345678901, 17) == "12345678901"
+    assert _text.cell("0;1;2") == "0;1;2"
+
+
+def test_rounded_keeps_ten_digits_and_turns_tuples_into_lists():
+    value = {"a": (1 / 3, {"b": (np.float64(2 / 3), 7)}), "c": [None, True, "x"],
+             "d": np.int64(5)}
+    out = _text.rounded(value)
+    assert out == {"a": [0.3333333333, {"b": [0.6666666667, 7]}], "c": [None, True, "x"],
+                   "d": 5}
+    assert type(out["a"][1]["b"][0]) is float
+    assert type(out["a"][1]["b"][1]) is int and type(out["d"]) is np.int64
+    assert out["c"][1] is True
+    assert 0.1 + 0.2 != 0.3 and _text.rounded(0.1 + 0.2) == 0.3
+    assert _text.rounded(float("inf")) == float("inf")
 
 
 def reference_g17(values, seps):
