@@ -27,11 +27,29 @@ The search walks the grid in nested loops and computes each quantity once,
 at the level it depends on: t, a1, a2 per delta; alpha and beta per (delta,
 theta, gamma), skipping the triple unless both are positive; 1/2+eps, its
 square root and H(1/2+eps) per epsilon; D per (epsilon, xi1, xi2).  The
-union-bound condition is tested before k, so k is searched only at feasible
-points, and the winner is evaluated once more through `feasibility`.  Every
-expression keeps the operand order of `feasibility`, so the winner and its
-constants are bit-identical to a point-by-point search, which also searched
-k at infeasible points with alpha > 0.  At p = 1e-5 and below those
+floor of the k domain, the smallest k with (1-p)^k < 1/2-eps, depends on
+(p, eps) alone and is computed once per epsilon, at the first k search
+for it.  The union-bound condition is tested before k, so k is searched
+only at feasible points, and the winner is evaluated once more through
+`feasibility`.
+
+Each (delta, theta, gamma, eps) cell is searched from its largest-D point.
+The feasible xi1 and xi2 of a cell are upward-closed, and in floating
+point D = 2 sqrt(p(1-p)) (1 + sqrt(1/2+eps)) + xi1 + xi2 sqrt(1/2+eps)
+rises with both, so D rises => r falls => k rises: the point with the
+largest xi1 and xi2 has the cell's largest k.  When that k is below the
+best k so far, no point of the cell can win, and the cell is skipped.  A
+skip hides no error either: that point's k search has already computed
+the epsilon's floor, where the iteration cap is met first, and while its
+k is below the cap no point with a smaller k walks past it.  The objective
+is the largest k; the smallest k, the reading ROADMAP.md weighs, would
+turn the skip around: search each cell from its smallest-D point and skip
+the cell when that k is above the best.
+
+Every expression keeps the operand order of `feasibility`, so the winner
+and its constants are bit-identical to a point-by-point search, which also
+searched k at infeasible points with alpha > 0, and an invalid grid raises
+the ValueError that search raised first.  At p = 1e-5 and below those
 searches hit their iteration cap; this search discards such points first
 and reports that no point is feasible.  The arithmetic is scalar `math`:
 numpy's log can differ from math.log in the last ulp, and the constants
@@ -197,12 +215,27 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _largest_k(p: float, epsilon: float, r: float) -> int:
+def _k_floor(p: float, epsilon: float) -> int:
+    """Smallest k >= 1 with (1-p)^k < 1/2-eps: where the domain of k starts."""
+    u = 0.5 - epsilon
+    base = 1.0 - p
+    k_min = 1
+    wk = base
+    while wk >= u:
+        wk *= base
+        k_min += 1
+        if k_min > _K_SEARCH_CAP:
+            raise RuntimeError("k search exceeded iteration cap")
+    return k_min
+
+
+def _largest_k(p: float, epsilon: float, r: float, floors: dict[float, int]) -> int:
     """Largest k with (1-p)^k < 1/2-eps and sqrt((1-p)^k) >= r (1/2-eps-(1-p)^k).
 
     Returns 0 when no positive integer qualifies.  On the domain the left
     side strictly decreases and the right side strictly increases with k,
-    so the qualifying set is a single integer interval.
+    so the qualifying set is a single integer interval.  floors memoizes
+    _k_floor(p, epsilon) per epsilon for one p; it is computed on first need.
     """
     u = 0.5 - epsilon
     base = 1.0 - p
@@ -213,14 +246,9 @@ def _largest_k(p: float, epsilon: float, r: float) -> int:
         wk = base**k
         return wk < u and math.sqrt(wk) >= r * (u - wk)
 
-    # smallest k inside the domain (1-p)^k < u
-    k_min = 1
-    wk = base
-    while wk >= u:
-        wk *= base
-        k_min += 1
-        if k_min > _K_SEARCH_CAP:
-            raise RuntimeError("k search exceeded iteration cap")
+    k_min = floors.get(epsilon)
+    if k_min is None:
+        k_min = floors[epsilon] = _k_floor(p, epsilon)
     # when any k qualifies, the largest one is at least 2 ln(1/(r u)) / ln(1/(1-p))
     if r * u < 1.0:
         estimate = int(2.0 * math.log(1.0 / (r * u)) / math.log(1.0 / base))
@@ -261,7 +289,7 @@ def feasibility(params: BoundParams) -> ConstantsResult:
         beta * half, params.xi1**2 / 32.0, params.xi2**2 * half / 8.0
     )
     feasible = alpha > 0.0 and beta > 0.0 and entropy_ok
-    k = _largest_k(p, params.epsilon, r) if alpha > 0.0 else 0
+    k = _largest_k(p, params.epsilon, r, {}) if alpha > 0.0 else 0
     return ConstantsResult(
         q=q, t=t, a1=a1, a2=a2, c=c, alpha=alpha, beta=beta, d=d, r=r,
         k=k, feasible=feasible, params=params,
@@ -310,7 +338,9 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     c = c_constant(p)
     alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
     d_scale = 2.0 * math.sqrt(p * (1.0 - p))
-    best_key: tuple | None = None
+    floors: dict[float, int] = {}  # _k_floor per epsilon, filled by _largest_k
+    best_k, best_key = 1, None  # a winner needs k >= 1
+    epsilons_checked = False
     for delta in grid.deltas:
         _, a1, _ = tail_constants(p, delta)
         for theta in grid.thetas:
@@ -318,12 +348,15 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
             for frac in grid.gamma_fractions:
                 gamma = frac * gamma_max
                 # the point checks, in BoundParams order and words: alpha_beta
-                # checks theta and gamma, BoundParams each epsilon (every xi
-                # passed GridSpec's check), skipped points included
+                # checks theta and gamma in every cell, BoundParams each
+                # epsilon in the first cell that reaches them (every other
+                # field passed GridSpec's or alpha_beta's check), so an
+                # invalid grid fails at the same point as a check per point
                 alpha, beta = alpha_beta(p, delta, theta, gamma)
                 for gap in grid.epsilon_gaps:
                     epsilon = 0.5 - gap
-                    BoundParams(p, delta, theta, gamma, epsilon, grid.xi1s[0], grid.xi2s[0])
+                    if not epsilons_checked:
+                        BoundParams(p, delta, theta, gamma, epsilon, grid.xi1s[0], grid.xi2s[0])
                     if not (alpha > 0.0 and beta > 0.0):
                         continue
                     half = 0.5 + epsilon
@@ -331,18 +364,25 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
                     entropy = binary_entropy(half)
                     if not entropy < beta * half:
                         continue
+                    xi1s = [xi1 for xi1 in grid.xi1s if entropy < xi1**2 / 32.0]
+                    xi2s = [xi2 for xi2 in grid.xi2s if entropy < xi2**2 * half / 8.0]
+                    if not (xi1s and xi2s):
+                        continue
                     d_base = d_scale * (1.0 + root)
-                    for xi1 in grid.xi1s:
-                        if not entropy < xi1**2 / 32.0:
-                            continue
-                        for xi2 in grid.xi2s:
-                            if not entropy < xi2**2 * half / 8.0:
-                                continue
+                    # the largest D has the smallest r, hence the cell's largest
+                    # k, unless r is 0 (an infinite xi), where k is 0; below
+                    # the cap no point of the cell walks past it
+                    r = alpha * root / (2.0 * (d_base + max(xi1s) + max(xi2s) * root))
+                    if r > 0.0 and _largest_k(p, epsilon, r, floors) < min(best_k, _K_SEARCH_CAP):
+                        continue
+                    for xi1 in xi1s:
+                        for xi2 in xi2s:
                             d = d_base + xi1 + xi2 * root
-                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d))
+                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d), floors)
                             key = (-k, delta, theta, gamma, epsilon, xi1, xi2)
-                            if k >= 1 and (best_key is None or key < best_key):
-                                best_key = key
+                            if k >= best_k and (best_key is None or key < best_key):
+                                best_k, best_key = k, key
+                epsilons_checked = True
     if best_key is None:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
     return feasibility(BoundParams(p, *best_key[1:]))

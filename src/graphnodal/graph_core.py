@@ -7,10 +7,12 @@ views edges and adjacency are derived on demand.  write_graph formats the
 ids with the spectrum CSV's array formatter (_text), '%d' byte for byte.
 Graph.from_edges and read_graph share one vectorized edge check: per pair,
 in this order, no self-loop, both ends in range, u < v, and no repeat, found
-by sorting the keys u*n + v and comparing neighbours.  The first bad pair
-in input order is the one reported.  The samplers skip it: their arrays
-hold the invariants by construction.  Every constructor refuses n above
-MAX_VERTICES, where those int64 keys would wrap.
+by sorting the keys u*n + v and comparing neighbours; keys that already
+strictly ascend, as write_graph writes them, are neither sorted nor split
+back into u and v.  The first bad pair in input order is the one
+reported.  The samplers skip it: their arrays hold the invariants by
+construction.  Every constructor refuses n above MAX_VERTICES, where
+those int64 keys would wrap.
 
 connected_components and the nodal layer share one labeler.  It takes a
 stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
@@ -201,7 +203,9 @@ def _checked_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
     """The pairs (u[i], v[i]) as sorted edge arrays once all pass the edge
     check (module docstring); else _EdgeError for the first bad pair."""
     keys = u * n + v
-    ranked = np.sort(keys)
+    # write_graph writes the keys in ascending order; such input needs no sort
+    ascending = bool((keys[1:] > keys[:-1]).all())
+    ranked = keys if ascending else np.sort(keys)
     checks = (
         (u == v, "self-loop at vertex {u}"),
         ((np.minimum(u, v) < 0) | (np.maximum(u, v) >= n), "edge ({u},{v}) out of range for n={n}"),
@@ -219,6 +223,8 @@ def _checked_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
         i = int((failed | repeat).argmax())
         message = next(text for bad, text in checks if bad[i])
         raise _EdgeError(i, message.format(u=int(u[i]), v=int(v[i]), n=n))
+    if ascending:
+        return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
     return np.divmod(ranked, n)
 
 
@@ -423,11 +429,11 @@ def sample_regular(
     gen = rng.generator()
     stubs = np.repeat(np.arange(n), d)
     for _ in range(restart_budget):
-        pairs = gen.permutation(stubs).reshape(-1, 2)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        if (lo == hi).any():
+        perm = gen.permutation(stubs)
+        a, b = perm[0::2], perm[1::2]  # the pairs (perm[2i], perm[2i+1])
+        if (a == b).any():
             continue
-        keys = np.sort(lo * n + hi)
+        keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
         if not _repeats(keys).any():
             # no loop and no repeat: the sorted keys are a simple graph
             return Graph(n, *np.divmod(keys, n))

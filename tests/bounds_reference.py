@@ -4,12 +4,14 @@ This is exceptional_bound_k as first written: every grid point becomes a
 validated BoundParams and goes through the scalar feasibility, which also
 searches k wherever alpha > 0.  graphnodal.bounds computes each quantity
 once per loop level instead, and must return the same ConstantsResult and
-raise the same ValueError.
+raise the same ValueError.  reference_largest_k is the k search as first
+written, before its domain floor was computed once per (p, epsilon).
 """
 
 import math
 
 from graphnodal.bounds import (
+    _K_SEARCH_CAP,
     BoundParams,
     ConstantsResult,
     GridSpec,
@@ -51,3 +53,38 @@ def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult
     if best is None:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
     return best
+
+
+def reference_largest_k(p: float, epsilon: float, r: float) -> int:
+    """bounds._largest_k as first written, with its domain floor computed
+    inline on every call."""
+    u = 0.5 - epsilon
+    base = 1.0 - p
+    if r <= 0.0 or u <= 0.0:
+        return 0
+
+    def holds(k: int) -> bool:
+        wk = base**k
+        return wk < u and math.sqrt(wk) >= r * (u - wk)
+
+    k_min = 1
+    wk = base
+    while wk >= u:
+        wk *= base
+        k_min += 1
+        if k_min > _K_SEARCH_CAP:
+            raise RuntimeError("k search exceeded iteration cap")
+    if r * u < 1.0:
+        estimate = int(2.0 * math.log(1.0 / (r * u)) / math.log(1.0 / base))
+    else:
+        estimate = 1
+    k = max(estimate, k_min)
+    if not holds(k):
+        while k >= k_min and not holds(k):
+            k -= 1
+        return k if k >= k_min else 0
+    while holds(k + 1):
+        k += 1
+        if k > _K_SEARCH_CAP:
+            raise RuntimeError("k search exceeded iteration cap")
+    return k

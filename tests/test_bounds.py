@@ -22,8 +22,9 @@ from graphnodal import (
     tail_constants,
     substream,
 )
+from graphnodal import bounds
 from graphnodal.bounds import REFERENCE_K_TABLE, ConstantsResult, binary_entropy
-from bounds_reference import reference_bound_k
+from bounds_reference import reference_bound_k, reference_largest_k
 
 
 def test_c_constant_values():
@@ -246,6 +247,49 @@ def test_grid_search_searches_k_at_feasible_points_only():
         exceptional_bound_k(1e-5)
     with pytest.raises(RuntimeError, match="^k search exceeded iteration cap"):
         reference_bound_k(1e-5)
+
+
+def test_largest_k_falls_as_r_rises_and_keeps_the_inline_floor():
+    # the cell skip of the grid search rests on k being nonincreasing in r;
+    # one floors memo per p stands in for the floor the old search
+    # recomputed on every call
+    rng = random.Random(23)
+    gaps = (0.1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-8)
+    ps = [p for p, _ in REFERENCE_K_TABLE] + [rng.uniform(0.01, 0.99) for _ in range(24)]
+    for p in ps:
+        floors = {}
+        for gap in gaps:
+            epsilon = 0.5 - gap
+            rs = sorted(10.0 ** rng.uniform(-14.0, 3.0) for _ in range(40))
+            ks = [bounds._largest_k(p, epsilon, r, floors) for r in rs]
+            assert all(a >= b for a, b in zip(ks, ks[1:])), (p, gap)
+            assert ks == [reference_largest_k(p, epsilon, r) for r in rs], (p, gap)
+            assert floors[epsilon] == bounds._k_floor(p, epsilon)
+    # the floor's cap raises as the inline loop did
+    for floor in (lambda: bounds._k_floor(1e-6, 0.499),
+                  lambda: reference_largest_k(1e-6, 0.499, 1.0)):
+        with pytest.raises(RuntimeError, match="^k search exceeded iteration cap$"):
+            floor()
+
+
+def test_grid_search_skips_cells_that_cannot_win(monkeypatch):
+    calls = 0
+    largest_k = bounds._largest_k
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return largest_k(*args)
+
+    want = exceptional_bound_k(0.5)
+    monkeypatch.setattr(bounds, "_largest_k", counted)
+    assert exceptional_bound_k(0.5) == want
+    # every feasible point, as searched before the skip, made 1777 calls
+    assert calls <= 600
+    # an infinite xi gives its cell's largest-D point r = 0 and k = 0, which
+    # bounds nothing: the cell's finite points are still searched
+    grid = GridSpec(xi1s=(2.0, math.inf))
+    assert exceptional_bound_k(0.5, grid) == reference_bound_k(0.5, grid)
 
 
 def test_kp_formula_values():

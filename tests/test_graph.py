@@ -25,6 +25,7 @@ from graphnodal import (
     write_graph,
 )
 from nodal_reference import reference_components
+from sampler_reference import reference_sample_regular
 
 
 def test_from_edges_canonicalizes():
@@ -528,6 +529,43 @@ def test_sample_gnp_builds_what_the_edge_check_would(n, p):
 def test_sample_regular_builds_what_the_edge_check_would(n, d):
     for i in range(4):
         assert_checked_arrays(sample_regular(n, d, substream(3, "direct", i)))
+
+
+def sampler_outcome(sample, n, d, stream, budget):
+    try:
+        return sample(n, d, stream, budget)
+    except SamplingError as err:
+        return str(err)
+
+
+def test_sample_regular_matches_reference_sampler():
+    for d in (3, 4, 5):
+        for seed in range(32):
+            stream = substream(seed, "reg-oracle", d)
+            assert sample_regular(40, d, stream) == reference_sample_regular(40, d, stream)
+    failed = 0
+    for seed in range(32):
+        stream = substream(seed, "reg-oracle-budget")
+        got = sampler_outcome(sample_regular, 40, 5, stream, 1)
+        assert got == sampler_outcome(reference_sample_regular, 40, 5, stream, 1)
+        failed += isinstance(got, str)
+    assert failed >= 16  # a d=5 try is seldom accepted
+
+
+def test_checked_edges_on_ascending_input():
+    g = sample_gnp(60, 0.3, substream(8, "ascending"))
+    u, v = np.array(g.u), np.array(g.v)
+    shuffled = np.random.default_rng(8).permutation(u.size)
+    for got in (graph_core._checked_edges(g.n, u, v),
+                graph_core._checked_edges(g.n, u[shuffled], v[shuffled])):
+        assert all(np.array_equal(a, b) for a, b in zip(got, (g.u, g.v)))
+        for ends in got:
+            assert ends.dtype == np.int64 and ends.flags.c_contiguous
+            assert not np.shares_memory(ends, u) and not np.shares_memory(ends, v)
+    # a strided view of an (m, 2) array, as the loadtxt path hands in
+    pairs = np.column_stack((u, v))
+    got = graph_core._checked_edges(g.n, pairs[:, 0], pairs[:, 1])
+    assert got[0].flags.c_contiguous and not np.shares_memory(got[0], pairs)
 
 
 def reference_labels(g, classes):
