@@ -132,6 +132,11 @@ class _Flag(NamedTuple):
     ok: Callable[[Any], bool] | None = None
 
 
+def _each(ok: Callable[[Any], bool]) -> Callable[[tuple], bool]:
+    """A list flag's range rule: ok for every entry."""
+    return lambda values: all(ok(x) for x in values)
+
+
 # Every flag of every subcommand, once.
 _FLAGS = {
     "n": _Flag(_parse_int, "n must be >= 1", lambda v: v >= 1),
@@ -144,21 +149,22 @@ _FLAGS = {
     "threads": _Flag(_parse_int, "threads must be >= 1", lambda v: v >= 1),
     "tau": _Flag(_parse_float, "tau must be >= 0", lambda v: v >= 0.0),
     "delta": _Flag(_parse_float, "delta must be > 0", lambda v: v > 0.0),
-    "n-list": _Flag(_parse_int_list, "n-list entries must be >= 1",
-                    lambda v: all(x >= 1 for x in v)),
-    "d-list": _Flag(_parse_int_list, "d-list entries must be >= 0",
-                    lambda v: all(x >= 0 for x in v)),
-    "k-list": _Flag(_parse_int_list, "k-list entries must be >= 1",
-                    lambda v: all(x >= 1 for x in v)),
-    "xi-list": _Flag(_parse_float_list, "xi-list entries must be > 0",
-                     lambda v: all(x > 0.0 for x in v)),
+    "n-list": _Flag(_parse_int_list, "n-list entries must be >= 1", _each(lambda x: x >= 1)),
+    "d-list": _Flag(_parse_int_list, "d-list entries must be >= 0", _each(lambda x: x >= 0)),
+    "k-list": _Flag(_parse_int_list, "k-list entries must be >= 1", _each(lambda x: x >= 1)),
+    "xi-list": _Flag(_parse_float_list, "xi-list entries must be > 0", _each(lambda x: x > 0.0)),
     "p-list": _Flag(_parse_float_list),
-    "deltas": _Flag(_parse_float_list),
-    "thetas": _Flag(_parse_float_list),
-    "gamma-fractions": _Flag(_parse_float_list),
-    "epsilon-gaps": _Flag(_parse_float_list),
-    "xi1s": _Flag(_parse_float_list),
-    "xi2s": _Flag(_parse_float_list),
+    # the constants grid; gamma <= 1 depends on p, delta and theta, so the
+    # search itself refuses a gamma fraction that breaks it
+    "deltas": _Flag(_parse_float_list, "deltas entries must be > 0", _each(lambda x: x > 0.0)),
+    "thetas": _Flag(_parse_float_list, "thetas entries must lie in (0,1)",
+                    _each(lambda x: 0.0 < x < 1.0)),
+    "gamma-fractions": _Flag(_parse_float_list, "gamma-fractions entries must be > 0",
+                             _each(lambda x: x > 0.0)),
+    "epsilon-gaps": _Flag(_parse_float_list, "epsilon-gaps entries must lie in (0,1/2)",
+                          _each(lambda x: 0.0 < x < 0.5)),
+    "xi1s": _Flag(_parse_float_list, "xi1s entries must be > 0", _each(lambda x: x > 0.0)),
+    "xi2s": _Flag(_parse_float_list, "xi2s entries must be > 0", _each(lambda x: x > 0.0)),
     "graph": _Flag(str),
     "vector": _Flag(str),
     "out": _Flag(str),
@@ -206,17 +212,16 @@ def _scrub_argv(argv: list[str], options: dict[str, Any]) -> list[str]:
 
 
 @contextlib.contextmanager
-def _output(opts: dict[str, Any], argv: list[str], config: dict[str, Any]) -> Iterator[IO[str]]:
+def _output(out: str | None, seed: int | None, argv: list[str],
+            config: dict[str, Any]) -> Iterator[IO[str]]:
     """The command's output stream, stdout or --out, with its two comment
     lines written; the command's writer streams its body into it."""
-    seed = opts.get("seed")
     header = (
         f"# graphnodal {__version__}"
         f" | argv: {' '.join(argv)}"
         f" | seed: {'none' if seed is None else seed}\n"
         "# config: " + json.dumps(rounded(config), sort_keys=True) + "\n"
     )
-    out = opts.get("out")
     if out is None:
         sys.stdout.write(header)
         yield sys.stdout
@@ -243,9 +248,16 @@ def _read_vector(path: str, n: int):
 
 
 # ---------------------------------------------------------------- commands
-# A command's run(opts) computes its result and returns the configuration its
-# output echoes and a writer of its body; main opens the output after that.
+# A command is a function whose parameters are its flags ("_" for "-") and
+# whose defaults are theirs; a parameter without a default is a required
+# flag.  It computes its result and returns the configuration its output
+# echoes and a writer of its body; main opens the output after that, at
+# --out, the one flag every command has beyond its function's.  Library
+# functions are looked up as module globals when a command runs, never
+# bound in a default or a closure, so perfbench's tracer can wrap them.
 _Writer = Callable[[IO[str]], None]
+_Result = tuple[dict[str, Any], _Writer]
+_Floats = tuple[float, ...]
 
 
 def _records(records: dict[str, Any] | list[dict[str, Any]], fmt: str) -> _Writer:
@@ -258,28 +270,25 @@ def _records(records: dict[str, Any] | list[dict[str, Any]], fmt: str) -> _Write
     return functools.partial(write_csv, [rows[0].keys(), *(r.values() for r in rows)], digits=17)
 
 
-def _run_gen_gnp(opts) -> tuple[dict[str, Any], _Writer]:
-    g = sample_gnp(opts["n"], opts["p"], substream(opts["seed"], "gen-gnp"))
-    return {k: opts[k] for k in ("n", "p", "seed")}, functools.partial(write_graph, g)
+def _gen_gnp(n: int, p: float, seed: int = 0) -> _Result:
+    g = sample_gnp(n, p, substream(seed, "gen-gnp"))
+    return {"n": n, "p": p, "seed": seed}, functools.partial(write_graph, g)
 
 
-def _run_gen_regular(opts) -> tuple[dict[str, Any], _Writer]:
-    g = sample_regular(opts["n"], opts["d"], substream(opts["seed"], "gen-regular"))
-    return {k: opts[k] for k in ("n", "d", "seed")}, functools.partial(write_graph, g)
+def _gen_regular(n: int, d: int, seed: int = 0) -> _Result:
+    g = sample_regular(n, d, substream(seed, "gen-regular"))
+    return {"n": n, "d": d, "seed": seed}, functools.partial(write_graph, g)
 
 
-def _run_spectrum(opts) -> tuple[dict[str, Any], _Writer]:
-    g = read_graph(opts["graph"])
-    if opts["matrix"] == "adjacency":
-        matrix = adjacency_matrix(g)
-    else:
-        matrix = laplacian_matrix(g)
-    ordering = opts["ordering"]
+def _spectrum(graph: str, matrix: str = "adjacency", ordering: str | None = None,
+              format: str = "csv") -> _Result:
+    g = read_graph(graph)
+    build = adjacency_matrix if matrix == "adjacency" else laplacian_matrix
     if ordering is None:
-        ordering = "descending" if opts["matrix"] == "adjacency" else "ascending"
-    spectrum = eigendecompose(matrix, ordering)
-    config = {"graph": opts["graph"], "matrix": opts["matrix"], "ordering": ordering}
-    if opts["format"] == "csv":
+        ordering = "descending" if matrix == "adjacency" else "ascending"
+    spectrum = eigendecompose(build(g), ordering)
+    config = {"graph": graph, "matrix": matrix, "ordering": ordering}
+    if format == "csv":
         return config, functools.partial(write_spectrum_csv, spectrum)
     return config, functools.partial(write_json, {
         "n": spectrum.n,
@@ -291,33 +300,25 @@ def _run_spectrum(opts) -> tuple[dict[str, Any], _Writer]:
     })
 
 
-def _signed_input(opts):
-    g = read_graph(opts["graph"])
-    values = _read_vector(opts["vector"], g.n)
-    f = SignedFunction.from_values(values, opts["tau"])
-    return g, f
+def _signed_input(graph: str, vector: str, tau: float | None):
+    g = read_graph(graph)
+    return g, SignedFunction.from_values(_read_vector(vector, g.n), tau)
 
 
-def _run_domains(opts) -> tuple[dict[str, Any], _Writer]:
-    g, f = _signed_input(opts)
-    if opts["kind"] == "weak":
-        part = weak_nodal_domains(g, f)
-    else:
-        part = strong_nodal_domains(g, f)
-    config = {
-        "graph": opts["graph"], "vector": opts["vector"],
-        "kind": opts["kind"], "tau": opts["tau"],
-    }
-    if opts["format"] == "csv":
+def _domains(graph: str, vector: str, kind: str = "weak", tau: float | None = None,
+             format: str = "csv") -> _Result:
+    g, f = _signed_input(graph, vector, tau)
+    part = (weak_nodal_domains if kind == "weak" else strong_nodal_domains)(g, f)
+    config = {"graph": graph, "vector": vector, "kind": kind, "tau": tau}
+    if format == "csv":
         return config, functools.partial(write_domains_csv, part)
     return config, functools.partial(write_json, domains_dict(part))
 
 
-def _run_summary(opts) -> tuple[dict[str, Any], _Writer]:
-    g, f = _signed_input(opts)
-    summary = nodal_summary(g, f)
-    config = {"graph": opts["graph"], "vector": opts["vector"], "tau": opts["tau"]}
-    return config, _records(dict(sorted(summary_dict(summary).items())), opts["format"])
+def _summary(graph: str, vector: str, tau: float | None = None, format: str = "json") -> _Result:
+    summary = nodal_summary(*_signed_input(graph, vector, tau))
+    config = {"graph": graph, "vector": vector, "tau": tau}
+    return config, _records(dict(sorted(summary_dict(summary).items())), format)
 
 
 def _constants_row(res) -> dict[str, Any]:
@@ -334,48 +335,50 @@ def _constants_row(res) -> dict[str, Any]:
     }
 
 
-def _probabilities(opts: dict[str, Any]) -> tuple[float, ...]:
+def _probabilities(p: float, p_list: _Floats | None) -> _Floats:
     """The p values of kp and constants: --p-list if given, else --p."""
-    return opts["p_list"] if opts["p_list"] is not None else (opts["p"],)
+    return (p,) if p_list is None else p_list
 
 
 def _check_open_probabilities(opts: dict[str, Any]) -> None:
     # the bounds need 0 < p < 1; refusing p here keeps it a usage error
-    for p in _probabilities(opts):
+    for p in _probabilities(opts["p"], opts["p_list"]):
         if not 0.0 < p < 1.0:
             raise _UsageError(f"p must lie in (0,1), got {p}")
 
 
-def _run_constants(opts) -> tuple[dict[str, Any], _Writer]:
-    ps = _probabilities(opts)
-    grid_fields = {
-        "deltas": opts["deltas"], "thetas": opts["thetas"],
-        "gamma_fractions": opts["gamma_fractions"],
-        "epsilon_gaps": opts["epsilon_gaps"],
-        "xi1s": opts["xi1s"], "xi2s": opts["xi2s"],
-    }
-    overrides = {k: v for k, v in grid_fields.items() if v is not None}
-    grid = GridSpec(**overrides) if overrides else GridSpec()
-    rows = [_constants_row(exceptional_bound_k(p, grid)) for p in ps]
-    config = {
-        "p_list": list(ps),
-        **{k: list(v) for k, v in vars(grid).items()},
-    }
-    return config, _records(rows, opts["format"])
+def _constants(p: float = 0.5, p_list: _Floats | None = None, deltas: _Floats | None = None,
+               thetas: _Floats | None = None, gamma_fractions: _Floats | None = None,
+               epsilon_gaps: _Floats | None = None, xi1s: _Floats | None = None,
+               xi2s: _Floats | None = None, format: str = "csv") -> _Result:
+    ps = _probabilities(p, p_list)
+    ranges = {"deltas": deltas, "thetas": thetas, "gamma_fractions": gamma_fractions,
+              "epsilon_gaps": epsilon_gaps, "xi1s": xi1s, "xi2s": xi2s}
+    grid = GridSpec(**{name: v for name, v in ranges.items() if v is not None})
+    rows = [_constants_row(exceptional_bound_k(q, grid)) for q in ps]
+    config = {"p_list": list(ps), **{name: list(v) for name, v in vars(grid).items()}}
+    return config, _records(rows, format)
 
 
-def _run_kp(opts) -> tuple[dict[str, Any], _Writer]:
-    ps = _probabilities(opts)
-    records = [{"p": p, "kp": kp_formula(p)} for p in ps]
-    return {"p_list": list(ps)}, _records(records, opts["format"])
+def _kp(p: float = 0.5, p_list: _Floats | None = None, format: str = "csv") -> _Result:
+    ps = _probabilities(p, p_list)
+    return {"p_list": list(ps)}, _records([{"p": q, "kp": kp_formula(q)} for q in ps], format)
 
 
-# Per-command options: flag name -> default.  A None default means
-# "optional"; required flags use _REQUIRED.
-_REQUIRED = object()
+def _flags(fn: Callable[..., Any], **extra: Any) -> dict[str, Any]:
+    """A command's flags, name -> default: one per parameter of fn, its
+    default or inspect.Parameter.empty when it has none, then extra, then
+    --out."""
+    params = inspect.signature(fn).parameters.values()
+    return {**{p.name.replace("_", "-"): p.default for p in params}, **extra, "out": None}
 
-_FORMAT = {"format": "csv"}
-_OUT = {"out": None}
+
+def _command(
+    text: str, run: Callable[..., _Result], check: Callable[[dict[str, Any]], None] | None = None,
+) -> dict[str, Any]:
+    """A subcommand whose flags are run's parameters; check, if given,
+    applies a rule across flags."""
+    return {"help": text, "options": _flags(run), "run": run, "check": check}
 
 
 def _experiment_command(
@@ -383,18 +386,14 @@ def _experiment_command(
     runner: Callable[..., ExperimentReport],
     check: Callable[[dict[str, Any]], None] | None = None,
 ) -> dict[str, Any]:
-    """An exp-* subcommand: one flag per runner argument, defaulting as the
-    runner does; check, if given, applies a rule across flags."""
-    params = inspect.signature(runner).parameters
-    names = tuple(params)
-
-    def run(opts) -> tuple[dict[str, Any], _Writer]:
-        report = runner(**{name: opts[name] for name in names})
-        write = write_report_csv if opts["format"] == "csv" else write_report_json
+    """An exp-* subcommand: the runner's flags, then --format.  run holds
+    the runner in its closure, where perfbench's tracer finds it."""
+    def run(format: str, **kwargs: Any) -> _Result:
+        report = runner(**kwargs)
+        write = write_report_csv if format == "csv" else write_report_json
         return report.config, functools.partial(write, report)
 
-    defaults = {name.replace("_", "-"): param.default for name, param in params.items()}
-    return {"help": text, "options": {**defaults, **_FORMAT, **_OUT}, "run": run, "check": check}
+    return {"help": text, "options": _flags(runner, format="csv"), "run": run, "check": check}
 
 
 def _check_tuple_sizes(opts: dict[str, Any]) -> None:
@@ -413,55 +412,20 @@ def _check_regular(opts: dict[str, Any]) -> None:
 
 
 _COMMANDS: dict[str, dict[str, Any]] = {
-    "gen-gnp": {
-        "help": "sample G(n,p) and write its edge list",
-        "options": {"n": _REQUIRED, "p": _REQUIRED, "seed": 0, **_OUT},
-        "run": _run_gen_gnp,
-    },
-    "gen-regular": {
-        "help": "sample a uniform d-regular simple graph and write its edge list",
-        "options": {"n": _REQUIRED, "d": _REQUIRED, "seed": 0, **_OUT},
-        "run": _run_gen_regular,
-        "check": _check_regular,
-    },
-    "spectrum": {
-        "help": "eigenvalues and eigenvectors of a graph matrix",
-        "options": {
-            "graph": _REQUIRED, "matrix": "adjacency", "ordering": None, **_FORMAT, **_OUT,
-        },
-        "run": _run_spectrum,
-    },
-    "domains": {
-        "help": "weak or strong nodal domains of a vector on a graph",
-        "options": {
-            "graph": _REQUIRED, "vector": _REQUIRED, "kind": "weak", "tau": None,
-            **_FORMAT, **_OUT,
-        },
-        "run": _run_domains,
-    },
-    "summary": {
-        "help": "nodal census of a vector: part sizes, counts, exceptional set",
-        "options": {
-            "graph": _REQUIRED, "vector": _REQUIRED, "tau": None, "format": "json", **_OUT,
-        },
-        "run": _run_summary,
-    },
-    "constants": {
-        "help": "grid-search the tail-bound constants and the exceptional bound k",
-        "options": {
-            "p": 0.5, "p-list": None, "deltas": None, "thetas": None,
-            "gamma-fractions": None, "epsilon-gaps": None, "xi1s": None, "xi2s": None,
-            **_FORMAT, **_OUT,
-        },
-        "run": _run_constants,
-        "check": _check_open_probabilities,
-    },
-    "kp": {
-        "help": "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))",
-        "options": {"p": 0.5, "p-list": None, **_FORMAT, **_OUT},
-        "run": _run_kp,
-        "check": _check_open_probabilities,
-    },
+    "gen-gnp": _command("sample G(n,p) and write its edge list", _gen_gnp),
+    "gen-regular": _command(
+        "sample a uniform d-regular simple graph and write its edge list", _gen_regular,
+        _check_regular),
+    "spectrum": _command("eigenvalues and eigenvectors of a graph matrix", _spectrum),
+    "domains": _command("weak or strong nodal domains of a vector on a graph", _domains),
+    "summary": _command(
+        "nodal census of a vector: part sizes, counts, exceptional set", _summary),
+    "constants": _command(
+        "grid-search the tail-bound constants and the exceptional bound k", _constants,
+        _check_open_probabilities),
+    "kp": _command(
+        "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))", _kp,
+        _check_open_probabilities),
     "exp-fig1": _experiment_command(
         "nodal counts across the spectrum of random regular graphs", run_fig1, _check_regular),
     "exp-fig2": _experiment_command(
@@ -530,7 +494,7 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
             opts[dest] = _FLAGS[flag].convert(raw)
         elif from_file is not None:
             opts[dest] = _FLAGS[flag].convert(from_file)
-        elif default is _REQUIRED:
+        elif default is inspect.Parameter.empty:
             raise _UsageError(f"missing required flag --{flag}")
         else:
             opts[dest] = default
@@ -546,7 +510,7 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
     for count in (opts.get("n"), opts.get("k"), *(opts.get("n_list") or ())):
         if count is not None and count > MAX_VERTICES:
             raise _UsageError(f"vertex count must be at most {MAX_VERTICES}, got {count}")
-    if command.get("check") is not None:
+    if command["check"] is not None:
         command["check"](opts)
     return opts
 
@@ -564,9 +528,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    out, echoed = opts.pop("out"), _scrub_argv(argv, command["options"])
     try:
-        config, write = command["run"](opts)
-        with _output(opts, _scrub_argv(argv, command["options"]), config) as stream:
+        config, write = command["run"](**opts)
+        with _output(out, opts.get("seed"), echoed, config) as stream:
             write(stream)
     except Exception as exc:
         sys.stderr.write(f"error: {exc}\n")

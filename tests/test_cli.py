@@ -88,6 +88,10 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n1 1\n", encoding="utf-8")
     assert run_cli(capsys, "spectrum", "--graph", str(bad))[0] == 2
+    # gamma is a fraction of a ceiling that depends on p, delta and theta,
+    # so only the search can tell that it left (0,1]
+    code, out, err = run_cli(capsys, "constants", "--gamma-fractions", "1e3")
+    assert (code, out) == (2, "") and err.startswith("error: gamma must lie in (0,1], got "), err
     # a vertex count too large for the edge check fails as a bad header does
     for header in ("0 1", "4294967296 1"):
         bad.write_text(f"{header}\n2147483648 2147483649\n", encoding="utf-8")
@@ -384,14 +388,44 @@ def test_every_experiment_command_is_covered():
     assert sorted(c for c in cli._COMMANDS if c.startswith("exp-")) == sorted(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+# subcommand -> (the function whose signature declares its flags: the
+# command's own, or an exp-*'s runner, which adds --format; its required
+# flags as given; the same as keywords)
+DECLARED = {
+    "gen-gnp": (cli._gen_gnp, ["--n", "6", "--p", "0.5"], {"n": 6, "p": 0.5}),
+    "gen-regular": (cli._gen_regular, ["--n", "6", "--d", "3"], {"n": 6, "d": 3}),
+    "spectrum": (cli._spectrum, ["--graph", "g.txt"], {"graph": "g.txt"}),
+    "domains": (cli._domains, ["--graph", "g.txt", "--vector", "f.csv"],
+                {"graph": "g.txt", "vector": "f.csv"}),
+    "summary": (cli._summary, ["--graph", "g.txt", "--vector", "f.csv"],
+                {"graph": "g.txt", "vector": "f.csv"}),
+    "constants": (cli._constants, [], {}),
+    "kp": (cli._kp, [], {}),
+    **{command: (spec[0], [], {}) for command, spec in EXPERIMENTS.items()},
+}
+
+
+def test_every_command_is_declared():
+    assert sorted(DECLARED) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(DECLARED))
 def test_experiment_flags_default_as_their_runner(command):
-    runner = EXPERIMENTS[command][0]
-    defaults = {
-        name: param.default for name, param in inspect.signature(runner).parameters.items()
-    }
-    opts = cli._resolve(cli._parse_args([command]), cli._COMMANDS[command])
-    assert opts == {**defaults, "format": "csv", "out": None}
+    fn, argv, required = DECLARED[command]
+    params = inspect.signature(fn).parameters
+    assert {name for name, param in params.items()
+            if param.default is inspect.Parameter.empty} == set(required)
+    defaults = {name: required.get(name, param.default) for name, param in params.items()}
+    if command.startswith("exp-"):
+        defaults["format"] = "csv"
+    flags = [*(name.replace("_", "-") for name in defaults), "out"]
+    assert list(cli._COMMANDS[command]["options"]) == flags
+    opts = cli._resolve(cli._parse_args([command, *argv]), cli._COMMANDS[command])
+    assert opts == {**defaults, "out": None}
+    for flag in required:
+        missing = [a for a in argv if a not in (f"--{flag}", str(required[flag]))]
+        with pytest.raises(cli._UsageError, match=f"^missing required flag --{flag}$"):
+            cli._resolve(cli._parse_args([command, *missing]), cli._COMMANDS[command])
 
 
 @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
@@ -404,11 +438,50 @@ def test_experiment_config_echo_is_the_report_config(command, capsys):
     assert echoed == expected
 
 
+def test_command_config_echo(tmp_path, capsys):
+    gpath, vpath = write_path_graph(tmp_path)
+    signed = ["--graph", gpath, "--vector", vpath]
+    grid = {
+        "deltas": [999.0, 9999.0, 99999.0, 999999.0], "thetas": [0.1, 0.3, 0.5, 0.7, 0.9],
+        "gamma_fractions": [0.05, 0.1, 0.25, 0.5], "epsilon_gaps": [1e-3, 1e-4, 1e-5, 3e-6],
+        "xi1s": [0.25, 0.5, 1.0, 2.0], "xi2s": [0.25, 0.5, 1.0, 2.0],
+    }
+    cases = [
+        (["gen-gnp", "--n", "6", "--p", "0.5"], {"n": 6, "p": 0.5, "seed": 0}),
+        (["gen-regular", "--n", "6", "--d", "3", "--seed", "2"], {"n": 6, "d": 3, "seed": 2}),
+        # the ordering echoed is the one used, also when it follows from --matrix
+        (["spectrum", "--graph", gpath],
+         {"graph": gpath, "matrix": "adjacency", "ordering": "descending"}),
+        (["spectrum", "--graph", gpath, "--matrix", "laplacian"],
+         {"graph": gpath, "matrix": "laplacian", "ordering": "ascending"}),
+        (["spectrum", "--graph", gpath, "--matrix", "laplacian", "--ordering", "descending"],
+         {"graph": gpath, "matrix": "laplacian", "ordering": "descending"}),
+        (["domains", *signed], {"graph": gpath, "vector": vpath, "kind": "weak", "tau": None}),
+        (["domains", *signed, "--kind", "strong", "--tau", "0.1"],
+         {"graph": gpath, "vector": vpath, "kind": "strong", "tau": 0.1}),
+        (["summary", *signed], {"graph": gpath, "vector": vpath, "tau": None}),
+        (["summary", *signed, "--tau", "0"], {"graph": gpath, "vector": vpath, "tau": 0.0}),
+        # the whole grid searched, overridden ranges included
+        (["constants"], {"p_list": [0.5], **grid}),
+        (["constants", "--p-list", "0.5,0.3", "--thetas", "0.5,0.7", "--xi1s", "1,2"],
+         {"p_list": [0.5, 0.3], **grid, "thetas": [0.5, 0.7], "xi1s": [1.0, 2.0]}),
+        (["kp"], {"p_list": [0.5]}),
+        (["kp", "--p", "0.3"], {"p_list": [0.3]}),
+        (["kp", "--p", "0.3", "--p-list", "0.1,0.5"], {"p_list": [0.1, 0.5]}),
+    ]
+    for argv, expected in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines()[1] == "# config: " + json.dumps(expected, sort_keys=True), argv
+
+
 def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
     # argparse wraps the usage text to the terminal width it reads from COLUMNS
     monkeypatch.setenv("COLUMNS", "80")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus = 1\ntrials = 2\n", encoding="utf-8")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("epsilon-gaps = 0.7\n", encoding="utf-8")
     usage = (
         "usage: graphnodal [-h] [--version]\n"
         "                  {gen-gnp,gen-regular,spectrum,domains,summary,constants,kp,"
@@ -440,6 +513,22 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         (["kp", "--p-list", "0.5,1.5"], "error: p must lie in (0,1), got 1.5\n"),
         (["constants", "--p", "1"], "error: p must lie in (0,1), got 1.0\n"),
         (["constants", "--p-list", "-0.2"], "error: p must lie in (0,1), got -0.2\n"),
+        # so is a constants grid range no grid point may take
+        (["constants", "--p", "0.5", "--thetas", "1.5"],
+         "error: thetas entries must lie in (0,1), got (1.5,)\n"),
+        (["constants", "--thetas", "0.5,0"],
+         "error: thetas entries must lie in (0,1), got (0.5, 0.0)\n"),
+        (["constants", "--epsilon-gaps", "0.7"],
+         "error: epsilon-gaps entries must lie in (0,1/2), got (0.7,)\n"),
+        (["constants", "--epsilon-gaps", "1e-3,0.5"],
+         "error: epsilon-gaps entries must lie in (0,1/2), got (0.001, 0.5)\n"),
+        (["constants", "--deltas", "0"], "error: deltas entries must be > 0, got (0.0,)\n"),
+        (["constants", "--gamma-fractions", "-1"],
+         "error: gamma-fractions entries must be > 0, got (-1.0,)\n"),
+        (["constants", "--xi1s", "1,0"], "error: xi1s entries must be > 0, got (1.0, 0.0)\n"),
+        (["constants", "--xi2s", "nan"], "error: xi2s entries must be > 0, got (nan,)\n"),
+        (["constants", "--config", str(grid)],
+         "error: epsilon-gaps entries must lie in (0,1/2), got (0.7,)\n"),
         # so is a degree for which no simple regular graph on n vertices exists
         (["gen-regular", "--n", "5", "--d", "3"], "error: n*d must be even, got n=5, d=3\n"),
         (["gen-regular", "--n", "4", "--d", "4"],
