@@ -37,8 +37,9 @@ Each (delta, theta, gamma, eps) cell is searched from its largest-D point.
 The feasible xi1 and xi2 of a cell are upward-closed, and in floating
 point D = 2 sqrt(p(1-p)) (1 + sqrt(1/2+eps)) + xi1 + xi2 sqrt(1/2+eps)
 rises with both, so D rises => r falls => k rises: the point with the
-largest xi1 and xi2 has the cell's largest k.  When that k is below the
-best k so far, no point of the cell can win, and the cell is skipped.  A
+largest xi1 and xi2 has the cell's largest k, and GridSpec keeps every xi
+finite, so that point's r is positive.  When that k is below the best k
+so far, no point of the cell can win, and the cell is skipped.  A
 skip hides no error either: that point's k search has already computed
 the epsilon's floor, where the iteration cap is met first, and while its
 k is below the cap no point with a smaller k walks past it.  The objective
@@ -48,12 +49,14 @@ the cell when that k is above the best.
 
 Every expression keeps the operand order of `feasibility`, so the winner
 and its constants are bit-identical to a point-by-point search, which also
-searched k at infeasible points with alpha > 0, and an invalid grid raises
-the ValueError that search raised first.  At p = 1e-5 and below those
-searches hit their iteration cap; this search discards such points first
-and reports that no point is feasible.  The arithmetic is scalar `math`:
-numpy's log can differ from math.log in the last ulp, and the constants
-are written with 17 significant digits.
+searched k at infeasible points with alpha > 0.  The ranges are checked
+once, by GridSpec; gamma alone depends on p, and alpha_beta refuses one
+outside (0,1] at the point where that search did, with the same
+ParameterError.  At p = 1e-5 and below those searches hit their iteration
+cap; this search discards such points first and reports that no point is
+feasible.  The arithmetic is scalar `math`: numpy's log can differ from
+math.log in the last ulp, and the constants are written with 17
+significant digits.
 
 Note on the default grid: with these formulas beta can never exceed
 4C/9 <= 1/288, so the union-bound condition forces the binary entropy of
@@ -67,7 +70,9 @@ depends on the parameters only through r and u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .graph_core import ParameterError
 
 __all__ = [
     "BoundParams",
@@ -134,17 +139,17 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0,1), got {self.p}")
+            raise ParameterError(f"p must lie in (0,1), got {self.p}")
         if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise ParameterError(f"delta must be positive, got {self.delta}")
         if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0,1), got {self.theta}")
+            raise ParameterError(f"theta must lie in (0,1), got {self.theta}")
         if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in (0,1], got {self.gamma}")
+            raise ParameterError(f"gamma must lie in (0,1], got {self.gamma}")
         if not 0.0 < self.epsilon < 0.5:
-            raise ValueError(f"epsilon must lie in (0,1/2), got {self.epsilon}")
+            raise ParameterError(f"epsilon must lie in (0,1/2), got {self.epsilon}")
         if not (self.xi1 > 0.0 and self.xi2 > 0.0):
-            raise ValueError(f"xi1, xi2 must be positive, got {self.xi1}, {self.xi2}")
+            raise ParameterError(f"xi1, xi2 must be positive, got {self.xi1}, {self.xi2}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ class ConstantsResult:
 def c_constant(p: float) -> float:
     """C = p^2 (1-p)^2 / (128 q^4)."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+        raise ParameterError(f"p must lie in (0,1), got {p}")
     q = max(p, 1.0 - p)
     return (p * p * (1.0 - p) * (1.0 - p)) / (128.0 * q**4)
 
@@ -180,9 +185,9 @@ def c_constant(p: float) -> float:
 def tail_constants(p: float, delta: float) -> tuple[float, float, float]:
     """(t, a1, a2) for aspect slack delta; a1 = (18q/4) sqrt(...) as printed."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+        raise ParameterError(f"p must lie in (0,1), got {p}")
     if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+        raise ParameterError(f"delta must be positive, got {delta}")
     q = max(p, 1.0 - p)
     ratio = (2.0 + delta) / (1.0 + delta)
     root = math.sqrt(2.0 * ratio * math.log(9.0))
@@ -195,9 +200,9 @@ def tail_constants(p: float, delta: float) -> tuple[float, float, float]:
 def alpha_beta(p: float, delta: float, theta: float, gamma: float) -> tuple[float, float]:
     """(alpha, beta) at this point; either may be nonpositive (infeasible)."""
     if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0,1), got {theta}")
+        raise ParameterError(f"theta must lie in (0,1), got {theta}")
     if not 0.0 < gamma <= 1.0:
-        raise ValueError(f"gamma must lie in (0,1], got {gamma}")
+        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
     _, a1, a2 = tail_constants(p, delta)
     c = c_constant(p)
     alpha = (1.0 - theta) * (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0) - gamma * a1
@@ -209,7 +214,7 @@ def alpha_beta(p: float, delta: float, theta: float, gamma: float) -> tuple[floa
 def binary_entropy(x: float) -> float:
     """H(x) = -x log2 x - (1-x) log2 (1-x), with H(0) = H(1) = 0."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must lie in [0,1], got {x}")
+        raise ParameterError(f"entropy argument must lie in [0,1], got {x}")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -296,6 +301,21 @@ def feasibility(params: BoundParams) -> ConstantsResult:
     )
 
 
+_POSITIVE = ("must be > 0", lambda v: v > 0.0)
+# the union-bound condition squares each xi
+_XI_RULES = (_POSITIVE, ("must have a finite square", lambda v: math.isfinite(v * v)))
+# each range's rules after finiteness, as (refusal, test of one entry); the
+# search takes epsilon = 0.5 - gap, which must lie in (0,1/2) as computed
+_GRID_RULES = {
+    "deltas": (_POSITIVE,),
+    "thetas": (("must lie in (0,1)", lambda v: 0.0 < v < 1.0),),
+    "gamma_fractions": (_POSITIVE,),
+    "epsilon_gaps": (("must lie in (0,1/2)", lambda v: 0.0 < 0.5 - v < 0.5),),
+    "xi1s": _XI_RULES,
+    "xi2s": _XI_RULES,
+}
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Finite parameter ranges for the k search.
@@ -305,6 +325,8 @@ class GridSpec:
     fixed multiple of its ceiling instead of chasing a moving cancellation.
     epsilon_gaps give epsilon through u = 1/2 - epsilon; the union-bound
     condition needs u below ~3e-4, far outside an evenly spaced grid.
+    Construction refuses a range that is empty or has an entry out of
+    range, so every grid point but its gamma passes the BoundParams checks.
     """
 
     deltas: tuple[float, ...] = (999.0, 9_999.0, 99_999.0, 999_999.0)
@@ -315,24 +337,25 @@ class GridSpec:
     xi2s: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
 
     def __post_init__(self) -> None:
-        for name in ("deltas", "thetas", "gamma_fractions", "epsilon_gaps", "xi1s", "xi2s"):
-            values = getattr(self, name)
+        for field in fields(self):
+            values = getattr(self, field.name)
             if not values:
-                raise ValueError(f"grid range {name} is empty")
-            if any(not v > 0.0 for v in values):
-                raise ValueError(f"grid range {name} must be positive, got {values}")
+                raise ParameterError(f"grid range {field.name} is empty")
+            for rule, ok in (("must be finite", math.isfinite), *_GRID_RULES[field.name]):
+                if not all(ok(v) for v in values):
+                    raise ParameterError(f"{field.name} entries {rule}, got {values}")
 
 
 def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult:
     """Largest k over all feasible grid points, ties by lexicographic order
     of (delta, theta, gamma, epsilon, xi1, xi2).
 
-    Raises ValueError when p is out of range or a grid point fails the
-    BoundParams checks (the first such point in loop order), and
-    RuntimeError when no grid point is feasible with a positive k.
+    Raises ParameterError when p is out of range or a grid point's gamma
+    leaves (0,1] (the first such point in loop order), and RuntimeError
+    when no grid point is feasible with a positive k.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+        raise ParameterError(f"p must lie in (0,1), got {p}")
     if grid is None:
         grid = GridSpec()
     c = c_constant(p)
@@ -340,25 +363,19 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     d_scale = 2.0 * math.sqrt(p * (1.0 - p))
     floors: dict[float, int] = {}  # _k_floor per epsilon, filled by _largest_k
     best_k, best_key = 1, None  # a winner needs k >= 1
-    epsilons_checked = False
     for delta in grid.deltas:
         _, a1, _ = tail_constants(p, delta)
         for theta in grid.thetas:
             gamma_max = alpha_ceiling * (1.0 - theta) / a1
             for frac in grid.gamma_fractions:
                 gamma = frac * gamma_max
-                # the point checks, in BoundParams order and words: alpha_beta
-                # checks theta and gamma in every cell, BoundParams each
-                # epsilon in the first cell that reaches them (every other
-                # field passed GridSpec's or alpha_beta's check), so an
-                # invalid grid fails at the same point as a check per point
+                # gamma depends on p, so GridSpec cannot check it: alpha_beta
+                # refuses it at the first point a check per point would
                 alpha, beta = alpha_beta(p, delta, theta, gamma)
+                if not (alpha > 0.0 and beta > 0.0):
+                    continue
                 for gap in grid.epsilon_gaps:
                     epsilon = 0.5 - gap
-                    if not epsilons_checked:
-                        BoundParams(p, delta, theta, gamma, epsilon, grid.xi1s[0], grid.xi2s[0])
-                    if not (alpha > 0.0 and beta > 0.0):
-                        continue
                     half = 0.5 + epsilon
                     root = math.sqrt(half)
                     entropy = binary_entropy(half)
@@ -370,10 +387,9 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
                         continue
                     d_base = d_scale * (1.0 + root)
                     # the largest D has the smallest r, hence the cell's largest
-                    # k, unless r is 0 (an infinite xi), where k is 0; below
-                    # the cap no point of the cell walks past it
+                    # k; below the cap no point of the cell walks past it
                     r = alpha * root / (2.0 * (d_base + max(xi1s) + max(xi2s) * root))
-                    if r > 0.0 and _largest_k(p, epsilon, r, floors) < min(best_k, _K_SEARCH_CAP):
+                    if _largest_k(p, epsilon, r, floors) < min(best_k, _K_SEARCH_CAP):
                         continue
                     for xi1 in xi1s:
                         for xi2 in xi2s:
@@ -382,7 +398,6 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
                             key = (-k, delta, theta, gamma, epsilon, xi1, xi2)
                             if k >= best_k and (best_key is None or key < best_key):
                                 best_k, best_key = k, key
-                epsilons_checked = True
     if best_key is None:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
     return feasibility(BoundParams(p, *best_key[1:]))
@@ -391,5 +406,5 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
 def kp_formula(p: float) -> int:
     """floor(1 / log2(1/(1-p))): the exceptional-vertex count bound."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+        raise ParameterError(f"p must lie in (0,1), got {p}")
     return math.floor(1.0 / math.log2(1.0 / (1.0 - p)))

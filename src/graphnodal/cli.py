@@ -14,7 +14,11 @@ Conventions shared by every subcommand:
     echoed argv because they never affect results;
   * an optional --config FILE of "key = value" lines supplies defaults that
     explicit flags override; unknown keys are usage errors;
-  * exit code 0 on success, 1 on usage errors, 2 on runtime failures.
+  * exit code 0 on success; 1 on usage errors, which are bad flags, flag
+    values and config keys, and any ParameterError (an argument the library
+    refuses) that a command raises before its output opens; 2 on runtime
+    failures such as bad input files, infeasible grids and exhausted
+    samplers.
 
 JSON outputs carry the same leading comment lines; consumers should drop
 lines starting with '#' before parsing.
@@ -27,6 +31,7 @@ import contextlib
 import functools
 import inspect
 import json
+import math
 import sys
 from typing import IO, Any, Callable, Iterator, NamedTuple
 
@@ -48,8 +53,8 @@ from .experiments import (
 )
 from .graph_core import (
     MAX_VERTICES,
+    ParameterError,
     adjacency_matrix,
-    check_regular,
     laplacian_matrix,
     read_graph,
     sample_gnp,
@@ -71,10 +76,6 @@ from .spectral import eigendecompose, write_spectrum_csv
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    """Bad flags, bad config keys, or out-of-range parameter values."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the CLI's exit code for usage errors."""
 
@@ -88,21 +89,24 @@ def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"expected an integer, got {text!r}") from None
+        raise ParameterError(f"expected an integer, got {text!r}") from None
 
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise _UsageError(f"expected a number, got {text!r}") from None
+        raise ParameterError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _list_of(parse: Callable[[str], Any], kind: str) -> Callable[[str], tuple]:
     def parse_list(text: str) -> tuple:
         items = [s.strip() for s in text.split(",") if s.strip()]
         if not items:
-            raise _UsageError(f"expected a comma-separated {kind} list, got {text!r}")
+            raise ParameterError(f"expected a comma-separated {kind} list, got {text!r}")
         return tuple(parse(s) for s in items)
 
     return parse_list
@@ -115,7 +119,7 @@ _parse_float_list = _list_of(_parse_float, "number")
 def _choice(*allowed: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in allowed:
-            raise _UsageError(f"expected one of {', '.join(allowed)}, got {text!r}")
+            raise ParameterError(f"expected one of {', '.join(allowed)}, got {text!r}")
         return text
 
     return parse
@@ -124,8 +128,10 @@ def _choice(*allowed: str) -> Callable[[str], str]:
 class _Flag(NamedTuple):
     """How a flag's text becomes a value, and the range rule that value
     must pass after config merging (message, predicate), if any.  The rules
-    are conservative on purpose: library preconditions repeat them, but
-    failing them here keeps range mistakes in the usage-error exit class."""
+    are the command line's own checks, in its own words; a range the
+    library states, such as a degree d against n or the constants grid's,
+    is the library's to check, and main reports its ParameterError as a
+    usage error too."""
 
     convert: Callable[[str], Any]
     message: str | None = None
@@ -154,17 +160,13 @@ _FLAGS = {
     "k-list": _Flag(_parse_int_list, "k-list entries must be >= 1", _each(lambda x: x >= 1)),
     "xi-list": _Flag(_parse_float_list, "xi-list entries must be > 0", _each(lambda x: x > 0.0)),
     "p-list": _Flag(_parse_float_list),
-    # the constants grid; gamma <= 1 depends on p, delta and theta, so the
-    # search itself refuses a gamma fraction that breaks it
-    "deltas": _Flag(_parse_float_list, "deltas entries must be > 0", _each(lambda x: x > 0.0)),
-    "thetas": _Flag(_parse_float_list, "thetas entries must lie in (0,1)",
-                    _each(lambda x: 0.0 < x < 1.0)),
-    "gamma-fractions": _Flag(_parse_float_list, "gamma-fractions entries must be > 0",
-                             _each(lambda x: x > 0.0)),
-    "epsilon-gaps": _Flag(_parse_float_list, "epsilon-gaps entries must lie in (0,1/2)",
-                          _each(lambda x: 0.0 < x < 0.5)),
-    "xi1s": _Flag(_parse_float_list, "xi1s entries must be > 0", _each(lambda x: x > 0.0)),
-    "xi2s": _Flag(_parse_float_list, "xi2s entries must be > 0", _each(lambda x: x > 0.0)),
+    # the constants grid, whose ranges GridSpec checks
+    "deltas": _Flag(_parse_float_list),
+    "thetas": _Flag(_parse_float_list),
+    "gamma-fractions": _Flag(_parse_float_list),
+    "epsilon-gaps": _Flag(_parse_float_list),
+    "xi1s": _Flag(_parse_float_list),
+    "xi2s": _Flag(_parse_float_list),
     "graph": _Flag(str),
     "vector": _Flag(str),
     "out": _Flag(str),
@@ -181,14 +183,14 @@ def _read_config_file(path: str) -> dict[str, str]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc}") from None
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     entries: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
-            raise _UsageError(f"config line {lineno} is not 'key = value': {line.rstrip()!r}")
+            raise ParameterError(f"config line {lineno} is not 'key = value': {line.rstrip()!r}")
         key, value = stripped.split("=", 1)
         entries[key.strip().replace("-", "_")] = value.strip()
     return entries
@@ -340,13 +342,6 @@ def _probabilities(p: float, p_list: _Floats | None) -> _Floats:
     return (p,) if p_list is None else p_list
 
 
-def _check_open_probabilities(opts: dict[str, Any]) -> None:
-    # the bounds need 0 < p < 1; refusing p here keeps it a usage error
-    for p in _probabilities(opts["p"], opts["p_list"]):
-        if not 0.0 < p < 1.0:
-            raise _UsageError(f"p must lie in (0,1), got {p}")
-
-
 def _constants(p: float = 0.5, p_list: _Floats | None = None, deltas: _Floats | None = None,
                thetas: _Floats | None = None, gamma_fractions: _Floats | None = None,
                epsilon_gaps: _Floats | None = None, xi1s: _Floats | None = None,
@@ -373,19 +368,12 @@ def _flags(fn: Callable[..., Any], **extra: Any) -> dict[str, Any]:
     return {**{p.name.replace("_", "-"): p.default for p in params}, **extra, "out": None}
 
 
-def _command(
-    text: str, run: Callable[..., _Result], check: Callable[[dict[str, Any]], None] | None = None,
-) -> dict[str, Any]:
-    """A subcommand whose flags are run's parameters; check, if given,
-    applies a rule across flags."""
-    return {"help": text, "options": _flags(run), "run": run, "check": check}
+def _command(text: str, run: Callable[..., _Result]) -> dict[str, Any]:
+    """A subcommand whose flags are run's parameters."""
+    return {"help": text, "options": _flags(run), "run": run}
 
 
-def _experiment_command(
-    text: str,
-    runner: Callable[..., ExperimentReport],
-    check: Callable[[dict[str, Any]], None] | None = None,
-) -> dict[str, Any]:
+def _experiment_command(text: str, runner: Callable[..., ExperimentReport]) -> dict[str, Any]:
     """An exp-* subcommand: the runner's flags, then --format.  run holds
     the runner in its closure, where perfbench's tracer finds it."""
     def run(format: str, **kwargs: Any) -> _Result:
@@ -393,41 +381,23 @@ def _experiment_command(
         write = write_report_csv if format == "csv" else write_report_json
         return report.config, functools.partial(write, report)
 
-    return {"help": text, "options": _flags(runner, format="csv"), "run": run, "check": check}
-
-
-def _check_tuple_sizes(opts: dict[str, Any]) -> None:
-    if any(k >= opts["n"] for k in opts["k_list"]):
-        raise _UsageError(f"tuple sizes must satisfy 1 <= k < n, got {opts['k_list']}")
-
-
-def _check_regular(opts: dict[str, Any]) -> None:
-    # a degree with no simple regular graph on n vertices is a usage error
-    if opts.get("source", "regular") == "regular":
-        for d in opts.get("d_list", (opts.get("d"),)):
-            try:
-                check_regular(opts["n"], d)
-            except ValueError as exc:
-                raise _UsageError(exc) from None
+    return {"help": text, "options": _flags(runner, format="csv"), "run": run}
 
 
 _COMMANDS: dict[str, dict[str, Any]] = {
     "gen-gnp": _command("sample G(n,p) and write its edge list", _gen_gnp),
     "gen-regular": _command(
-        "sample a uniform d-regular simple graph and write its edge list", _gen_regular,
-        _check_regular),
+        "sample a uniform d-regular simple graph and write its edge list", _gen_regular),
     "spectrum": _command("eigenvalues and eigenvectors of a graph matrix", _spectrum),
     "domains": _command("weak or strong nodal domains of a vector on a graph", _domains),
     "summary": _command(
         "nodal census of a vector: part sizes, counts, exceptional set", _summary),
     "constants": _command(
-        "grid-search the tail-bound constants and the exceptional bound k", _constants,
-        _check_open_probabilities),
+        "grid-search the tail-bound constants and the exceptional bound k", _constants),
     "kp": _command(
-        "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))", _kp,
-        _check_open_probabilities),
+        "closed-form exceptional-vertex count bound floor(1/log2(1/(1-p)))", _kp),
     "exp-fig1": _experiment_command(
-        "nodal counts across the spectrum of random regular graphs", run_fig1, _check_regular),
+        "nodal counts across the spectrum of random regular graphs", run_fig1),
     "exp-fig2": _experiment_command(
         "fraction of G(n,p) whose top Laplacian eigenvector has 3 weak domains", run_fig2),
     "exp-gnp": _experiment_command(
@@ -440,10 +410,9 @@ _COMMANDS: dict[str, dict[str, Any]] = {
         "sup norms of adjacency eigenvectors across graph sizes", run_linf_scan),
     "exp-fact": _experiment_command(
         "neighborhood union/intersection fractions for random k-tuples",
-        run_neighborhood_fact, _check_tuple_sizes),
+        run_neighborhood_fact),
     "exp-courant": _experiment_command(
-        "how often eigenvector #k has more than k weak domains", run_courant_report,
-        _check_regular),
+        "how often eigenvector #k has more than k weak domains", run_courant_report),
 }
 
 
@@ -495,23 +464,23 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
         elif from_file is not None:
             opts[dest] = _FLAGS[flag].convert(from_file)
         elif default is inspect.Parameter.empty:
-            raise _UsageError(f"missing required flag --{flag}")
+            raise ParameterError(f"missing required flag --{flag}")
         else:
             opts[dest] = default
     if file_entries:
         unknown = ", ".join(sorted(file_entries))
-        raise _UsageError(f"unknown config key(s): {unknown}")
+        raise ParameterError(f"unknown config key(s): {unknown}")
     for flag in command["options"]:
         spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
         if value is not None and spec.ok is not None and not spec.ok(value):
-            raise _UsageError(f"{spec.message}, got {value}")
-    # n, n-list and exp-tails' k become vertex counts: one the graph layer
-    # would refuse is a usage error, found before anything is sampled
+            raise ParameterError(f"{spec.message}, got {value}")
+    # n, n-list and exp-tails' k become vertex counts, which the graph layer
+    # refuses above MAX_VERTICES only when it samples them: after an n-list
+    # sweep's earlier trials, and in exp-tails after asking numpy for a
+    # k-by-k array
     for count in (opts.get("n"), opts.get("k"), *(opts.get("n_list") or ())):
         if count is not None and count > MAX_VERTICES:
-            raise _UsageError(f"vertex count must be at most {MAX_VERTICES}, got {count}")
-    if command["check"] is not None:
-        command["check"](opts)
+            raise ParameterError(f"vertex count must be at most {MAX_VERTICES}, got {count}")
     return opts
 
 
@@ -523,19 +492,17 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     command = _COMMANDS[args.command]
+    write = None
     try:
         opts = _resolve(args, command)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    out, echoed = opts.pop("out"), _scrub_argv(argv, command["options"])
-    try:
+        out, echoed = opts.pop("out"), _scrub_argv(argv, command["options"])
         config, write = command["run"](**opts)
         with _output(out, opts.get("seed"), echoed, config) as stream:
             write(stream)
     except Exception as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        # a refused argument is a usage error until the command has its result
+        return 1 if isinstance(exc, ParameterError) and write is None else 2
     return 0
 
 

@@ -39,7 +39,9 @@ from ._text import rounded, write_csv, write_json
 from .bounds import tail_constants
 from .graph_core import (
     Graph,
+    ParameterError,
     adjacency_matrix,
+    check_regular,
     laplacian_matrix,
     sample_gnp,
     sample_regular,
@@ -176,6 +178,8 @@ def run_fig1(
     """
     d_list = tuple(int(d) for d in d_list)
     args = dict(locals())
+    for d in d_list:  # every d, before the first trial of any
+        check_regular(n, d)
 
     def trial(d: int, t: int) -> NodalCensus:
         return _adjacency_census(sample_regular(n, d, substream(seed, f"fig1-d{d}", t)), tau)
@@ -418,7 +422,7 @@ def run_neighborhood_fact(
     """
     k_list = tuple(int(k) for k in k_list)
     if any(k < 1 or k >= n for k in k_list):
-        raise ValueError(f"tuple sizes must satisfy 1 <= k < n, got {k_list}")
+        raise ParameterError(f"tuple sizes must satisfy 1 <= k < n, got {k_list}")
     args = dict(locals())
 
     def trial(t: int) -> list[tuple[float, float]]:
@@ -471,6 +475,8 @@ def run_courant_report(
     """
     if source not in ("gnp", "regular"):
         raise ValueError(f"source must be 'gnp' or 'regular', got {source!r}")
+    if source == "regular":
+        check_regular(n, d)
     args = dict(locals())
     del args["d" if source == "gnp" else "p"]
 

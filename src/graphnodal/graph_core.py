@@ -59,6 +59,7 @@ from . import _text
 __all__ = [
     "Graph",
     "GraphParseError",
+    "ParameterError",
     "RngStream",
     "SamplingError",
     "adjacency_matrix",
@@ -87,6 +88,11 @@ class SamplingError(RuntimeError):
 
 class GraphParseError(ValueError):
     """Raised on malformed edge-list input; the message carries the line number."""
+
+
+class ParameterError(ValueError):
+    """Raised when an argument lies outside its stated range; the command
+    line reports it as a usage error."""
 
 
 @dataclass(frozen=True)
@@ -181,9 +187,9 @@ class Graph:
 
 def _check_vertex_count(n: int) -> None:
     if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+        raise ParameterError(f"vertex count must be positive, got {n}")
     if n > MAX_VERTICES:
-        raise ValueError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
+        raise ParameterError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
 
 
 class _EdgeError(ValueError):
@@ -384,7 +390,7 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     """
     _check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0,1], got {p}")
+        raise ParameterError(f"edge probability must lie in [0,1], got {p}")
     gen = rng.generator()
     # the pairs (u, v), u < v, in row-major order: (u, v) is number
     # start[u] + v - u - 1, and its coin is that draw of the stream
@@ -407,9 +413,9 @@ def check_regular(n: int, d: int) -> None:
     exists, or n above MAX_VERTICES."""
     _check_vertex_count(n)
     if d < 0 or d >= n:
-        raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
+        raise ParameterError(f"degree must satisfy 0 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+        raise ParameterError(f"n*d must be even, got n={n}, d={d}")
 
 
 def sample_regular(
@@ -469,9 +475,9 @@ def laplacian_matrix(g: Graph) -> np.ndarray:
 def sample_xp_matrix(m: int, k: int, p: float, rng: RngStream) -> np.ndarray:
     """m-by-k matrix of independent centered Bernoulli entries (p-1 w.p. p, else p)."""
     if m < 1 or k < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m}x{k}")
+        raise ParameterError(f"matrix dimensions must be positive, got {m}x{k}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0,1], got {p}")
+        raise ParameterError(f"probability must lie in [0,1], got {p}")
     gen = rng.generator()
     return np.where(gen.random((m, k)) < p, p - 1.0, float(p))
 
@@ -480,9 +486,9 @@ def sample_sym_xp_matrix(k: int, p: float, rng: RngStream) -> np.ndarray:
     """Symmetric k-by-k matrix: i.i.d. centered Bernoulli above the diagonal,
     mirrored below, and every diagonal entry exactly p."""
     if k < 1:
-        raise ValueError(f"matrix dimension must be positive, got {k}")
+        raise ParameterError(f"matrix dimension must be positive, got {k}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0,1], got {p}")
+        raise ParameterError(f"probability must lie in [0,1], got {p}")
     gen = rng.generator()
     a = np.full((k, k), float(p), dtype=np.float64)
     iu, ju = np.triu_indices(k, k=1)

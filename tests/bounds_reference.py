@@ -4,11 +4,14 @@ This is exceptional_bound_k as first written: every grid point becomes a
 validated BoundParams and goes through the scalar feasibility, which also
 searches k wherever alpha > 0.  graphnodal.bounds computes each quantity
 once per loop level instead, and must return the same ConstantsResult and
-raise the same ValueError.  reference_largest_k is the k search as first
-written, before its domain floor was computed once per (p, epsilon).
+raise the same ParameterError.  feasible_ks lists the k of every feasible
+point, for objectives other than the largest k.  reference_largest_k is
+the k search as first written, before its domain floor was computed once
+per (p, epsilon).
 """
 
 import math
+from typing import Iterator
 
 from graphnodal.bounds import (
     _K_SEARCH_CAP,
@@ -19,15 +22,16 @@ from graphnodal.bounds import (
     feasibility,
     tail_constants,
 )
+from graphnodal.graph_core import ParameterError
 
 
-def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult:
+def grid_results(p: float, grid: GridSpec | None = None) -> Iterator[ConstantsResult]:
+    """feasibility at every grid point, as a validated BoundParams, in the
+    search's loop order."""
     if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0,1), got {p}")
+        raise ParameterError(f"p must lie in (0,1), got {p}")
     if grid is None:
         grid = GridSpec()
-    best: ConstantsResult | None = None
-    best_key: tuple | None = None
     for delta in grid.deltas:
         _, a1, _ = tail_constants(p, delta)
         c = c_constant(p)
@@ -40,16 +44,28 @@ def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult
                     epsilon = 0.5 - gap
                     for xi1 in grid.xi1s:
                         for xi2 in grid.xi2s:
-                            params = BoundParams(
+                            yield feasibility(BoundParams(
                                 p=p, delta=delta, theta=theta, gamma=gamma,
                                 epsilon=epsilon, xi1=xi1, xi2=xi2,
-                            )
-                            res = feasibility(params)
-                            if not res.feasible or res.k < 1:
-                                continue
-                            key = (-res.k, delta, theta, gamma, epsilon, xi1, xi2)
-                            if best_key is None or key < best_key:
-                                best, best_key = res, key
+                            ))
+
+
+def feasible_ks(p: float, grid: GridSpec | None = None) -> list[int]:
+    """The bound k of every feasible grid point with a positive k, in loop order."""
+    return [res.k for res in grid_results(p, grid) if res.feasible and res.k >= 1]
+
+
+def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult:
+    best: ConstantsResult | None = None
+    best_key: tuple | None = None
+    for res in grid_results(p, grid):
+        if not res.feasible or res.k < 1:
+            continue
+        params = res.params
+        key = (-res.k, params.delta, params.theta, params.gamma, params.epsilon,
+               params.xi1, params.xi2)
+        if best_key is None or key < best_key:
+            best, best_key = res, key
     if best is None:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
     return best

@@ -7,12 +7,14 @@ transcription slip in either place shows up as a mismatch.
 
 import math
 import random
+import re
 
 import pytest
 
 from graphnodal import (
     BoundParams,
     GridSpec,
+    ParameterError,
     alpha_beta,
     c_constant,
     exceptional_bound_k,
@@ -24,7 +26,7 @@ from graphnodal import (
 )
 from graphnodal import bounds
 from graphnodal.bounds import REFERENCE_K_TABLE, ConstantsResult, binary_entropy
-from bounds_reference import reference_bound_k, reference_largest_k
+from bounds_reference import feasible_ks, reference_bound_k, reference_largest_k
 
 
 def test_c_constant_values():
@@ -186,6 +188,48 @@ def test_grid_search_monotone_over_reference_points():
     assert 23 <= results[0.5].k <= 92
 
 
+def test_smallest_feasible_k_fits_the_published_table_better_than_the_largest():
+    # the search returns the largest k over the feasible points of the
+    # default grid; the smallest k over the same points is the other reading
+    # of "the bound k" that the published table is weighed against
+    exact_min, near_min, attained, exact_max = [], 0, 0, 0
+    for p, published in REFERENCE_K_TABLE:
+        ks = feasible_ks(p)
+        assert max(ks) == exceptional_bound_k(p).k, p
+        if min(ks) == published:
+            exact_min.append(p)
+        near_min += abs(min(ks) - published) <= 1
+        attained += published in ks
+        exact_max += max(ks) == published
+    assert exact_min == [0.66, 0.62, 0.50, 0.38]
+    assert (near_min, attained, exact_max) == (9, 13, 0)
+
+
+def test_grid_spec_refuses_entries_the_search_cannot_use():
+    for ranges, message in (
+        ({"deltas": (1.0, math.inf)}, "deltas entries must be finite, got (1.0, inf)"),
+        ({"gamma_fractions": (math.nan,)}, "gamma_fractions entries must be finite, got (nan,)"),
+        ({"gamma_fractions": (0.5, 0.0)}, "gamma_fractions entries must be > 0, got (0.5, 0.0)"),
+        # 0.5 - 1e-20 is 0.5 in floating point, an epsilon of 1/2
+        ({"epsilon_gaps": (1e-20,)}, "epsilon_gaps entries must lie in (0,1/2), got (1e-20,)"),
+        ({"xi2s": (0.5, -1.0)}, "xi2s entries must be > 0, got (0.5, -1.0)"),
+        # the union-bound condition squares xi, and 1e200**2 overflows
+        ({"xi1s": (1e200,)}, "xi1s entries must have a finite square, got (1e+200,)"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            GridSpec(**ranges)
+    # the extremes it accepts search as the point-by-point reference does;
+    # at p = 1 - 1e-12 the winner's r, the smallest met on extreme grids,
+    # is still far from 0, which the cell skip relies on
+    top = 1.0 - 2.0**-53
+    grid = GridSpec(deltas=(1e300,), thetas=(top,), gamma_fractions=(top,),
+                    epsilon_gaps=(2.8e-17,), xi1s=(1.3e154,), xi2s=(1.3e154,))
+    for p in (1e-12, 0.5, 1.0 - 1e-12):
+        assert (search_outcome(exceptional_bound_k, p, grid)
+                == search_outcome(reference_bound_k, p, grid)), p
+    assert 0.0 < exceptional_bound_k(1.0 - 1e-12, grid).r < 1e-200
+
+
 def test_grid_search_respects_custom_grid():
     # a deliberately infeasible grid raises instead of inventing a k
     tiny = GridSpec(deltas=(1.0,), thetas=(0.5,), gamma_fractions=(0.5,),
@@ -234,9 +278,19 @@ def test_grid_search_matches_point_by_point_reference():
     {"thetas": (2.0,), "epsilon_gaps": (0.5,)}, {"gamma_fractions": (0.5, 1e12)},
 ])
 def test_grid_search_raises_the_reference_error_on_invalid_grids(bad):
-    grid = GridSpec(**{**vars(GridSpec()), **bad})
+    ranges = {**vars(GridSpec()), **bad}
+    # a theta or an epsilon gap out of range fails as the grid is built,
+    # thetas first, so neither search runs
+    for name, rule in (("thetas", "(0,1)"), ("epsilon_gaps", "(0,1/2)")):
+        if name in bad:
+            message = f"{name} entries must lie in {rule}, got {bad[name]}"
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                GridSpec(**ranges)
+            return
+    # gamma depends on p: both searches refuse it at the same point
+    grid = GridSpec(**ranges)
     got = search_outcome(exceptional_bound_k, 0.5, grid)
-    assert got[0] is ValueError
+    assert got[0] is ParameterError
     assert got == search_outcome(reference_bound_k, 0.5, grid)
 
 
@@ -286,10 +340,10 @@ def test_grid_search_skips_cells_that_cannot_win(monkeypatch):
     assert exceptional_bound_k(0.5) == want
     # every feasible point, as searched before the skip, made 1777 calls
     assert calls <= 600
-    # an infinite xi gives its cell's largest-D point r = 0 and k = 0, which
-    # bounds nothing: the cell's finite points are still searched
-    grid = GridSpec(xi1s=(2.0, math.inf))
-    assert exceptional_bound_k(0.5, grid) == reference_bound_k(0.5, grid)
+    # the skip needs the largest-D point's r > 0; an infinite xi would give
+    # it r = 0, and GridSpec refuses one
+    with pytest.raises(ParameterError, match=r"^xi1s entries must be finite, got \(2\.0, inf\)$"):
+        GridSpec(xi1s=(2.0, math.inf))
 
 
 def test_kp_formula_values():

@@ -24,7 +24,7 @@ from graphnodal.experiments import (
     run_neighborhood_fact,
     run_tail_mc,
 )
-from graphnodal.graph_core import Graph
+from graphnodal.graph_core import Graph, ParameterError
 from graphnodal.nodal import (
     SignedFunction,
     nodal_summary,
@@ -89,9 +89,9 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("3 1\n1 1\n", encoding="utf-8")
     assert run_cli(capsys, "spectrum", "--graph", str(bad))[0] == 2
     # gamma is a fraction of a ceiling that depends on p, delta and theta,
-    # so only the search can tell that it left (0,1]
+    # so only the search can tell that it left (0,1]; it is a usage error still
     code, out, err = run_cli(capsys, "constants", "--gamma-fractions", "1e3")
-    assert (code, out) == (2, "") and err.startswith("error: gamma must lie in (0,1], got "), err
+    assert (code, out) == (1, "") and err.startswith("error: gamma must lie in (0,1], got "), err
     # a vertex count too large for the edge check fails as a bad header does
     for header in ("0 1", "4294967296 1"):
         bad.write_text(f"{header}\n2147483648 2147483649\n", encoding="utf-8")
@@ -424,7 +424,7 @@ def test_experiment_flags_default_as_their_runner(command):
     assert opts == {**defaults, "out": None}
     for flag in required:
         missing = [a for a in argv if a not in (f"--{flag}", str(required[flag]))]
-        with pytest.raises(cli._UsageError, match=f"^missing required flag --{flag}$"):
+        with pytest.raises(ParameterError, match=f"^missing required flag --{flag}$"):
             cli._resolve(cli._parse_args([command, *missing]), cli._COMMANDS[command])
 
 
@@ -519,16 +519,16 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         (["constants", "--thetas", "0.5,0"],
          "error: thetas entries must lie in (0,1), got (0.5, 0.0)\n"),
         (["constants", "--epsilon-gaps", "0.7"],
-         "error: epsilon-gaps entries must lie in (0,1/2), got (0.7,)\n"),
+         "error: epsilon_gaps entries must lie in (0,1/2), got (0.7,)\n"),
         (["constants", "--epsilon-gaps", "1e-3,0.5"],
-         "error: epsilon-gaps entries must lie in (0,1/2), got (0.001, 0.5)\n"),
+         "error: epsilon_gaps entries must lie in (0,1/2), got (0.001, 0.5)\n"),
         (["constants", "--deltas", "0"], "error: deltas entries must be > 0, got (0.0,)\n"),
         (["constants", "--gamma-fractions", "-1"],
-         "error: gamma-fractions entries must be > 0, got (-1.0,)\n"),
+         "error: gamma_fractions entries must be > 0, got (-1.0,)\n"),
         (["constants", "--xi1s", "1,0"], "error: xi1s entries must be > 0, got (1.0, 0.0)\n"),
-        (["constants", "--xi2s", "nan"], "error: xi2s entries must be > 0, got (nan,)\n"),
+        (["constants", "--xi2s", "nan"], "error: expected a finite number, got 'nan'\n"),
         (["constants", "--config", str(grid)],
-         "error: epsilon-gaps entries must lie in (0,1/2), got (0.7,)\n"),
+         "error: epsilon_gaps entries must lie in (0,1/2), got (0.7,)\n"),
         # so is a degree for which no simple regular graph on n vertices exists
         (["gen-regular", "--n", "5", "--d", "3"], "error: n*d must be even, got n=5, d=3\n"),
         (["gen-regular", "--n", "4", "--d", "4"],
@@ -561,6 +561,37 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
     for command, flag in (("gen-gnp", "n"), ("exp-tails", "k")):
         args = cli._parse_args([command, f"--{flag}", "3037000499", "--p", "0.5"])
         assert cli._resolve(args, cli._COMMANDS[command])[flag] == 3037000499
+
+
+def test_refused_arguments_are_usage_errors_that_write_nothing(tmp_path, capsys):
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("tau = nan\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    tails = ["exp-tails", "--k", "8", "--samples", "2"]
+    finite = "error: expected a finite number, got "
+    cases = [
+        # every float, from a flag, a list entry or a config key, is finite
+        ([*tails, "--delta", "inf"], finite + "'inf'\n"),
+        ([*tails, "--xi-list", "0.5,inf", "--format", "json"], finite + "'inf'\n"),
+        (["exp-gnp", "--tau", "1e400"], finite + "'1e400'\n"),
+        (["exp-gnp", "--config", str(cfg)], finite + "'nan'\n"),
+        (["constants", "--deltas", "inf"], finite + "'inf'\n"),
+        (["constants", "--gamma-fractions=-inf"], finite + "'-inf'\n"),
+        # GridSpec's ranges, as the search computes with them
+        (["constants", "--epsilon-gaps", "1e-20"],
+         "error: epsilon_gaps entries must lie in (0,1/2), got (1e-20,)\n"),
+        (["constants", "--xi1s", "1e200"],
+         "error: xi1s entries must have a finite square, got (1e+200,)\n"),
+        (["constants", "--gamma-fractions", "1e3"],
+         "error: gamma must lie in (0,1], got 3.244171940961883\n"),
+        # p = 0.5 is searched before 1.5 is refused
+        (["constants", "--p-list", "0.5,1.5"], "error: p must lie in (0,1), got 1.5\n"),
+        (["exp-fig1", "--d-list", "3,5", "--n", "5", "--trials", "1"],
+         "error: n*d must be even, got n=5, d=3\n"),
+    ]
+    for argv, err in cases:
+        assert run_cli(capsys, *argv, "--out", str(out)) == (1, "", err), argv
+        assert not out.exists(), argv
 
 
 def test_a_call_adds_the_flags_of_its_subcommand_only(monkeypatch, capsys):

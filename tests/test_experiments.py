@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from graphnodal import (
+    ParameterError,
     adjacency_matrix,
     eigendecompose,
     nodal_census,
@@ -84,6 +85,23 @@ def test_fig1_multiple_degrees_are_independent():
     solo = run_fig1(d_list=(4,), n=12, trials=4, seed=5)
     d4_rows = [row for row in both.rows if row[0] == 4]
     assert d4_rows == [row for row in solo.rows]
+
+
+def test_fig1_checks_every_degree_before_its_first_trial(monkeypatch):
+    import graphnodal.experiments
+
+    calls = 0
+    sample = graphnodal.experiments.sample_regular
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(graphnodal.experiments, "sample_regular", counted)
+    with pytest.raises(ParameterError, match=r"^degree must satisfy 0 <= d < n, got d=6, n=6$"):
+        run_fig1(d_list=(4, 6), n=6, trials=2)
+    assert calls == 0
 
 
 def test_fig2_counts_and_fraction():
