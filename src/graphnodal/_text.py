@@ -5,21 +5,23 @@ float in a JSON document; write_csv and write_json write rows and documents.
 g17_text and int_text write whole arrays (the spectrum CSV, the edge list),
 each float as '%.17g' and each integer as '%d' would write it, byte for
 byte, each followed by its separator.  Each cell's text is laid out in one
-row of a byte matrix, eight bytes at a time, from one table of the 10000
+row of a byte matrix, four bytes at a time, from one table of the 10000
 four-digit groups; the separator goes right after it, and one gather keeps
 each row's span, in order.
 
 '%.17g' is the correctly rounded conversion to 17 significant digits (Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", AT&T
 1990), in fixed notation when the decimal exponent e of the rounded value
-lies in [-4, 16].  Those cells take the array path: their digits are the
-integer N = round-half-even(|x| 10^s) with s = 16 - e, which lies in
-[10^16, 10^17).  10^s is exact in float64 for s <= 22, and Dekker's
-two-product (Numer. Math. 18, 1971) gives |x| 10^s exactly as hi + lo; hi
->= 2^53 is then an even integer, so N = hi + rint(lo) exactly.  e is taken
-from log10 and corrected against N.  A zero is "0" after its sign.  Every
-other cell (exponent notation, |x| >= 1e17, non-finite) is formatted by
-'%.17g' on its own, so the text equals '%.17g' by construction.
+lies in [-4, 16].  The cells with e in [-4, -1], magnitudes in [1e-4, 1)
+after rounding, take the array path; they are nearly every eigenvector
+coordinate of a spectrum.  Their digits are the integer N =
+round-half-even(|x| 10^s) with s = 16 - e, which lies in [10^16, 10^17).
+10^s is exact in float64 for s <= 22, and Dekker's two-product (Numer. Math.
+18, 1971) gives |x| 10^s exactly as hi + lo; hi >= 2^53 is then an even
+integer, so N = hi + rint(lo) exactly.  e is taken from log10 and corrected
+against N.  A zero is "0" after its sign.  Every other cell (magnitude 1 and
+above, exponent notation, non-finite) is formatted by '%.17g' on its own, so
+the text equals '%.17g' by construction.
 """
 
 from __future__ import annotations
@@ -109,40 +111,14 @@ def _pack(rows: np.ndarray, start: np.ndarray, stop: np.ndarray) -> str:
 
 
 # A float cell's row, 32 bytes: the 17 digits of N start at column _LEAD, and
-# its four-digit groups fill the 4-byte words after it.  When e < 0, "0."
-# and -e - 1 zeros end just before the digits, the sign before them.  When
-# e >= 0, the first e + 1 digits move one column left to make room for the
-# point, the sign before them.
+# its four-digit groups fill the 4-byte words after it; the sign, "0." and
+# -e - 1 zeros end just before them.  _HEAD holds that head, columns 0-11 of
+# the row with the leading digit's column still 0, as three 4-byte words, at
+# row 2 (e + 4) + 1 for a negative sign.
 _LEAD = 11
-_EXPONENTS = np.arange(-4, 17)
-
-
-def _float_layout() -> tuple[np.ndarray, ...]:
-    """The row parts that depend on e in _EXPONENTS and the sign.
-
-    Per e and sign, at row 2 (e + 4) + 1 for a negative sign: columns 0-11
-    of a row, the leading digit's column still 0, as three 4-byte words.
-    Per e, as four 8-byte masks each: the bytes a row takes from itself
-    shifted one column left, the point, and the bytes it keeps.
-    """
-    e = _EXPONENTS[:, np.newaxis, np.newaxis]
-    col = _COLUMNS[:12]
-    neg = np.arange(2)[:, np.newaxis]
-    start = np.where(e < 0, _LEAD - 1 + e, _LEAD)  # where the text begins, sign aside
-    small = e < 0
-    head = np.select(
-        [(col == start - 1) & (neg == 1), small & (col == start), small & (col == start + 1),
-         small & (col > start + 1) & (col < _LEAD)],
-        [ord("-"), ord("0"), ord("."), ord("0")], 0).astype(np.uint8)
-    point = np.where(_EXPONENTS >= 0, _LEAD + _EXPONENTS, -1)[:, np.newaxis]
-    shifted = (_COLUMNS < point).astype(np.uint8) * 255
-    dot = np.where(_COLUMNS == point, ord("."), 0).astype(np.uint8)
-    kept = ((_COLUMNS > point) | (point < 0)).astype(np.uint8) * 255
-    words = [np.ascontiguousarray(m).view("<u8") for m in (shifted, dot, kept)]
-    return (np.ascontiguousarray(head).view("<u4").reshape(-1, 3), *words)
-
-
-_HEAD, _SHIFTED, _DOT, _KEPT = _float_layout()
+_HEAD = np.frombuffer(b"".join(
+    (sign + "0." + "0" * (-e - 1)).encode().rjust(_LEAD, b"\0") + b"\0"
+    for e in range(-4, 0) for sign in ("", "-")), dtype="<u4").reshape(-1, 3)
 
 
 def _fallback(values: np.ndarray) -> list[str]:
@@ -151,18 +127,18 @@ def _fallback(values: np.ndarray) -> list[str]:
 
 
 def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 significant digits N of each a > 0 in [1e-5, 1e17) and the
-    decimal exponent e of their rounding.  An e outside [-4, 16], where
-    fixed notation does not apply, is left as found and its N is void."""
+    """The 17 significant digits N of each a in [1e-5, 1) and the decimal
+    exponent e of their rounding.  An e outside [-4, -1], where the array
+    path does not apply, is left as found and its N is void."""
     e = np.floor(np.log10(a)).astype(np.int64)
-    np.clip(e, -5, 16, out=e)
+    np.clip(e, -5, -1, out=e)
     n = _scaled(a, 16 - e)
     # a wrong exponent puts N outside [10^16, 10^17); one step mends it
     todo = np.flatnonzero((n >= 10**17) | (n < 10**16))
     while todo.size:
         m = n[todo]
         e[todo] += (m >= 10**17).astype(np.int64) - (m < 10**16)
-        todo = todo[(e[todo] >= -4) & (e[todo] <= 16)]
+        todo = todo[(e[todo] >= -4) & (e[todo] <= -1)]
         m = n[todo] = _scaled(a[todo], 16 - e[todo])
         todo = todo[(m >= 10**17) | (m < 10**16)]
     return n, e
@@ -182,11 +158,10 @@ def g17_text(values: np.ndarray, seps: np.ndarray) -> str:
     value), concatenated."""
     x = np.asarray(values, dtype=np.float64).ravel()
     ax = np.abs(x)
-    near = (ax >= 1e-5) & (ax < 1e17)
-    n, e = _digits17(np.where(near, ax, 1.0))
-    fixed = near & (e >= -4) & (e <= 16)
-    n[~fixed] = 10**16
-    np.clip(e, -4, 16, out=e)
+    near = (ax >= 1e-5) & (ax < 1.0)
+    n, e = _digits17(np.where(near, ax, 0.5))
+    fixed = near & (e >= -4) & (e <= -1)
+    np.clip(e, -4, -1, out=e)
     neg = np.signbit(x).astype(np.intp)
 
     words = np.zeros((x.size, 8), dtype="<u4")
@@ -197,14 +172,6 @@ def g17_text(values: np.ndarray, seps: np.ndarray) -> str:
     words[:, 2] = _HEAD[:, 2].take(head) | (48 + top // 10**8).astype(np.uint32) << 24
     for k, group in enumerate(groups):
         words[:, k + 3] = _GROUPS.take(group)
-    # for e >= 0, the digits before the point move one column left
-    big = np.flatnonzero(e >= 0)
-    if big.size:
-        row = words.view("<u8")[big]
-        left = row >> 8
-        left[:, :3] |= row[:, 1:] << 56
-        at = e[big] + 4
-        words.view("<u8")[big] = (row & _KEPT[at]) | (left & _SHIFTED[at]) | _DOT[at]
 
     # the leading digit is never 0, so N ends in at most 16 zeros
     trailing = _TRAILING_ZEROS.take(groups[3])
@@ -213,10 +180,8 @@ def g17_text(values: np.ndarray, seps: np.ndarray) -> str:
         ends = [g[few] for g in groups[::-1]]
         trailing[few] = np.select([g != 0 for g in ends], [
             _TRAILING_ZEROS.take(g) + 4 * k for k, g in enumerate(ends)], 16)
-    last = _LEAD + 16 - trailing  # the column of the last nonzero digit
-    point = _LEAD + e  # the point's column when e >= 0
-    start = np.where(e < 0, _LEAD - 1 + e, _LEAD - 1) - neg
-    stop = np.where((e < 0) | (last > point), last + 1, point)
+    start = _LEAD - 1 + e - neg
+    stop = _LEAD + 17 - trailing
 
     chars = words.view(np.uint8)
     zero = np.flatnonzero(ax == 0)

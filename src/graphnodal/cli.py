@@ -52,7 +52,6 @@ from .experiments import (
     write_report_json,
 )
 from .graph_core import (
-    MAX_VERTICES,
     ParameterError,
     adjacency_matrix,
     laplacian_matrix,
@@ -474,13 +473,6 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
         spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
         if value is not None and spec.ok is not None and not spec.ok(value):
             raise ParameterError(f"{spec.message}, got {value}")
-    # n, n-list and exp-tails' k become vertex counts, which the graph layer
-    # refuses above MAX_VERTICES only when it samples them: after an n-list
-    # sweep's earlier trials, and in exp-tails after asking numpy for a
-    # k-by-k array
-    for count in (opts.get("n"), opts.get("k"), *(opts.get("n_list") or ())):
-        if count is not None and count > MAX_VERTICES:
-            raise ParameterError(f"vertex count must be at most {MAX_VERTICES}, got {count}")
     return opts
 
 

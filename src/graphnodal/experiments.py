@@ -5,9 +5,12 @@ Every experiment draws trial t of experiment "name" from the substream
 trials never perturbs earlier ones, and reruns are reproducible bit for bit.
 Each run_* states its arguments, one trial and a summary of the trials;
 _experiment does the rest for all of them: the resolved config (the
-runner's own arguments), the trial fan-out, per value of a swept list
-argument where there is one, and the report.  Reports carry no timings,
-which would differ from run to run.
+runner's own arguments), a check of its vertex counts (n, k and the n_list
+entries) before the first trial, the trial fan-out, per value of a swept
+list argument where there is one, and the report.  Each runner computes
+what needs no sample, and refuses what it cannot use, before it calls
+_experiment.  Reports carry no timings, which would differ from run to
+run.
 
 Trials may run on a thread pool; aggregation folds the trial results in
 trial order, so the report is identical for every thread count.  The pool
@@ -28,6 +31,7 @@ significant digits.
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,8 +42,10 @@ import numpy as np
 from ._text import rounded, write_csv, write_json
 from .bounds import tail_constants
 from .graph_core import (
+    MAX_VERTICES,
     Graph,
     ParameterError,
+    _check_vertex_count,
     adjacency_matrix,
     check_regular,
     laplacian_matrix,
@@ -104,20 +110,32 @@ def _experiment(
 
     args is the runner's locals(), taken before it binds any name but its
     normalized arguments: the config is {"experiment": name} plus every
-    argument but threads, tuples as lists.  args[count] trials run on
-    args["threads"] threads.  Without a sweep, trial(t) runs for every
-    trial t and summarize(results) returns the report's rows, extras and raw
-    records (or None).  With sweep naming a sequence argument such as
-    "n_list", trial(x, t) runs at each of its values x and summarize(x,
-    results) returns the rows, extras and per-trial records at x: the rows
-    are concatenated, each extra is reported as {str(x): value}, and each
-    record gains x, under the argument's name less "_list", and its trial.
+    argument but threads, tuples as lists.  args["n"], args["k"] and each
+    entry of args["n_list"], where present, are vertex counts, refused
+    before the first trial when the graph layer would refuse them.
+    args[count] trials run on args["threads"] threads.  Without a sweep,
+    trial(t) runs for every trial t and summarize(results) returns the
+    report's rows, extras and raw records (or None).  With sweep naming a
+    sequence argument such as "n_list", trial(x, t) runs at each of its
+    values x and summarize(x, results) returns the rows, extras and
+    per-trial records at x: the rows are concatenated, each extra is
+    reported as {str(x): value}, and each record gains x, under the
+    argument's name less "_list", and its trial.
     """
     config = {"experiment": name}
     config.update(
         (key, list(value) if isinstance(value, tuple) else value)
         for key, value in args.items() if key != "threads"
     )
+    # n, k and the n_list entries become vertex counts, which the graph layer
+    # refuses above MAX_VERTICES only when it samples them: after an n_list
+    # sweep's earlier trials, and in run_tail_mc after asking numpy for a
+    # k-by-k array
+    for key in ("n", "k"):
+        if key in args:
+            _check_vertex_count(args[key])
+    for n in args.get("n_list", ()):
+        _check_vertex_count(n)
     trials, threads = args[count], args["threads"]
     if sweep is None:
         return ExperimentReport(config, columns, *summarize(_run_trials(trial, trials, threads)))
@@ -305,9 +323,26 @@ def run_tail_mc(
     carries m.
     """
     xi_list = tuple(float(x) for x in xi_list)
-    m = int(round((1.0 + delta) * k))
+    if not all(math.isfinite(xi * xi) for xi in xi_list):
+        raise ParameterError(f"xi_list entries must have a finite square, got {xi_list}")
+    m = (1.0 + delta) * k  # the rectangular sample's rows, before rounding
+    # a k above MAX_VERTICES is _experiment's to refuse, as a vertex count;
+    # min keeps its m finite, and changes no m that passes
+    if k <= MAX_VERTICES and not m < MAX_VERTICES + 0.5:
+        raise ParameterError(f"m = round((1+delta) k) must be at most {MAX_VERTICES}, "
+                             f"got delta={delta}, k={k}")
+    m = int(round(min(m, MAX_VERTICES)))
     args = dict(locals())
+    # every threshold and bound, before the first sample
     sigma2 = 2.0 * ((p * (1.0 - p)) ** 0.5)
+    xi_rows = [
+        (model, xi, (sigma2 + xi) * np.sqrt(k),
+         min(scale * float(np.exp(-(xi**2) * k / decay)), 1.0))
+        for model, scale, decay in (("sym", 4.0, 8.0), ("gnp", 1.0, 32.0)) for xi in xi_list
+    ]
+    _, a1, a2 = tail_constants(p, delta)
+    rect_threshold = a1 * ((p * (1.0 - p)) ** 0.5) * np.sqrt(m)
+    rect_bound = min(float(np.exp(-a2 * m)), 1.0)
 
     def trial(i: int) -> tuple[float, float, float]:
         a = sample_sym_xp_matrix(k, p, substream(seed, "tails-sym", i))
@@ -321,17 +356,10 @@ def run_tail_mc(
 
     def summarize(results: list[tuple[float, float, float]]):
         sym_norms, gnp_vals, rect_norms = np.array(results).reshape(-1, 3).T
-        rows: list[tuple] = []
-        for model, norms, scale, decay in (("sym", sym_norms, 4.0, 8.0),
-                                           ("gnp", gnp_vals, 1.0, 32.0)):
-            for xi in xi_list:
-                threshold = (sigma2 + xi) * np.sqrt(k)
-                bound = scale * float(np.exp(-(xi**2) * k / decay))
-                rows.append((model, k, xi, min(bound, 1.0), float((norms >= threshold).mean())))
-        _, a1, a2 = tail_constants(p, delta)
-        rect_threshold = a1 * ((p * (1.0 - p)) ** 0.5) * np.sqrt(m)
-        rows.append(("rect", m, None, min(float(np.exp(-a2 * m)), 1.0),
-                     float((rect_norms >= rect_threshold).mean())))
+        norms = {"sym": sym_norms, "gnp": gnp_vals}
+        rows = [(model, k, xi, bound, float((norms[model] >= threshold).mean()))
+                for model, xi, threshold, bound in xi_rows]
+        rows.append(("rect", m, None, rect_bound, float((rect_norms >= rect_threshold).mean())))
         extras = {
             "median_sym_ratio": float(np.median(sym_norms)) / float(np.sqrt(k)),
             "median_gnp_ratio": float(np.median(gnp_vals)) / float(np.sqrt(k)),
@@ -474,7 +502,7 @@ def run_courant_report(
     for source "gnp" and d for "regular".
     """
     if source not in ("gnp", "regular"):
-        raise ValueError(f"source must be 'gnp' or 'regular', got {source!r}")
+        raise ParameterError(f"source must be 'gnp' or 'regular', got {source!r}")
     if source == "regular":
         check_regular(n, d)
     args = dict(locals())

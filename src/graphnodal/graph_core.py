@@ -110,7 +110,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError(f"substream index must be nonnegative, got {self.index}")
+            raise ParameterError(f"substream index must be nonnegative, got {self.index}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -596,12 +596,10 @@ def _parse_edge_lines(raw_lines: Sequence[str]) -> Graph:
 
     header_no, header = numbered[0]
     n, m = fields(header_no, header, "header")
-    if n < 1:
-        raise GraphParseError(f"line {header_no}: vertex count must be positive, got {n}")
-    if n > MAX_VERTICES:
-        raise GraphParseError(
-            f"line {header_no}: vertex count must be at most {MAX_VERTICES}, got {n}"
-        )
+    try:
+        _check_vertex_count(n)
+    except ParameterError as err:
+        raise GraphParseError(f"line {header_no}: {err}") from None
     if m < 0:
         raise GraphParseError(f"line {header_no}: edge count must be nonnegative, got {m}")
     body = numbered[1:]

@@ -43,10 +43,11 @@ from typing import IO, Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import write_csv
+from .graph_core import Graph, ParameterError, _components, _labeler
 
 # connected_components is not called here; perfbench's tracer test still
 # looks the name up in this module, so it stays bound until that test moves
-from .graph_core import Graph, _components, _labeler, connected_components  # noqa: F401
+from .graph_core import connected_components  # noqa: F401
 
 __all__ = [
     "DEFAULT_TAU_SCALE",
@@ -82,7 +83,7 @@ def _zero_tolerance(values: np.ndarray, tau: float | None):
         return DEFAULT_TAU_SCALE * np.abs(values).max(axis=0, initial=0.0)
     tau = float(tau)
     if not tau >= 0.0:
-        raise ValueError(f"zero tolerance must be nonnegative, got {tau}")
+        raise ParameterError(f"zero tolerance must be nonnegative, got {tau}")
     return tau
 
 
@@ -179,7 +180,7 @@ def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartiti
     condition, and keep the maximal ones under inclusion.  Refuses n > 20."""
     _check_lengths(g, f)
     if kind not in ("weak", "strong"):
-        raise ValueError(f"kind must be 'weak' or 'strong', got {kind!r}")
+        raise ParameterError(f"kind must be 'weak' or 'strong', got {kind!r}")
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={g.n}")
     signs = f.signs

@@ -27,6 +27,7 @@ from typing import IO
 import numpy as np
 
 from . import _text
+from .graph_core import ParameterError
 
 __all__ = ["Spectrum", "eigendecompose", "operator_norm", "write_spectrum_csv"]
 
@@ -94,12 +95,13 @@ def _order_equal_runs(values: np.ndarray, vectors: np.ndarray) -> None:
 def eigendecompose(a: np.ndarray, ordering: str = "descending") -> Spectrum:
     """Eigendecompose a symmetric matrix under the module's conventions.
 
-    Raises ValueError for non-finite entries, asymmetry, or a bad ordering
-    name, and RuntimeError if the accuracy certificate fails (not observed
-    for real symmetric input at the supported scale).
+    Raises ParameterError for a bad ordering name, ValueError for
+    non-finite entries or asymmetry, and RuntimeError if the accuracy
+    certificate fails (not observed for real symmetric input at the
+    supported scale).
     """
     if ordering not in ("descending", "ascending"):
-        raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
+        raise ParameterError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

@@ -154,6 +154,27 @@ def test_bound_params_validation():
         BoundParams(0.5, 1.0, 0.5, 0.5, 0.6, 1.0, 1.0)
 
 
+def test_refusals_of_theta_xi_and_p():
+    with pytest.raises(ParameterError, match=r"^theta must lie in \(0,1\), got 1\.0$"):
+        BoundParams(0.5, 1.0, 1.0, 0.5, 0.4, 1.0, 1.0)
+    with pytest.raises(ParameterError, match=r"^xi1, xi2 must be positive, got 1\.0, 0\.0$"):
+        BoundParams(0.5, 1.0, 0.5, 0.5, 0.4, 1.0, 0.0)
+    with pytest.raises(ParameterError, match=r"^p must lie in \(0,1\), got 0$"):
+        tail_constants(0, 1.0)
+
+
+def test_an_infinite_xi_leaves_no_k():
+    # D = inf makes r = 0: the k search returns 0 before it looks at any k
+    res = feasibility(BoundParams(0.5, 9999.0, 0.9, 1.8e-4, 0.499997, math.inf, 2.0))
+    assert res.alpha > 0.0 and res.r == 0.0 and res.k == 0
+
+
+def test_grid_search_skips_cells_without_a_feasible_xi():
+    # xi1 = 0.01 fails H(1/2+eps) < xi1^2/32 at every epsilon of the grid
+    with pytest.raises(RuntimeError, match=r"^no feasible grid point with a positive k at p=0\.5$"):
+        exceptional_bound_k(0.5, GridSpec(xi1s=(0.01,)))
+
+
 def test_grid_search_at_half():
     res = exceptional_bound_k(0.5)
     assert res.feasible

@@ -154,6 +154,62 @@ def test_vector_length_mismatch_is_runtime_error(tmp_path, capsys):
     assert code == 2 and "2 values" in err
 
 
+def test_vector_files_skip_comment_lines_and_name_a_bad_one(tmp_path, capsys):
+    gpath, vpath = write_path_graph(tmp_path)
+    code, plain, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", vpath)
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# f\n1\n  # between\n0\n-1\n", encoding="utf-8")
+    code2, out, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", str(commented))
+    assert code == code2 == 0 and body_lines(out) == body_lines(plain)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1\nx\n-1\n", encoding="utf-8")
+    assert run_cli(capsys, "summary", "--graph", gpath, "--vector", str(bad)) == (
+        2, "", f"error: {bad}:2: not a number: 'x'\n")
+
+
+def test_flag_text_and_config_files_that_cannot_be_read(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    cases = [
+        (["gen-gnp", "--n", "5", "--p", "x"], "error: expected a number, got 'x'\n"),
+        (["exp-fig2", "--n-list", " , "],
+         "error: expected a comma-separated integer list, got ' , '\n"),
+        (["exp-tails", "--xi-list", ","], "error: expected a comma-separated number list, got ','\n"),
+    ]
+    for argv, err in cases:
+        assert run_cli(capsys, *argv) == (1, "", err), argv
+    code, out, err = run_cli(capsys, "exp-gnp", "--config", str(missing))
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot read config file {missing}: ")
+
+
+def test_experiment_arguments_are_refused_before_any_sample(monkeypatch, capsys):
+    import graphnodal.experiments
+
+    sampled = []
+
+    def sampler(*args, **kwargs):
+        sampled.append(args)
+        raise RuntimeError("sampled")
+
+    for name in ("sample_gnp", "sample_regular", "sample_sym_xp_matrix", "sample_xp_matrix"):
+        monkeypatch.setattr(graphnodal.experiments, name, sampler)
+    tails = ["exp-tails", "--k", "8", "--samples", "2"]
+    cases = [
+        (["exp-tails", "--k", "200", "--samples", "40", "--p", "0"],
+         "error: p must lie in (0,1), got 0.0\n"),
+        (["exp-tails", "--k", "200", "--samples", "40", "--p", "1"],
+         "error: p must lie in (0,1), got 1.0\n"),
+        ([*tails, "--xi-list", "1e200"],
+         "error: xi_list entries must have a finite square, got (1e+200,)\n"),
+        (["exp-tails", "--k", "8", "--samples", "1", "--delta", "1e300"],
+         "error: m = round((1+delta) k) must be at most 3037000499, got delta=1e+300, k=8\n"),
+        (["exp-fig2", "--n-list", "10,3037000500", "--trials", "1"],
+         "error: vertex count must be at most 3037000499, got 3037000500\n"),
+    ]
+    for argv, err in cases:
+        assert run_cli(capsys, *argv) == (1, "", err), argv
+    assert sampled == []
+
+
 def test_summary_json(tmp_path, capsys):
     gpath, vpath = write_path_graph(tmp_path)
     code, out, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", vpath)

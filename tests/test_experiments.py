@@ -104,6 +104,38 @@ def test_fig1_checks_every_degree_before_its_first_trial(monkeypatch):
     assert calls == 0
 
 
+def test_arguments_are_refused_before_the_first_trial(monkeypatch):
+    import graphnodal.experiments
+
+    class Sampled(Exception):
+        pass
+
+    def sampler(*args, **kwargs):
+        raise Sampled
+
+    for name in ("sample_gnp", "sample_regular", "sample_sym_xp_matrix", "sample_xp_matrix"):
+        monkeypatch.setattr(graphnodal.experiments, name, sampler)
+    cases = [
+        # the n = 10 trials would run before n = 2^40 reached the sampler
+        (lambda: run_fig2(n_list=(10, 2**40), trials=2),
+         r"vertex count must be at most 3037000499, got 1099511627776"),
+        (lambda: run_gnp_scan(n=0), r"vertex count must be positive, got 0"),
+        # m = 2k, one above the largest vertex count (the CLI's tests cover
+        # exp-tails' p, xi and delta refusals)
+        (lambda: run_tail_mc(k=1_518_500_250, samples=1),
+         r"m = round\(\(1\+delta\) k\) must be at most 3037000499, "
+         r"got delta=1\.0, k=1518500250"),
+        (lambda: run_courant_report(source="bogus"),
+         r"source must be 'gnp' or 'regular', got 'bogus'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            call()
+    # one k lower, m = 2k is the largest vertex count less one: it is sampled
+    with pytest.raises(Sampled):
+        run_tail_mc(k=1_518_500_249, samples=1)
+
+
 def test_fig2_counts_and_fraction():
     r = run_fig2(n_list=(24,), trials=12, p=0.5, seed=3)
     assert r.columns == ("n", "trials", "frac_three_domains")

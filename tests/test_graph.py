@@ -11,6 +11,7 @@ from graphnodal import graph_core
 from graphnodal import (
     Graph,
     GraphParseError,
+    ParameterError,
     RngStream,
     SamplingError,
     adjacency_matrix,
@@ -257,6 +258,29 @@ def test_read_graph_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphParseError) as err:
         read_graph(io.StringIO(text))
     assert f"line {lineno}" in str(err.value)
+
+
+def test_read_graph_refuses_a_three_column_header():
+    # loadtxt reads both lines as three columns, so the line parser names the header
+    with pytest.raises(GraphParseError,
+                       match="^line 1: expected two integers for header, got '3 1 0'$"):
+        read_graph(io.StringIO("3 1 0\n0 1 2\n"))
+
+
+def test_argument_refusals_are_parameter_errors():
+    with pytest.raises(ParameterError, match="^substream index must be nonnegative, got -1$"):
+        substream(0, "x", -1)
+    rng = substream(0, "xp")
+    cases = [
+        (lambda: sample_xp_matrix(0, 3, 0.5, rng), r"matrix dimensions must be positive, got 0x3"),
+        (lambda: sample_xp_matrix(2, 3, 1.5, rng), r"probability must lie in \[0,1\], got 1\.5"),
+        (lambda: sample_sym_xp_matrix(0, 0.5, rng), r"matrix dimension must be positive, got 0"),
+        (lambda: sample_sym_xp_matrix(2, -0.5, rng),
+         r"probability must lie in \[0,1\], got -0\.5"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            call()
 
 
 # --- array-backed graph, the one edge check, the labeler ---------------------

@@ -201,6 +201,15 @@ def test_summary_all_zero():
     assert s.exceptional_zeros == 0
 
 
+def test_argument_refusals_are_parameter_errors():
+    with pytest.raises(graph_core.ParameterError,
+                       match=r"^zero tolerance must be nonnegative, got -1\.0$"):
+        SignedFunction.from_values([1.0], tau=-1.0)
+    with pytest.raises(graph_core.ParameterError,
+                       match="^kind must be 'weak' or 'strong', got 'medium'$"):
+        brute_force_domains(path(3), sf([1.0, 0.0, -1.0]), "medium")
+
+
 def test_function_length_mismatch():
     with pytest.raises(ValueError):
         weak_nodal_domains(path(3), sf([1.0, 2.0]))

@@ -5,6 +5,7 @@ import pytest
 
 from graphnodal import (
     Graph,
+    ParameterError,
     adjacency_matrix,
     eigendecompose,
     laplacian_matrix,
@@ -60,6 +61,35 @@ def test_input_validation():
         eigendecompose(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         eigendecompose(np.zeros((2, 3)))
+
+
+def test_certificates_refuse_a_wrong_eigensystem(monkeypatch):
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    eigh = np.linalg.eigh
+    # eigenvalues off by 1e-6 leave residuals of 1e-6 per vector
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + 1e-6, eigh(m)[1]))
+    with pytest.raises(RuntimeError, match=r"^eigendecomposition residual 1\.000e-06 exceeds"):
+        eigendecompose(a)
+
+    def repeated(m):
+        # the first eigenpair twice: each pair is exact, the two vectors equal
+        w, v = eigh(m)
+        return np.r_[w[0], w[0], w[2]], v[:, [0, 0, 2]]
+
+    monkeypatch.setattr(np.linalg, "eigh", repeated)
+    with pytest.raises(RuntimeError, match=r"^eigenvector orthogonality defect 1\.000e\+00 exceeds"):
+        eigendecompose(a, "ascending")
+
+
+def test_argument_refusals():
+    with pytest.raises(ParameterError, match="^ordering must be 'descending' or 'ascending', "
+                                             "got 'sideways'$"):
+        eigendecompose(np.eye(2), "sideways")
+    with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+        operator_norm(np.ones(3))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        operator_norm(np.array([[1.0, np.inf]]))
+    assert operator_norm(np.zeros((0, 4))) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

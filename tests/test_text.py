@@ -132,15 +132,22 @@ def test_int_text_matches_percent_d():
 
 
 def test_spectrum_writer_takes_the_array_path(monkeypatch):
-    # '%.17g' one value at a time is the slow path; on a G(200,1/2) spectrum
-    # only coordinates below 1e-4 in magnitude take it, about n/4 of them
+    # '%.17g' one value at a time is the slow path.  On a G(200,1/2) spectrum
+    # the coordinates that take it are those below 1e-4 in magnitude, about
+    # n/4 of them; the rest are each row's index and its eigenvalue when that
+    # is at least 1 in magnitude
     g = sample_gnp(200, 0.5, substream(4, "text"))
     spectrum = eigendecompose(adjacency_matrix(g))
     fallback = _text._fallback
-    calls = []
+    sent = []
     monkeypatch.setattr(_text, "_fallback",
-                        lambda values: calls.append(values.size) or fallback(values))
+                        lambda values: sent.extend(values.tolist()) or fallback(values))
     buf = io.StringIO()
     write_spectrum_csv(spectrum, buf)
-    assert sum(calls) <= g.n
+    sent = np.abs(sent)
+    assert (sent < 1).sum() <= g.n
+    assert not ((sent >= 1e-4) & (sent < 1)).any()
+    big = np.abs(spectrum.eigenvalues)
+    expected = np.concatenate((np.arange(1, g.n + 1), big[big >= 1]))
+    assert sorted(sent[sent >= 1]) == sorted(expected)
     assert buf.getvalue().count(",") == g.n * (g.n + 1)
