@@ -120,6 +120,11 @@ def reference_k(p: float) -> int | None:
     return None
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ParameterError(f"p must lie in (0,1), got {p}")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """One evaluation point: p and the six analysis knobs.
@@ -138,8 +143,7 @@ class BoundParams:
     xi2: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ParameterError(f"p must lie in (0,1), got {self.p}")
+        _check_p(self.p)
         if not self.delta > 0.0:
             raise ParameterError(f"delta must be positive, got {self.delta}")
         if not 0.0 < self.theta < 1.0:
@@ -176,16 +180,14 @@ class ConstantsResult:
 
 def c_constant(p: float) -> float:
     """C = p^2 (1-p)^2 / (128 q^4)."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    _check_p(p)
     q = max(p, 1.0 - p)
     return (p * p * (1.0 - p) * (1.0 - p)) / (128.0 * q**4)
 
 
 def tail_constants(p: float, delta: float) -> tuple[float, float, float]:
     """(t, a1, a2) for aspect slack delta; a1 = (18q/4) sqrt(...) as printed."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    _check_p(p)
     if not delta > 0.0:
         raise ParameterError(f"delta must be positive, got {delta}")
     q = max(p, 1.0 - p)
@@ -354,8 +356,7 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     leaves (0,1] (the first such point in loop order), and RuntimeError
     when no grid point is feasible with a positive k.
     """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    _check_p(p)
     if grid is None:
         grid = GridSpec()
     c = c_constant(p)
@@ -405,6 +406,5 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
 
 def kp_formula(p: float) -> int:
     """floor(1 / log2(1/(1-p))): the exceptional-vertex count bound."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must lie in (0,1), got {p}")
+    _check_p(p)
     return math.floor(1.0 / math.log2(1.0 / (1.0 - p)))

@@ -14,11 +14,12 @@ Conventions shared by every subcommand:
     echoed argv because they never affect results;
   * an optional --config FILE of "key = value" lines supplies defaults that
     explicit flags override; unknown keys are usage errors;
-  * exit code 0 on success; 1 on usage errors, which are bad flags, flag
-    values and config keys, and any ParameterError (an argument the library
-    refuses) that a command raises before its output opens; 2 on runtime
-    failures such as bad input files, infeasible grids and exhausted
-    samplers.
+  * exit code 0 on success; 1 on usage errors, which are unknown flags and
+    config keys, flag text that does not convert to its value (a number
+    that is not finite, a word outside its choices), and any ParameterError
+    (an argument the library refuses; the library states every range) that
+    a command raises before its output opens; 2 on runtime failures such as
+    bad input files, infeasible grids and exhausted samplers.
 
 JSON outputs carry the same leading comment lines; consumers should drop
 lines starting with '#' before parsing.
@@ -33,7 +34,7 @@ import inspect
 import json
 import math
 import sys
-from typing import IO, Any, Callable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterator
 
 from . import __version__
 from ._text import rounded, write_csv, write_json
@@ -124,56 +125,39 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return parse
 
 
-class _Flag(NamedTuple):
-    """How a flag's text becomes a value, and the range rule that value
-    must pass after config merging (message, predicate), if any.  The rules
-    are the command line's own checks, in its own words; a range the
-    library states, such as a degree d against n or the constants grid's,
-    is the library's to check, and main reports its ParameterError as a
-    usage error too."""
-
-    convert: Callable[[str], Any]
-    message: str | None = None
-    ok: Callable[[Any], bool] | None = None
-
-
-def _each(ok: Callable[[Any], bool]) -> Callable[[tuple], bool]:
-    """A list flag's range rule: ok for every entry."""
-    return lambda values: all(ok(x) for x in values)
-
-
-# Every flag of every subcommand, once.
-_FLAGS = {
-    "n": _Flag(_parse_int, "n must be >= 1", lambda v: v >= 1),
-    "d": _Flag(_parse_int, "d must be >= 0", lambda v: v >= 0),
-    "k": _Flag(_parse_int, "k must be >= 2", lambda v: v >= 2),
-    "p": _Flag(_parse_float, "p must lie in [0,1]", lambda v: 0.0 <= v <= 1.0),
-    "trials": _Flag(_parse_int, "trials must be >= 1", lambda v: v >= 1),
-    "samples": _Flag(_parse_int, "samples must be >= 1", lambda v: v >= 1),
-    "seed": _Flag(_parse_int, "seed must be >= 0", lambda v: v >= 0),
-    "threads": _Flag(_parse_int, "threads must be >= 1", lambda v: v >= 1),
-    "tau": _Flag(_parse_float, "tau must be >= 0", lambda v: v >= 0.0),
-    "delta": _Flag(_parse_float, "delta must be > 0", lambda v: v > 0.0),
-    "n-list": _Flag(_parse_int_list, "n-list entries must be >= 1", _each(lambda x: x >= 1)),
-    "d-list": _Flag(_parse_int_list, "d-list entries must be >= 0", _each(lambda x: x >= 0)),
-    "k-list": _Flag(_parse_int_list, "k-list entries must be >= 1", _each(lambda x: x >= 1)),
-    "xi-list": _Flag(_parse_float_list, "xi-list entries must be > 0", _each(lambda x: x > 0.0)),
-    "p-list": _Flag(_parse_float_list),
-    # the constants grid, whose ranges GridSpec checks
-    "deltas": _Flag(_parse_float_list),
-    "thetas": _Flag(_parse_float_list),
-    "gamma-fractions": _Flag(_parse_float_list),
-    "epsilon-gaps": _Flag(_parse_float_list),
-    "xi1s": _Flag(_parse_float_list),
-    "xi2s": _Flag(_parse_float_list),
-    "graph": _Flag(str),
-    "vector": _Flag(str),
-    "out": _Flag(str),
-    "matrix": _Flag(_choice("adjacency", "laplacian")),
-    "ordering": _Flag(_choice("descending", "ascending")),
-    "kind": _Flag(_choice("weak", "strong")),
-    "format": _Flag(_choice("csv", "json")),
-    "source": _Flag(_choice("gnp", "regular")),
+# Every flag of every subcommand, once, with the converter that turns its
+# text into a value.  Every range is the library's to refuse.
+_FLAGS: dict[str, Callable[[str], Any]] = {
+    "n": _parse_int,
+    "d": _parse_int,
+    "k": _parse_int,
+    "p": _parse_float,
+    "trials": _parse_int,
+    "samples": _parse_int,
+    "seed": _parse_int,
+    "threads": _parse_int,
+    "tau": _parse_float,
+    "delta": _parse_float,
+    "n-list": _parse_int_list,
+    "d-list": _parse_int_list,
+    "k-list": _parse_int_list,
+    "xi-list": _parse_float_list,
+    "p-list": _parse_float_list,
+    "deltas": _parse_float_list,
+    "thetas": _parse_float_list,
+    "gamma-fractions": _parse_float_list,
+    "epsilon-gaps": _parse_float_list,
+    "xi1s": _parse_float_list,
+    "xi2s": _parse_float_list,
+    "graph": str,
+    "vector": str,
+    "out": str,
+    "ordering": str,
+    "source": str,
+    # words only a command of this module branches on
+    "matrix": _choice("adjacency", "laplacian"),
+    "kind": _choice("weak", "strong"),
+    "format": _choice("csv", "json"),
 }
 
 
@@ -451,7 +435,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any]:
-    """Merge flags over config-file entries over defaults; convert and check ranges."""
+    """Merge flags over config-file entries over defaults, converted."""
     file_entries = _read_config_file(args.config) if args.config else {}
     opts: dict[str, Any] = {}
     for flag, default in command["options"].items():
@@ -459,9 +443,9 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
         raw = getattr(args, dest)
         from_file = file_entries.pop(dest, None)
         if raw is not None:
-            opts[dest] = _FLAGS[flag].convert(raw)
+            opts[dest] = _FLAGS[flag](raw)
         elif from_file is not None:
-            opts[dest] = _FLAGS[flag].convert(from_file)
+            opts[dest] = _FLAGS[flag](from_file)
         elif default is inspect.Parameter.empty:
             raise ParameterError(f"missing required flag --{flag}")
         else:
@@ -469,10 +453,6 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
     if file_entries:
         unknown = ", ".join(sorted(file_entries))
         raise ParameterError(f"unknown config key(s): {unknown}")
-    for flag in command["options"]:
-        spec, value = _FLAGS[flag], opts[flag.replace("-", "_")]
-        if value is not None and spec.ok is not None and not spec.ok(value):
-            raise ParameterError(f"{spec.message}, got {value}")
     return opts
 
 

@@ -5,11 +5,12 @@ Every experiment draws trial t of experiment "name" from the substream
 trials never perturbs earlier ones, and reruns are reproducible bit for bit.
 Each run_* states its arguments, one trial and a summary of the trials;
 _experiment does the rest for all of them: the resolved config (the
-runner's own arguments), a check of its vertex counts (n, k and the n_list
-entries) before the first trial, the trial fan-out, per value of a swept
-list argument where there is one, and the report.  Each runner computes
-what needs no sample, and refuses what it cannot use, before it calls
-_experiment.  Reports carry no timings, which would differ from run to
+runner's own arguments), a check of the arguments runners share (vertex
+counts, trial and thread counts, tau) before the first trial, the trial
+fan-out, per value of a swept list argument where there is one, and the
+report.  Each runner computes what needs no sample, and refuses what it
+cannot use, before it calls _experiment.  Every refusal is a
+ParameterError.  Reports carry no timings, which would differ from run to
 run.
 
 Trials may run on a thread pool; aggregation folds the trial results in
@@ -110,9 +111,11 @@ def _experiment(
 
     args is the runner's locals(), taken before it binds any name but its
     normalized arguments: the config is {"experiment": name} plus every
-    argument but threads, tuples as lists.  args["n"], args["k"] and each
-    entry of args["n_list"], where present, are vertex counts, refused
-    before the first trial when the graph layer would refuse them.
+    argument but threads, tuples as lists.  Before the first trial it
+    refuses, with a ParameterError: args["n"], args["k"] or an entry of
+    args["n_list"], where present, that the graph layer would refuse as a
+    vertex count; args[count] or args["threads"] below 1; and args["tau"],
+    where present, that the nodal layer would refuse as a zero tolerance.
     args[count] trials run on args["threads"] threads.  Without a sweep,
     trial(t) runs for every trial t and summarize(results) returns the
     report's rows, extras and raw records (or None).  With sweep naming a
@@ -127,15 +130,20 @@ def _experiment(
         (key, list(value) if isinstance(value, tuple) else value)
         for key, value in args.items() if key != "threads"
     )
-    # n, k and the n_list entries become vertex counts, which the graph layer
-    # refuses above MAX_VERTICES only when it samples them: after an n_list
-    # sweep's earlier trials, and in run_tail_mc after asking numpy for a
-    # k-by-k array
+    # the layers below refuse a vertex count or tau only inside a trial (an
+    # n_list entry after the sweep's earlier trials, run_tail_mc's k after
+    # asking numpy for a k-by-k array), and a count or thread number below 1
+    # not at all
     for key in ("n", "k"):
         if key in args:
             _check_vertex_count(args[key])
     for n in args.get("n_list", ()):
         _check_vertex_count(n)
+    for key in (count, "threads"):
+        if args[key] < 1:
+            raise ParameterError(f"{key} must be >= 1, got {args[key]}")
+    if "tau" in args:
+        _zero_tolerance(np.zeros(0), args["tau"])
     trials, threads = args[count], args["threads"]
     if sweep is None:
         return ExperimentReport(config, columns, *summarize(_run_trials(trial, trials, threads)))
@@ -323,6 +331,10 @@ def run_tail_mc(
     carries m.
     """
     xi_list = tuple(float(x) for x in xi_list)
+    if k < 2:
+        raise ParameterError(f"k must be >= 2, got {k}")
+    if not all(xi > 0.0 for xi in xi_list):
+        raise ParameterError(f"xi_list entries must be > 0, got {xi_list}")
     if not all(math.isfinite(xi * xi) for xi in xi_list):
         raise ParameterError(f"xi_list entries must have a finite square, got {xi_list}")
     m = (1.0 + delta) * k  # the rectangular sample's rows, before rounding
@@ -349,7 +361,7 @@ def run_tail_mc(
         sym_norm = float(np.abs(np.linalg.eigvalsh(a)).max())
         g = sample_gnp(k, p, substream(seed, "tails-gnp", i))
         w = np.linalg.eigvalsh(adjacency_matrix(g))
-        gnp_nontop = float(max(abs(w[0]), abs(w[-2]))) if k > 1 else 0.0
+        gnp_nontop = float(max(abs(w[0]), abs(w[-2])))
         q = sample_xp_matrix(m, k, p, substream(seed, "tails-rect", i))
         rect_norm = operator_norm(q)
         return sym_norm, gnp_nontop, rect_norm

@@ -102,6 +102,7 @@ class RngStream:
     The label is hashed into a 64-bit key and combined with the index as a
     Philox spawn key, so distinct labels or indices yield statistically
     independent streams while identical triples replay the same sequence.
+    A negative seed or index is refused.
     """
 
     seed: int
@@ -109,6 +110,8 @@ class RngStream:
     index: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.index < 0:
             raise ParameterError(f"substream index must be nonnegative, got {self.index}")
 
@@ -418,23 +421,21 @@ def check_regular(n: int, d: int) -> None:
         raise ParameterError(f"n*d must be even, got n={n}, d={d}")
 
 
-def sample_regular(
-    n: int, d: int, rng: RngStream, restart_budget: int = REGULAR_RESTART_BUDGET
-) -> Graph:
+def sample_regular(n: int, d: int, rng: RngStream) -> Graph:
     """Uniform simple d-regular graph via the configuration model.
 
     Half-edges are paired by a uniform permutation; any outcome containing a
     loop or a multi-edge is rejected wholesale and the pairing restarts, which
     preserves exact uniformity over simple d-regular graphs.  Exceeding the
-    restart budget raises SamplingError, whose message states the expected
-    number of restarts.  For d <= 5 and n >= 50 the per-try acceptance
-    probability is far from 0; at n=300 the default budget fails on some
-    seeds at d = 6 and seldom succeeds from d = 7.
+    restart budget, REGULAR_RESTART_BUDGET, raises SamplingError, whose
+    message states the expected number of restarts.  For d <= 5 and n >= 50
+    the per-try acceptance probability is far from 0; at n=300 the budget
+    fails on some seeds at d = 6 and seldom succeeds from d = 7.
     """
     check_regular(n, d)
     gen = rng.generator()
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(restart_budget):
+    for _ in range(REGULAR_RESTART_BUDGET):
         perm = gen.permutation(stubs)
         a, b = perm[0::2], perm[1::2]  # the pairs (perm[2i], perm[2i+1])
         if (a == b).any():
@@ -447,7 +448,7 @@ def sample_regular(
     # Canfield 1978); at n=300 it is close for d <= 5
     accept = min(1.0, math.exp(-(d * d - 1) / 4))
     raise SamplingError(
-        f"no simple {d}-regular graph on {n} vertices within {restart_budget} restarts"
+        f"no simple {d}-regular graph on {n} vertices within {REGULAR_RESTART_BUDGET} restarts"
         f" (a try is accepted with probability about exp(-(d^2-1)/4) = {accept:.2g},"
         f" so about {math.ceil(1 / accept)} restarts are expected)"
     )

@@ -558,12 +558,8 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
         # the cross-flag rule of exp-fact is a usage error too, defaults included
         (["exp-fact", "--n", "3", "--k-list", "3"], sizes + "(3,)\n"),
         (["exp-fact", "--n", "3"], sizes + "(1, 2, 3)\n"),
-        (["exp-gnp", "--trials", "0"], "error: trials must be >= 1, got 0\n"),
         (["exp-gnp", "--config", str(cfg)], "error: unknown config key(s): bogus\n"),
-        (["exp-tails", "--xi-list", "0.5,0"],
-         "error: xi-list entries must be > 0, got (0.5, 0.0)\n"),
         (["exp-fig1", "--d-list", "3,x"], "error: expected an integer, got 'x'\n"),
-        (["exp-courant", "--source", "bad"], "error: expected one of gnp, regular, got 'bad'\n"),
         # kp and constants need 0 < p < 1, for every p they would use
         (["kp", "--p", "0"], "error: p must lie in (0,1), got 0.0\n"),
         (["kp", "--p-list", "0.5,1.5"], "error: p must lie in (0,1), got 1.5\n"),
@@ -609,6 +605,37 @@ def test_experiment_usage_errors(tmp_path, capsys, monkeypatch):
             ["exp-tails", "--k", big],
         )],
     ]
+    # every range is the library's, whether the value comes from a flag or
+    # from a config file: (argv, flag, value, message)
+    graph, _ = write_path_graph(tmp_path)
+    tails = ["exp-tails", "--k", "8", "--samples", "2"]
+    ranges = [
+        (["exp-gnp"], "n", "0", "vertex count must be positive, got 0"),
+        (["gen-regular", "--n", "5"], "d", "-1", "degree must satisfy 0 <= d < n, got d=-1, n=5"),
+        (["exp-tails", "--samples", "1"], "k", "1", "k must be >= 2, got 1"),
+        (["exp-gnp"], "p", "1.5", "edge probability must lie in [0,1], got 1.5"),
+        (["exp-gnp"], "trials", "0", "trials must be >= 1, got 0"),
+        (["exp-tails", "--k", "8"], "samples", "0", "samples must be >= 1, got 0"),
+        (["gen-gnp", "--n", "5", "--p", "0.5"], "seed", "-1", "seed must be nonnegative, got -1"),
+        (["exp-fig2", "--n-list", "10", "--trials", "1"], "threads", "0",
+         "threads must be >= 1, got 0"),
+        (["exp-gnp"], "tau", "-1", "zero tolerance must be nonnegative, got -1.0"),
+        (tails, "delta", "0", "delta must be positive, got 0.0"),
+        (["exp-linf"], "n-list", "8,0", "vertex count must be positive, got 0"),
+        (["exp-fig1", "--n", "10"], "d-list", "-1",
+         "degree must satisfy 0 <= d < n, got d=-1, n=10"),
+        (["exp-fact", "--n", "10"], "k-list", "0",
+         "tuple sizes must satisfy 1 <= k < n, got (0,)"),
+        (tails, "xi-list", "0.5,0", "xi_list entries must be > 0, got (0.5, 0.0)"),
+        (["exp-courant"], "source", "bad", "source must be 'gnp' or 'regular', got 'bad'"),
+        (["spectrum", "--graph", str(graph)], "ordering", "up",
+         "ordering must be 'descending' or 'ascending', got 'up'"),
+    ]
+    for argv, flag, value, message in ranges:
+        path = tmp_path / f"{flag}.cfg"
+        path.write_text(f"{flag} = {value}\n", encoding="utf-8")
+        cases += [([*argv, f"--{flag}", value], f"error: {message}\n"),
+                  ([*argv, "--config", str(path)], f"error: {message}\n")]
     for argv, err in cases:
         assert run_cli(capsys, *argv) == (1, "", err), argv
     # d is not read when the source is gnp

@@ -5,6 +5,8 @@ acceptance suite.  Every check that depends on randomness uses a fixed
 master seed and the harness's own substream discipline.
 """
 
+import functools
+import inspect
 import io
 import json
 import math
@@ -121,13 +123,27 @@ def test_arguments_are_refused_before_the_first_trial(monkeypatch):
          r"vertex count must be at most 3037000499, got 1099511627776"),
         (lambda: run_gnp_scan(n=0), r"vertex count must be positive, got 0"),
         # m = 2k, one above the largest vertex count (the CLI's tests cover
-        # exp-tails' p, xi and delta refusals)
+        # exp-tails' p, delta and finite-square refusals)
         (lambda: run_tail_mc(k=1_518_500_250, samples=1),
          r"m = round\(\(1\+delta\) k\) must be at most 3037000499, "
          r"got delta=1\.0, k=1518500250"),
         (lambda: run_courant_report(source="bogus"),
          r"source must be 'gnp' or 'regular', got 'bogus'"),
+        (lambda: run_tail_mc(samples=0), r"samples must be >= 1, got 0"),
+        (lambda: run_tail_mc(k=1), r"k must be >= 2, got 1"),
+        (lambda: run_tail_mc(xi_list=(0.5, 0.0)),
+         r"xi_list entries must be > 0, got \(0\.5, 0\.0\)"),
     ]
+    runners = (run_fig1, run_fig2, run_gnp_scan, run_tail_mc, run_inner_product_check,
+               run_linf_scan, run_neighborhood_fact, run_courant_report)
+    for runner in runners:
+        if runner is not run_tail_mc:
+            cases.append((functools.partial(runner, trials=0), r"trials must be >= 1, got 0"))
+        cases += [(functools.partial(runner, threads=0), r"threads must be >= 1, got 0"),
+                  (functools.partial(runner, seed=-1), r"seed must be nonnegative, got -1")]
+        if "tau" in inspect.signature(runner).parameters:
+            cases.append((functools.partial(runner, tau=-1.0),
+                          r"zero tolerance must be nonnegative, got -1\.0"))
     for call, message in cases:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             call()

@@ -124,15 +124,17 @@ def test_regular_rejects_bad_parameters():
         sample_regular(4, -1, substream(0, "t"))
 
 
-def test_regular_budget_exhaustion():
-    # restart_budget=0 can never produce a pairing
+def test_regular_budget_exhaustion(monkeypatch):
+    # a budget of 0 restarts can never produce a pairing
+    monkeypatch.setattr(graph_core, "REGULAR_RESTART_BUDGET", 0)
     with pytest.raises(SamplingError):
-        sample_regular(10, 3, substream(0, "t"), restart_budget=0)
+        sample_regular(10, 3, substream(0, "t"))
 
 
-def test_regular_budget_message_states_expected_restarts():
+def test_regular_budget_message_states_expected_restarts(monkeypatch):
+    monkeypatch.setattr(graph_core, "REGULAR_RESTART_BUDGET", 3)
     with pytest.raises(SamplingError) as err:
-        sample_regular(300, 6, substream(0, "t"), restart_budget=3)
+        sample_regular(300, 6, substream(0, "t"))
     assert str(err.value) == (
         "no simple 6-regular graph on 300 vertices within 3 restarts"
         " (a try is accepted with probability about exp(-(d^2-1)/4) = 0.00016,"
@@ -555,22 +557,23 @@ def test_sample_regular_builds_what_the_edge_check_would(n, d):
         assert_checked_arrays(sample_regular(n, d, substream(3, "direct", i)))
 
 
-def sampler_outcome(sample, n, d, stream, budget):
+def sampler_outcome(sample, *args):
     try:
-        return sample(n, d, stream, budget)
+        return sample(*args)
     except SamplingError as err:
         return str(err)
 
 
-def test_sample_regular_matches_reference_sampler():
+def test_sample_regular_matches_reference_sampler(monkeypatch):
     for d in (3, 4, 5):
         for seed in range(32):
             stream = substream(seed, "reg-oracle", d)
             assert sample_regular(40, d, stream) == reference_sample_regular(40, d, stream)
     failed = 0
+    monkeypatch.setattr(graph_core, "REGULAR_RESTART_BUDGET", 1)
     for seed in range(32):
         stream = substream(seed, "reg-oracle-budget")
-        got = sampler_outcome(sample_regular, 40, 5, stream, 1)
+        got = sampler_outcome(sample_regular, 40, 5, stream)
         assert got == sampler_outcome(reference_sample_regular, 40, 5, stream, 1)
         failed += isinstance(got, str)
     assert failed >= 16  # a d=5 try is seldom accepted
