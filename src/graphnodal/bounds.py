@@ -125,6 +125,21 @@ def _check_p(p: float) -> None:
         raise ParameterError(f"p must lie in (0,1), got {p}")
 
 
+def _check_delta(delta: float) -> None:
+    if not delta > 0.0:
+        raise ParameterError(f"delta must be positive, got {delta}")
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise ParameterError(f"theta must lie in (0,1), got {theta}")
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma <= 1.0:
+        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """One evaluation point: p and the six analysis knobs.
@@ -144,12 +159,9 @@ class BoundParams:
 
     def __post_init__(self) -> None:
         _check_p(self.p)
-        if not self.delta > 0.0:
-            raise ParameterError(f"delta must be positive, got {self.delta}")
-        if not 0.0 < self.theta < 1.0:
-            raise ParameterError(f"theta must lie in (0,1), got {self.theta}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ParameterError(f"gamma must lie in (0,1], got {self.gamma}")
+        _check_delta(self.delta)
+        _check_theta(self.theta)
+        _check_gamma(self.gamma)
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0,1/2), got {self.epsilon}")
         if not (self.xi1 > 0.0 and self.xi2 > 0.0):
@@ -188,8 +200,7 @@ def c_constant(p: float) -> float:
 def tail_constants(p: float, delta: float) -> tuple[float, float, float]:
     """(t, a1, a2) for aspect slack delta; a1 = (18q/4) sqrt(...) as printed."""
     _check_p(p)
-    if not delta > 0.0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     q = max(p, 1.0 - p)
     ratio = (2.0 + delta) / (1.0 + delta)
     root = math.sqrt(2.0 * ratio * math.log(9.0))
@@ -201,10 +212,8 @@ def tail_constants(p: float, delta: float) -> tuple[float, float, float]:
 
 def alpha_beta(p: float, delta: float, theta: float, gamma: float) -> tuple[float, float]:
     """(alpha, beta) at this point; either may be nonpositive (infeasible)."""
-    if not 0.0 < theta < 1.0:
-        raise ParameterError(f"theta must lie in (0,1), got {theta}")
-    if not 0.0 < gamma <= 1.0:
-        raise ParameterError(f"gamma must lie in (0,1], got {gamma}")
+    _check_theta(theta)
+    _check_gamma(gamma)
     _, a1, a2 = tail_constants(p, delta)
     c = c_constant(p)
     alpha = (1.0 - theta) * (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0) - gamma * a1

@@ -15,11 +15,12 @@ Conventions shared by every subcommand:
   * an optional --config FILE of "key = value" lines supplies defaults that
     explicit flags override; unknown keys are usage errors;
   * exit code 0 on success; 1 on usage errors, which are unknown flags and
-    config keys, flag text that does not convert to its value (a number
-    that is not finite, a word outside its choices), and any ParameterError
-    (an argument the library refuses; the library states every range) that
-    a command raises before its output opens; 2 on runtime failures such as
-    bad input files, infeasible grids and exhausted samplers.
+    config keys, flag text that does not convert to the value its
+    parameter's annotation names (a number that is not finite, a word
+    outside its Literal), and any ParameterError (an argument the library
+    refuses; the library states every range) that a command raises before
+    its output opens; 2 on runtime failures such as bad input files,
+    infeasible grids and exhausted samplers.
 
 JSON outputs carry the same leading comment lines; consumers should drop
 lines starting with '#' before parsing.
@@ -28,13 +29,16 @@ lines starting with '#' before parsing.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import contextlib
 import functools
 import inspect
 import json
 import math
 import sys
-from typing import IO, Any, Callable, Iterator
+import types
+import typing
+from typing import IO, Any, Callable, Iterator, Literal
 
 from . import __version__
 from ._text import rounded, write_csv, write_json
@@ -112,10 +116,6 @@ def _list_of(parse: Callable[[str], Any], kind: str) -> Callable[[str], tuple]:
     return parse_list
 
 
-_parse_int_list = _list_of(_parse_int, "integer")
-_parse_float_list = _list_of(_parse_float, "number")
-
-
 def _choice(*allowed: str) -> Callable[[str], str]:
     def parse(text: str) -> str:
         if text not in allowed:
@@ -125,40 +125,18 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return parse
 
 
-# Every flag of every subcommand, once, with the converter that turns its
-# text into a value.  Every range is the library's to refuse.
-_FLAGS: dict[str, Callable[[str], Any]] = {
-    "n": _parse_int,
-    "d": _parse_int,
-    "k": _parse_int,
-    "p": _parse_float,
-    "trials": _parse_int,
-    "samples": _parse_int,
-    "seed": _parse_int,
-    "threads": _parse_int,
-    "tau": _parse_float,
-    "delta": _parse_float,
-    "n-list": _parse_int_list,
-    "d-list": _parse_int_list,
-    "k-list": _parse_int_list,
-    "xi-list": _parse_float_list,
-    "p-list": _parse_float_list,
-    "deltas": _parse_float_list,
-    "thetas": _parse_float_list,
-    "gamma-fractions": _parse_float_list,
-    "epsilon-gaps": _parse_float_list,
-    "xi1s": _parse_float_list,
-    "xi2s": _parse_float_list,
-    "graph": str,
-    "vector": str,
-    "out": str,
-    "ordering": str,
-    "source": str,
-    # words only a command of this module branches on
-    "matrix": _choice("adjacency", "laplacian"),
-    "kind": _choice("weak", "strong"),
-    "format": _choice("csv", "json"),
-}
+def _converter(hint: Any) -> Callable[[str], Any]:
+    """The converter of flag text to a parameter annotated hint, which may
+    add "| None"; every range is the library's to refuse."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Literal:
+        return _choice(*args)
+    if origin in (typing.Union, types.UnionType):
+        (value,) = [a for a in args if a is not type(None)]
+        return _converter(value)
+    if origin in (tuple, collections.abc.Sequence):
+        return _list_of(_converter(args[0]), {int: "integer", float: "number"}[args[0]])
+    return {int: _parse_int, float: _parse_float, str: str}[hint]
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -233,19 +211,21 @@ def _read_vector(path: str, n: int):
 
 
 # ---------------------------------------------------------------- commands
-# A command is a function whose parameters are its flags ("_" for "-") and
-# whose defaults are theirs; a parameter without a default is a required
-# flag.  It computes its result and returns the configuration its output
-# echoes and a writer of its body; main opens the output after that, at
-# --out, the one flag every command has beyond its function's.  Library
+# A command is a function whose parameters are its flags ("_" for "-"),
+# whose defaults are theirs and whose annotations give their converters, a
+# Literal the words it branches on; a parameter without a default is a
+# required flag.  It computes its result and returns the configuration its
+# output echoes and a writer of its body; main opens the output after that,
+# at --out, the one flag every command has beyond its function's.  Library
 # functions are looked up as module globals when a command runs, never
 # bound in a default or a closure, so perfbench's tracer can wrap them.
 _Writer = Callable[[IO[str]], None]
 _Result = tuple[dict[str, Any], _Writer]
 _Floats = tuple[float, ...]
+_Format = Literal["csv", "json"]
 
 
-def _records(records: dict[str, Any] | list[dict[str, Any]], fmt: str) -> _Writer:
+def _records(records: dict[str, Any] | list[dict[str, Any]], fmt: _Format) -> _Writer:
     """A writer of one record, or a list of records with the same keys: as
     JSON, floats rounded, or as CSV, a header of the keys and one row of
     values per record, floats to 17 significant digits."""
@@ -265,8 +245,8 @@ def _gen_regular(n: int, d: int, seed: int = 0) -> _Result:
     return {"n": n, "d": d, "seed": seed}, functools.partial(write_graph, g)
 
 
-def _spectrum(graph: str, matrix: str = "adjacency", ordering: str | None = None,
-              format: str = "csv") -> _Result:
+def _spectrum(graph: str, matrix: Literal["adjacency", "laplacian"] = "adjacency",
+              ordering: str | None = None, format: _Format = "csv") -> _Result:
     g = read_graph(graph)
     build = adjacency_matrix if matrix == "adjacency" else laplacian_matrix
     if ordering is None:
@@ -290,8 +270,8 @@ def _signed_input(graph: str, vector: str, tau: float | None):
     return g, SignedFunction.from_values(_read_vector(vector, g.n), tau)
 
 
-def _domains(graph: str, vector: str, kind: str = "weak", tau: float | None = None,
-             format: str = "csv") -> _Result:
+def _domains(graph: str, vector: str, kind: Literal["weak", "strong"] = "weak",
+             tau: float | None = None, format: _Format = "csv") -> _Result:
     g, f = _signed_input(graph, vector, tau)
     part = (weak_nodal_domains if kind == "weak" else strong_nodal_domains)(g, f)
     config = {"graph": graph, "vector": vector, "kind": kind, "tau": tau}
@@ -300,7 +280,8 @@ def _domains(graph: str, vector: str, kind: str = "weak", tau: float | None = No
     return config, functools.partial(write_json, domains_dict(part))
 
 
-def _summary(graph: str, vector: str, tau: float | None = None, format: str = "json") -> _Result:
+def _summary(graph: str, vector: str, tau: float | None = None,
+             format: _Format = "json") -> _Result:
     summary = nodal_summary(*_signed_input(graph, vector, tau))
     config = {"graph": graph, "vector": vector, "tau": tau}
     return config, _records(dict(sorted(summary_dict(summary).items())), format)
@@ -325,30 +306,33 @@ def _probabilities(p: float, p_list: _Floats | None) -> _Floats:
     return (p,) if p_list is None else p_list
 
 
-def _constants(p: float = 0.5, p_list: _Floats | None = None, deltas: _Floats | None = None,
-               thetas: _Floats | None = None, gamma_fractions: _Floats | None = None,
-               epsilon_gaps: _Floats | None = None, xi1s: _Floats | None = None,
-               xi2s: _Floats | None = None, format: str = "csv") -> _Result:
+def _constants(p: float = 0.5, p_list: _Floats | None = None,
+               deltas: _Floats = GridSpec.deltas, thetas: _Floats = GridSpec.thetas,
+               gamma_fractions: _Floats = GridSpec.gamma_fractions,
+               epsilon_gaps: _Floats = GridSpec.epsilon_gaps, xi1s: _Floats = GridSpec.xi1s,
+               xi2s: _Floats = GridSpec.xi2s, format: _Format = "csv") -> _Result:
     ps = _probabilities(p, p_list)
-    ranges = {"deltas": deltas, "thetas": thetas, "gamma_fractions": gamma_fractions,
-              "epsilon_gaps": epsilon_gaps, "xi1s": xi1s, "xi2s": xi2s}
-    grid = GridSpec(**{name: v for name, v in ranges.items() if v is not None})
+    grid = GridSpec(deltas, thetas, gamma_fractions, epsilon_gaps, xi1s, xi2s)
     rows = [_constants_row(exceptional_bound_k(q, grid)) for q in ps]
     config = {"p_list": list(ps), **{name: list(v) for name, v in vars(grid).items()}}
     return config, _records(rows, format)
 
 
-def _kp(p: float = 0.5, p_list: _Floats | None = None, format: str = "csv") -> _Result:
+def _kp(p: float = 0.5, p_list: _Floats | None = None, format: _Format = "csv") -> _Result:
     ps = _probabilities(p, p_list)
     return {"p_list": list(ps)}, _records([{"p": q, "kp": kp_formula(q)} for q in ps], format)
 
 
-def _flags(fn: Callable[..., Any], **extra: Any) -> dict[str, Any]:
-    """A command's flags, name -> default: one per parameter of fn, its
-    default or inspect.Parameter.empty when it has none, then extra, then
-    --out."""
-    params = inspect.signature(fn).parameters.values()
-    return {**{p.name.replace("_", "-"): p.default for p in params}, **extra, "out": None}
+def _flags(*fns: Callable[..., Any]) -> dict[str, tuple[Any, Callable[[str], Any]]]:
+    """A command's flags, name -> (default, converter): one per named
+    parameter of each fn in turn, its default (inspect.Parameter.empty if
+    none) and its annotation's converter, then --out."""
+    flags = {}
+    for fn in fns:
+        for p in inspect.signature(fn, eval_str=True).parameters.values():
+            if p.kind is not p.VAR_KEYWORD:
+                flags[p.name.replace("_", "-")] = (p.default, _converter(p.annotation))
+    return {**flags, "out": (None, str)}
 
 
 def _command(text: str, run: Callable[..., _Result]) -> dict[str, Any]:
@@ -357,14 +341,14 @@ def _command(text: str, run: Callable[..., _Result]) -> dict[str, Any]:
 
 
 def _experiment_command(text: str, runner: Callable[..., ExperimentReport]) -> dict[str, Any]:
-    """An exp-* subcommand: the runner's flags, then --format.  run holds
-    the runner in its closure, where perfbench's tracer finds it."""
-    def run(format: str, **kwargs: Any) -> _Result:
+    """An exp-* subcommand: the runner's flags, then run's --format.  run
+    holds the runner in its closure, where perfbench's tracer finds it."""
+    def run(format: _Format = "csv", **kwargs: Any) -> _Result:
         report = runner(**kwargs)
         write = write_report_csv if format == "csv" else write_report_json
         return report.config, functools.partial(write, report)
 
-    return {"help": text, "options": _flags(runner, format="csv"), "run": run}
+    return {"help": text, "options": _flags(runner, run), "run": run}
 
 
 _COMMANDS: dict[str, dict[str, Any]] = {
@@ -438,14 +422,13 @@ def _resolve(args: argparse.Namespace, command: dict[str, Any]) -> dict[str, Any
     """Merge flags over config-file entries over defaults, converted."""
     file_entries = _read_config_file(args.config) if args.config else {}
     opts: dict[str, Any] = {}
-    for flag, default in command["options"].items():
+    for flag, (default, convert) in command["options"].items():
         dest = flag.replace("-", "_")
         raw = getattr(args, dest)
         from_file = file_entries.pop(dest, None)
-        if raw is not None:
-            opts[dest] = _FLAGS[flag](raw)
-        elif from_file is not None:
-            opts[dest] = _FLAGS[flag](from_file)
+        text = from_file if raw is None else raw
+        if text is not None:
+            opts[dest] = convert(text)
         elif default is inspect.Parameter.empty:
             raise ParameterError(f"missing required flag --{flag}")
         else:

@@ -6,7 +6,7 @@ trials never perturbs earlier ones, and reruns are reproducible bit for bit.
 Each run_* states its arguments, one trial and a summary of the trials;
 _experiment does the rest for all of them: the resolved config (the
 runner's own arguments), a check of the arguments runners share (vertex
-counts, trial and thread counts, tau) before the first trial, the trial
+counts, trial and thread counts, tau, p) before the first trial, the trial
 fan-out, per value of a swept list argument where there is one, and the
 report.  Each runner computes what needs no sample, and refuses what it
 cannot use, before it calls _experiment.  Every refusal is a
@@ -46,6 +46,7 @@ from .graph_core import (
     MAX_VERTICES,
     Graph,
     ParameterError,
+    _check_edge_probability,
     _check_vertex_count,
     adjacency_matrix,
     check_regular,
@@ -112,10 +113,10 @@ def _experiment(
     args is the runner's locals(), taken before it binds any name but its
     normalized arguments: the config is {"experiment": name} plus every
     argument but threads, tuples as lists.  Before the first trial it
-    refuses, with a ParameterError: args["n"], args["k"] or an entry of
-    args["n_list"], where present, that the graph layer would refuse as a
-    vertex count; args[count] or args["threads"] below 1; and args["tau"],
-    where present, that the nodal layer would refuse as a zero tolerance.
+    refuses, with a ParameterError, what the layers below would refuse
+    where present: args["n"], args["k"] or an args["n_list"] entry as a
+    vertex count, args["tau"] as a zero tolerance and args["p"] as an edge
+    probability; and args[count] or args["threads"] below 1.
     args[count] trials run on args["threads"] threads.  Without a sweep,
     trial(t) runs for every trial t and summarize(results) returns the
     report's rows, extras and raw records (or None).  With sweep naming a
@@ -130,10 +131,10 @@ def _experiment(
         (key, list(value) if isinstance(value, tuple) else value)
         for key, value in args.items() if key != "threads"
     )
-    # the layers below refuse a vertex count or tau only inside a trial (an
-    # n_list entry after the sweep's earlier trials, run_tail_mc's k after
-    # asking numpy for a k-by-k array), and a count or thread number below 1
-    # not at all
+    # the layers below refuse a vertex count, tau or p only inside a trial
+    # (an n_list entry after the sweep's earlier trials, run_tail_mc's k
+    # after asking numpy for a k-by-k array, p once the trials have started),
+    # and a count or thread number below 1 not at all
     for key in ("n", "k"):
         if key in args:
             _check_vertex_count(args[key])
@@ -144,6 +145,8 @@ def _experiment(
             raise ParameterError(f"{key} must be >= 1, got {args[key]}")
     if "tau" in args:
         _zero_tolerance(np.zeros(0), args["tau"])
+    if "p" in args:
+        _check_edge_probability(args["p"])
     trials, threads = args[count], args["threads"]
     if sweep is None:
         return ExperimentReport(config, columns, *summarize(_run_trials(trial, trials, threads)))

@@ -120,9 +120,7 @@ class RngStream:
         label_key = int.from_bytes(
             hashlib.blake2b(self.label.encode("utf-8"), digest_size=8).digest(), "big"
         )
-        seq = np.random.SeedSequence(
-            entropy=self.seed % (1 << 64), spawn_key=(label_key, self.index)
-        )
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(label_key, self.index))
         return np.random.Generator(np.random.Philox(seq))
 
 
@@ -193,6 +191,11 @@ def _check_vertex_count(n: int) -> None:
         raise ParameterError(f"vertex count must be positive, got {n}")
     if n > MAX_VERTICES:
         raise ParameterError(f"vertex count must be at most {MAX_VERTICES}, got {n}")
+
+
+def _check_edge_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"edge probability must lie in [0,1], got {p}")
 
 
 class _EdgeError(ValueError):
@@ -392,8 +395,7 @@ def sample_gnp(n: int, p: float, rng: RngStream) -> Graph:
     graph deterministically.
     """
     _check_vertex_count(n)
-    if not 0.0 <= p <= 1.0:
-        raise ParameterError(f"edge probability must lie in [0,1], got {p}")
+    _check_edge_probability(p)
     gen = rng.generator()
     # the pairs (u, v), u < v, in row-major order: (u, v) is number
     # start[u] + v - u - 1, and its coin is that draw of the stream

@@ -484,6 +484,51 @@ def test_experiment_flags_default_as_their_runner(command):
             cli._resolve(cli._parse_args([command, *missing]), cli._COMMANDS[command])
 
 
+# every flag's kind, as its converter reads its text: a list is comma-separated,
+# and a tuple of words is a choice among them
+INT, FLOAT, INTS, FLOATS, TEXT = "integer", "number", "integer list", "number list", "text"
+FLAG_KINDS = {
+    "n": INT, "d": INT, "k": INT, "trials": INT, "samples": INT, "seed": INT, "threads": INT,
+    "p": FLOAT, "tau": FLOAT, "delta": FLOAT,
+    "n-list": INTS, "d-list": INTS, "k-list": INTS,
+    "p-list": FLOATS, "xi-list": FLOATS, "deltas": FLOATS, "thetas": FLOATS,
+    "gamma-fractions": FLOATS, "epsilon-gaps": FLOATS, "xi1s": FLOATS, "xi2s": FLOATS,
+    "graph": TEXT, "vector": TEXT, "out": TEXT, "ordering": TEXT, "source": TEXT,
+    "matrix": ("adjacency", "laplacian"), "kind": ("weak", "strong"), "format": ("csv", "json"),
+}
+# kind -> (a good text, its value, a bad text or None, the bad text's error)
+CONVERSIONS = {
+    INT: ("7", 7, "1.5", "expected an integer, got '1.5'"),
+    FLOAT: ("0.25", 0.25, "inf", "expected a finite number, got 'inf'"),
+    INTS: ("3, 4", (3, 4), ",", "expected a comma-separated integer list, got ','"),
+    FLOATS: ("0.5,1", (0.5, 1.0), ",", "expected a comma-separated number list, got ','"),
+    TEXT: ("x.txt", "x.txt", None, None),
+}
+
+
+def test_every_flag_converts_by_its_kind(tmp_path, capsys):
+    assert {flag for c in cli._COMMANDS.values() for flag in c["options"]} == set(FLAG_KINDS)
+    cfg = tmp_path / "flag.cfg"
+    for command, spec in cli._COMMANDS.items():
+        required = DECLARED[command][1]
+        for flag in spec["options"]:
+            kind = FLAG_KINDS[flag]
+            good, value, bad, message = CONVERSIONS[kind] if kind in CONVERSIONS else (
+                kind[-1], kind[-1], "bogus", f"expected one of {', '.join(kind)}, got 'bogus'")
+            # the flag's own required value, if any, goes: --config must supply it
+            i = required.index(f"--{flag}") if f"--{flag}" in required else len(required)
+            others = required[:i] + required[i + 2:]
+            for text in (good, bad) if bad is not None else (good,):
+                cfg.write_text(f"{flag} = {text}\n", encoding="utf-8")
+                for argv in ([command, *others, f"--{flag}", text],
+                             [command, *others, "--config", str(cfg)]):
+                    if text == good:
+                        opts = cli._resolve(cli._parse_args(argv), spec)
+                        assert repr(opts[flag.replace("-", "_")]) == repr(value), argv
+                    else:
+                        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
 def test_experiment_config_echo_is_the_report_config(command, capsys):
     runner, argv, kwargs, expected = EXPERIMENTS[command]

@@ -144,6 +144,9 @@ def test_arguments_are_refused_before_the_first_trial(monkeypatch):
         if "tau" in inspect.signature(runner).parameters:
             cases.append((functools.partial(runner, tau=-1.0),
                           r"zero tolerance must be nonnegative, got -1\.0"))
+        if runner not in (run_fig1, run_tail_mc):  # the six G(n,p) runners
+            cases.append((functools.partial(runner, p=2.0),
+                          r"edge probability must lie in \[0,1\], got 2\.0"))
     for call, message in cases:
         with pytest.raises(ParameterError, match=f"^{message}$"):
             call()

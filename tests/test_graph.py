@@ -156,8 +156,10 @@ def test_rng_stream_separation():
     base = [substream(77, "trial", i).generator().random(4).tobytes() for i in range(100)]
     assert len(set(base)) == 100
     assert substream(77, "other", 0).generator().random(4).tobytes() != base[0]
-    # different seeds differ too
+    # different seeds differ too, also those that agree modulo 2^64
     assert substream(78, "trial", 0).generator().random(4).tobytes() != base[0]
+    zero = substream(0, "trial", 0).generator().random(4).tobytes()
+    assert substream(2**64, "trial", 0).generator().random(4).tobytes() != zero
 
 
 def test_matrices_match_graph():
