@@ -2,9 +2,9 @@
 
 Samplers for G(n,p), random regular graphs and centered Bernoulli matrices;
 dense symmetric eigendecomposition with fixed ordering and sign conventions;
-weak/strong nodal domain computation with a brute-force oracle; closed-form
-evaluation of the explicit tail-bound constants and the exceptional-vertex
-bound k; and a seeded, thread-count-independent Monte-Carlo harness.
+weak/strong nodal domain computation; closed-form evaluation of the explicit
+tail-bound constants and the exceptional-vertex bound k; and a seeded,
+thread-count-independent Monte-Carlo harness.
 
 The package exports every module's public names, each declared once, in
 its module's __all__.

@@ -13,7 +13,9 @@ Conventions shared by every subcommand:
     and --out, in every spelling the parser accepts, are scrubbed from the
     echoed argv because they never affect results;
   * an optional --config FILE of "key = value" lines supplies defaults that
-    explicit flags override; unknown keys are usage errors;
+    explicit flags override; unknown keys are usage errors.  In it, as in a
+    --vector file, a comment starts at a '#' that begins the line or
+    follows whitespace, so "graph = g#1.txt" names the file g#1.txt;
   * exit code 0 on success; 1 on usage errors, which are unknown flags and
     config keys, flag text that does not convert to the value its
     parameter's annotation names (a number that is not finite, a word
@@ -35,6 +37,7 @@ import functools
 import inspect
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -139,6 +142,12 @@ def _converter(hint: Any) -> Callable[[str], Any]:
     return {int: _parse_int, float: _parse_float, str: str}[hint]
 
 
+def _uncommented(line: str) -> str:
+    """line stripped, without its comment: one starts at a '#' that begins
+    the line or follows whitespace, so a '#' inside a value is kept."""
+    return re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,7 +156,7 @@ def _read_config_file(path: str) -> dict[str, str]:
         raise ParameterError(f"cannot read config file {path}: {exc}") from None
     entries: dict[str, str] = {}
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _uncommented(line)
         if not stripped:
             continue
         if "=" not in stripped:
@@ -198,7 +207,7 @@ def _read_vector(path: str, n: int):
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            stripped = _uncommented(line)
             if not stripped:
                 continue
             try:
@@ -216,9 +225,11 @@ def _read_vector(path: str, n: int):
 # Literal the words it branches on; a parameter without a default is a
 # required flag.  It computes its result and returns the configuration its
 # output echoes and a writer of its body; main opens the output after that,
-# at --out, the one flag every command has beyond its function's.  Library
-# functions are looked up as module globals when a command runs, never
-# bound in a default or a closure, so perfbench's tracer can wrap them.
+# at --out, the one flag every command has beyond its function's.  A
+# command looks library functions up as module globals when it runs, and
+# an exp-* command's run holds its runner in a closure cell; none is bound
+# in a default.  perfbench's tracer wraps the functions at both kinds of
+# site.
 _Writer = Callable[[IO[str]], None]
 _Result = tuple[dict[str, Any], _Writer]
 _Floats = tuple[float, ...]

@@ -1,10 +1,10 @@
 """Graph data type, connected components, random samplers, and edge-list I/O.
 
 A Graph on vertices 0..n-1 is two read-only int64 arrays u < v, one entry
-per edge, sorted by (u, v).  The samplers and read_graph hand them in; the
-matrix builders, degrees, write_graph and the labeler read them; the tuple
-views edges and adjacency are derived on demand.  write_graph formats the
-ids with the spectrum CSV's array formatter (_text), '%d' byte for byte.
+per edge, sorted by (u, v), and they are the graph's one representation.
+The samplers and read_graph hand them in; the matrix builders, degrees,
+write_graph and the labeler read them.  write_graph formats the ids with
+the spectrum CSV's array formatter (_text), '%d' byte for byte.
 Graph.from_edges and read_graph share one vectorized edge check: per pair,
 in this order, no self-loop, both ends in range, u < v, and no repeat, found
 by sorting the keys u*n + v and comparing neighbours; keys that already
@@ -167,20 +167,8 @@ class Graph:
                 and np.array_equal(self.v, other.v))
 
     @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.u.tolist(), self.v.tolist()))
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuple of every vertex."""
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in adjacency_matrix(self))
-
-    @property
     def num_edges(self) -> int:
         return int(self.u.size)
-
-    def degree(self, v: int) -> int:
-        return int(self.degrees()[v])
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.u, minlength=self.n) + np.bincount(self.v, minlength=self.n)

@@ -9,7 +9,8 @@ Maximality has one subtle consequence for weak domains.  A connected block
 of zero vertices that touches any strictly signed vertex is absorbed by that
 side's domain and is not itself maximal, so the only sign-0 weak domains are
 entire connected components of G on which f vanishes identically.  The
-brute-force oracle below enumerates maximal sets directly and pins this down.
+tests pin this down against a brute-force oracle that enumerates maximal
+sets directly.
 
 The census and the weak lists read one labeling, _sign_labels: one pass of
 the graph_core labeler over a stack of class rows names each component by
@@ -47,6 +48,7 @@ from .graph_core import Graph, ParameterError, _components, _labeler
 
 # connected_components is not called here; perfbench's tracer test still
 # looks the name up in this module, so it stays bound until that test moves
+# to a binding the code calls (ROADMAP item 1)
 from .graph_core import connected_components  # noqa: F401
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "NodalCensus",
     "NodalSummary",
     "SignedFunction",
-    "brute_force_domains",
     "domains_dict",
     "nodal_census",
     "nodal_summary",
@@ -67,8 +68,6 @@ __all__ = [
 
 # default zero tolerance = DEFAULT_TAU_SCALE * ||f||_inf
 DEFAULT_TAU_SCALE = 1e-9
-
-BRUTE_FORCE_LIMIT = 20
 
 _SIGN_LABEL = {1: "+", -1: "-", 0: "0"}
 
@@ -173,57 +172,6 @@ def strong_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
         (comp, sign) for sign in (1, -1)
         for comp in _components(np.where(f.signs == sign, row, g.n))
     ])
-
-
-def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartition:
-    """Oracle: enumerate every connected vertex subset, filter by the domain
-    condition, and keep the maximal ones under inclusion.  Refuses n > 20."""
-    _check_lengths(g, f)
-    if kind not in ("weak", "strong"):
-        raise ParameterError(f"kind must be 'weak' or 'strong', got {kind!r}")
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={g.n}")
-    signs = f.signs
-    nbr_mask = [0] * g.n
-    for a, b in zip(g.u.tolist(), g.v.tolist()):
-        nbr_mask[a] |= 1 << b
-        nbr_mask[b] |= 1 << a
-
-    def is_connected(subset: int) -> bool:
-        start = subset & -subset
-        reached = start
-        frontier = start
-        while frontier:
-            grown = reached
-            v_bits = frontier
-            while v_bits:
-                bit = v_bits & -v_bits
-                grown |= nbr_mask[bit.bit_length() - 1] & subset
-                v_bits ^= bit
-            frontier = grown & ~reached
-            reached = grown
-        return reached == subset
-
-    def sign_ok(members: list[int]) -> bool:
-        s = {int(signs[v]) for v in members}
-        if kind == "weak":
-            return not (1 in s and -1 in s)
-        return s == {1} or s == {-1}
-
-    valid: list[int] = []
-    for subset in range(1, 1 << g.n):
-        members = [v for v in range(g.n) if subset >> v & 1]
-        if sign_ok(members) and is_connected(subset):
-            valid.append(subset)
-    raw = []
-    for s in valid:
-        if any(t != s and t & s == s for t in valid):
-            continue
-        members = [v for v in range(g.n) if s >> v & 1]
-        present = {int(signs[v]) for v in members}
-        sign = 1 if 1 in present else (-1 if -1 in present else 0)
-        raw.append((members, sign))
-    return _canonical(kind, raw)
 
 
 @dataclass(frozen=True)

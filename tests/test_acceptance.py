@@ -33,7 +33,6 @@ from graphnodal import (
     Graph,
     SignedFunction,
     adjacency_matrix,
-    brute_force_domains,
     eigendecompose,
     exceptional_bound_k,
     laplacian_matrix,
@@ -54,6 +53,7 @@ from graphnodal.experiments import (
     run_tail_mc,
     write_report_csv,
 )
+from nodal_reference import brute_force_domains
 
 
 def check(num: int, condition: bool, detail: str) -> None:

@@ -158,13 +158,28 @@ def test_vector_files_skip_comment_lines_and_name_a_bad_one(tmp_path, capsys):
     gpath, vpath = write_path_graph(tmp_path)
     code, plain, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", vpath)
     commented = tmp_path / "commented.csv"
-    commented.write_text("# f\n1\n  # between\n0\n-1\n", encoding="utf-8")
+    # a comment starts at a '#' that begins the line or follows whitespace
+    commented.write_text("# f\n1 # one\n  # between\n0\t# zero\n-1\n", encoding="utf-8")
     code2, out, _ = run_cli(capsys, "summary", "--graph", gpath, "--vector", str(commented))
     assert code == code2 == 0 and body_lines(out) == body_lines(plain)
     bad = tmp_path / "bad.csv"
-    bad.write_text("1\nx\n-1\n", encoding="utf-8")
-    assert run_cli(capsys, "summary", "--graph", gpath, "--vector", str(bad)) == (
-        2, "", f"error: {bad}:2: not a number: 'x'\n")
+    for text, lineno, cell in [("1\nx\n-1\n", 2, "x"), ("1#x\n0\n-1\n", 1, "1#x")]:
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli(capsys, "summary", "--graph", gpath, "--vector", str(bad)) == (
+            2, "", f"error: {bad}:{lineno}: not a number: '{cell}'\n")
+
+
+def test_a_hash_inside_a_config_value_belongs_to_the_value(tmp_path, capsys):
+    graph = tmp_path / "g#1.txt"
+    graph.write_text("3 2\n0 1\n1 2\n", encoding="utf-8")
+    cfg = tmp_path / "hash.cfg"
+    cfg.write_text(f"graph = {graph}  # hash in a value\n", encoding="utf-8")
+    code, from_cfg, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+    code2, from_flag, _ = run_cli(capsys, "spectrum", "--graph", str(graph))
+    assert code == code2 == 0 and from_cfg.splitlines()[1:] == from_flag.splitlines()[1:]
+    cfg.write_text("n = 5\np = 0.5\nseed = 5#x\n", encoding="utf-8")
+    assert run_cli(capsys, "gen-gnp", "--config", str(cfg)) == (
+        1, "", "error: expected an integer, got '5#x'\n")
 
 
 def test_flag_text_and_config_files_that_cannot_be_read(tmp_path, capsys):
@@ -328,7 +343,8 @@ def test_constants_and_kp_csv_floats_use_17_significant_digits(capsys):
 
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 18\ntrials = 5\nseed = 9\n# comment line\n", encoding="utf-8")
+    cfg.write_text("n = 18  # note\n  # indented\ntrials = 5\nseed = 9\n# comment line\n",
+                   encoding="utf-8")
     code, from_cfg, _ = run_cli(capsys, "exp-gnp", "--config", str(cfg))
     assert code == 0
     code, from_flags, _ = run_cli(

@@ -36,6 +36,7 @@ from graphnodal.experiments import (
     write_report_csv,
     write_report_json,
 )
+from nodal_reference import neighbour_lists
 
 
 def csv_of(report):
@@ -285,7 +286,7 @@ def test_neighborhood_fact_matches_neighbour_sets():
     unions = {k: [] for k in k_list}
     inters = {k: [] for k in k_list}
     for t in range(trials):
-        adjacency = sample_gnp(n, p, substream(seed, "fact", t)).adjacency
+        adjacency = neighbour_lists(sample_gnp(n, p, substream(seed, "fact", t)))
         gen = substream(seed, "fact-tuples", t).generator()
         for k in k_list:
             hoods = [set(adjacency[x]) for x in gen.choice(n, size=k, replace=False).tolist()]

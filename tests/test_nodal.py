@@ -13,7 +13,6 @@ from graphnodal import (
     Graph,
     SignedFunction,
     adjacency_matrix,
-    brute_force_domains,
     connected_components,
     eigendecompose,
     laplacian_matrix,
@@ -29,6 +28,8 @@ from graphnodal import graph_core, nodal
 from graphnodal._text import write_json
 from graphnodal.nodal import summary_dict, write_domains_csv
 from nodal_reference import (
+    brute_force_domains,
+    neighbour_lists,
     reference_nodal_summary,
     reference_strong_domains,
     reference_weak_domains,
@@ -221,6 +222,8 @@ def test_brute_force_guards():
         brute_force_domains(g, sf([1.0, 0.0, -1.0]), "medium")
     with pytest.raises(ValueError):
         brute_force_domains(path(21), sf([1.0] * 21), "weak")
+    with pytest.raises(ValueError, match="^function length 2 != vertex count 3$"):
+        brute_force_domains(g, sf([1.0, 2.0]), "weak")
 
 
 def random_instance(gen, max_n=8):
@@ -263,10 +266,11 @@ def test_randomized_invariants():
 
         # sign-0 weak domains only arise as fully zero components: no
         # neighbor of such a domain carries a strict sign
+        nbrs = neighbour_lists(g)
         for verts, sign in weak.domains:
             if sign == 0:
                 for v in verts:
-                    assert all(f.signs[w] == 0 for w in g.adjacency[v])
+                    assert all(f.signs[w] == 0 for w in nbrs[v])
 
         # flipping f negates domain signs but keeps the vertex sets
         flipped = sf((-f.values).tolist())
