@@ -70,7 +70,6 @@ from .graph_core import (
     write_graph,
 )
 from .nodal import (
-    SignedFunction,
     domains_dict,
     nodal_summary,
     strong_nodal_domains,
@@ -276,15 +275,15 @@ def _spectrum(graph: str, matrix: Literal["adjacency", "laplacian"] = "adjacency
     })
 
 
-def _signed_input(graph: str, vector: str, tau: float | None):
+def _graph_and_vector(graph: str, vector: str):
     g = read_graph(graph)
-    return g, SignedFunction.from_values(_read_vector(vector, g.n), tau)
+    return g, _read_vector(vector, g.n)
 
 
 def _domains(graph: str, vector: str, kind: Literal["weak", "strong"] = "weak",
              tau: float | None = None, format: _Format = "csv") -> _Result:
-    g, f = _signed_input(graph, vector, tau)
-    part = (weak_nodal_domains if kind == "weak" else strong_nodal_domains)(g, f)
+    part = (weak_nodal_domains if kind == "weak" else strong_nodal_domains)(
+        *_graph_and_vector(graph, vector), tau)
     config = {"graph": graph, "vector": vector, "kind": kind, "tau": tau}
     if format == "csv":
         return config, functools.partial(write_domains_csv, part)
@@ -293,7 +292,7 @@ def _domains(graph: str, vector: str, kind: Literal["weak", "strong"] = "weak",
 
 def _summary(graph: str, vector: str, tau: float | None = None,
              format: _Format = "json") -> _Result:
-    summary = nodal_summary(*_signed_input(graph, vector, tau))
+    summary = nodal_summary(*_graph_and_vector(graph, vector), tau)
     config = {"graph": graph, "vector": vector, "tau": tau}
     return config, _records(dict(sorted(summary_dict(summary).items())), format)
 

@@ -59,7 +59,6 @@ from .graph_core import (
 )
 from .nodal import (
     NodalCensus,
-    SignedFunction,
     _zero_tolerance,
     nodal_census,
     weak_nodal_domains,
@@ -259,7 +258,7 @@ def run_fig2(
     def trial(n: int, t: int) -> int:
         g = sample_gnp(n, p, substream(seed, f"fig2-n{n}", t))
         spectrum = eigendecompose(laplacian_matrix(g), "ascending")
-        return weak_nodal_domains(g, SignedFunction.from_values(spectrum.vector(n - 1), tau)).count
+        return weak_nodal_domains(g, spectrum.vector(n - 1), tau).count
 
     def summarize(n: int, counts: list[int]):
         extras = {"count_histogram": _histogram(counts)}

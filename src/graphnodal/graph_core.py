@@ -14,7 +14,8 @@ reported.  The samplers skip it: their arrays hold the invariants by
 construction.  Every constructor refuses n above MAX_VERTICES, where
 those int64 keys would wrap.
 
-connected_components and the nodal layer share one labeler.  It takes a
+connected_components and the nodal layer share one labeler, and the nodal
+census reads connectivity from connected_components.  The labeler takes a
 stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
 vertices of one nonzero class, and names each component by its smallest
 vertex: a sign row labels its positive and negative components in one row,

@@ -4,6 +4,10 @@ A weak nodal domain of (G, f) is a maximal connected vertex set on which f
 takes no two strictly opposite signs (f(x) f(y) >= 0 pairwise); a strong
 domain is a maximal connected set on which f keeps one strict sign.  Signs
 are taken relative to a zero tolerance tau: sign(v) = 0 iff |f(v)| <= tau.
+Every entry point takes the values and tau themselves, a length-n vector or,
+for nodal_census, an n-by-k matrix, and signs them in _sign_rows; tau=None
+takes DEFAULT_TAU_SCALE times each column's sup norm, and tau=0 keeps exact
+signs for rational test inputs.
 
 Maximality has one subtle consequence for weak domains.  A connected block
 of zero vertices that touches any strictly signed vertex is absorbed by that
@@ -18,8 +22,8 @@ its smallest vertex, its root, where an edge joins two vertices of one
 nonzero class.  The stack holds k + 2z class rows: the sign row of each of
 the k columns, which names its positive and its negative components at
 once, and the masks sign >= 0 and sign <= 0 only for the z columns with a
-zero (in the others they are the strict masks).  nodal_census labels
-connectivity once, in one all-true row of its own.  The weak domains are
+zero (in the others they are the strict masks).  nodal_census takes
+connectivity from graph_core.connected_components.  The weak domains are
 read off component sizes, tallied once for the sign rows and, for the weak
 masks and their zeros, only in the z rows, as a list of (row, root) pairs:
 for an eigenvector of G(n,p) about two per row, by the paper's theorem.
@@ -44,19 +48,13 @@ from typing import IO, Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._text import write_csv
-from .graph_core import Graph, ParameterError, _components, _labeler
-
-# connected_components is not called here; perfbench's tracer test still
-# looks the name up in this module, so it stays bound until that test moves
-# to a binding the code calls (ROADMAP item 1)
-from .graph_core import connected_components  # noqa: F401
+from .graph_core import Graph, ParameterError, _components, _labeler, connected_components
 
 __all__ = [
     "DEFAULT_TAU_SCALE",
     "DomainPartition",
     "NodalCensus",
     "NodalSummary",
-    "SignedFunction",
     "domains_dict",
     "nodal_census",
     "nodal_summary",
@@ -86,39 +84,18 @@ def _zero_tolerance(values: np.ndarray, tau: float | None):
     return tau
 
 
-def _signs(values: np.ndarray, tau) -> np.ndarray:
-    """sign(values) as int8, with 0 wherever |values| <= tau."""
-    return (values > tau).view(np.int8) - (values < -tau).view(np.int8)
-
-
-@dataclass(frozen=True, eq=False)
-class SignedFunction:
-    """Real vertex function with a zero tolerance and derived signs.
-
-    signs[v] is +1, -1 or 0 with 0 exactly when |values[v]| <= tau.  Use
-    from_values; tau=None picks the floating-point default, tau=0 keeps
-    exact signs for rational test inputs.
-    """
-
-    values: np.ndarray
-    tau: float
-    signs: np.ndarray
-
-    @classmethod
-    def from_values(
-        cls, values: Sequence[float] | np.ndarray, tau: float | None = None
-    ) -> "SignedFunction":
-        vals = np.asarray(values, dtype=np.float64).copy()
-        if vals.ndim != 1:
-            raise ValueError(f"expected a flat value array, got shape {vals.shape}")
-        tau = float(_zero_tolerance(vals, tau))
-        signs = _signs(vals, tau)
-        vals.flags.writeable = False
-        signs.flags.writeable = False
-        return cls(values=vals, tau=tau, signs=signs)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
+def _sign_rows(g: Graph, values: Sequence[float] | np.ndarray, tau: float | None,
+               ndim: int) -> np.ndarray:
+    """The (k, n) int8 sign stack of a length-n vector (ndim 1, k = 1) or of
+    the k columns of an n-by-k matrix (ndim 2): sign(values), with 0 wherever
+    |values| <= the column's zero tolerance (see _zero_tolerance)."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.ndim != ndim or vals.shape[0] != g.n:
+        shape = "a length-n vector" if ndim == 1 else "an n-by-k matrix"
+        raise ValueError(f"expected {shape} with n={g.n}, got shape {vals.shape}")
+    tol = _zero_tolerance(vals, tau)
+    signs = (vals > tol).view(np.int8) - (vals < -tol).view(np.int8)
+    return signs.reshape(g.n, -1).T
 
 
 @dataclass(frozen=True)
@@ -138,21 +115,17 @@ class DomainPartition:
         return len(self.domains)
 
 
-def _check_lengths(g: Graph, f: SignedFunction) -> None:
-    if len(f) != g.n:
-        raise ValueError(f"function length {len(f)} != vertex count {g.n}")
-
-
 def _canonical(kind: str, raw: list[tuple[list[int], int]]) -> DomainPartition:
     domains = tuple(sorted((tuple(verts), sign) for verts, sign in raw))
     return DomainPartition(kind=kind, domains=domains)
 
 
-def weak_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
-    """All maximal connected sets with no two strictly opposite signs: the
-    weak domains _sign_labels keeps, each with its sign."""
-    _check_lengths(g, f)
-    s = _sign_labels(f.signs[np.newaxis, :], _labeler(g))
+def weak_nodal_domains(g: Graph, values: Sequence[float] | np.ndarray,
+                       tau: float | None = None) -> DomainPartition:
+    """All maximal connected sets with no two strictly opposite signs of the
+    length-n vector values: the weak domains _sign_labels keeps, each with
+    its sign."""
+    s = _sign_labels(_sign_rows(g, values, tau, 1), _labeler(g))
     raw: list[tuple[list[int], int]] = []
     d = s.domains
     for side, kept, sign in ((0, d.signed > 0, 1), (1, d.signed > 0, -1), (0, d.signed == 0, 0)):
@@ -164,13 +137,15 @@ def weak_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
     return _canonical("weak", raw)
 
 
-def strong_nodal_domains(g: Graph, f: SignedFunction) -> DomainPartition:
-    """Connected components of the strictly positive and strictly negative sets."""
-    _check_lengths(g, f)
-    row = _labeler(g)(f.signs[np.newaxis, :])[0]
+def strong_nodal_domains(g: Graph, values: Sequence[float] | np.ndarray,
+                         tau: float | None = None) -> DomainPartition:
+    """Connected components of the strictly positive and strictly negative
+    sets of the length-n vector values."""
+    signs = _sign_rows(g, values, tau, 1)
+    row = _labeler(g)(signs)[0]
     return _canonical("strong", [
         (comp, sign) for sign in (1, -1)
-        for comp in _components(np.where(f.signs == sign, row, g.n))
+        for comp in _components(np.where(signs[0] == sign, row, g.n))
     ])
 
 
@@ -193,10 +168,11 @@ class NodalSummary:
     exceptional_zeros: int
 
 
-def nodal_summary(g: Graph, f: SignedFunction) -> NodalSummary:
-    """The P/N/E/Z decomposition of f: the one-column case of the census."""
-    _check_lengths(g, f)
-    signs = f.signs[np.newaxis, :]
+def nodal_summary(g: Graph, values: Sequence[float] | np.ndarray,
+                  tau: float | None = None) -> NodalSummary:
+    """The P/N/E/Z decomposition of the length-n vector values: the
+    one-column case of the census."""
+    signs = _sign_rows(g, values, tau, 1)
     s = _sign_labels(signs, _labeler(g))
     table, roots = _census(signs, s)
     weak, strong, *_, e_cap_z = table[:, 0].tolist()
@@ -206,7 +182,7 @@ def nodal_summary(g: Graph, f: SignedFunction) -> NodalSummary:
         positive_part=tuple(np.flatnonzero(in_p).tolist()),
         negative_part=tuple(np.flatnonzero(in_n).tolist()),
         exceptional=tuple(np.flatnonzero(~covered).tolist()),
-        zeros=tuple(np.flatnonzero(f.signs == 0).tolist()),
+        zeros=tuple(np.flatnonzero(signs[0] == 0).tolist()),
         weak_count=weak,
         strong_count=strong,
         exceptional_zeros=e_cap_z,
@@ -243,29 +219,29 @@ class NodalCensus:
 def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> NodalCensus:
     """Census of every column of `vectors` (shape n-by-k) on g.
 
-    Column i gets the signs SignedFunction.from_values(vectors[:, i], tau)
-    would give it, so each column's entries equal nodal_summary's.
+    Each column is signed on its own, so column i's entries equal those of
+    nodal_summary(g, vectors[:, i], tau).
     """
-    vals = np.asarray(vectors, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[0] != g.n:
-        raise ValueError(f"expected an n-by-k matrix with n={g.n}, got shape {vals.shape}")
+    signs = _sign_rows(g, vectors, tau, 2)
+    # before the census's own labeler, so that two dense adjacency matrices
+    # are never held at once
+    connected = len(connected_components(g)) == 1
     label = _labeler(g)
-    # columns go through in blocks, which bounds the working memory
+    # the label calls take the rows in blocks, which bounds their working memory
     width = max(1, _CENSUS_BLOCK_ENTRIES // g.n)
-    blocks = [vals[:, i:i + width] for i in range(0, max(1, vals.shape[1]), width)]
     table = np.concatenate([
-        _census(signs, _sign_labels(signs, label))[0]
-        for signs in (_signs(block, _zero_tolerance(block, tau)).T for block in blocks)
+        _census(block, _sign_labels(block, label))[0]
+        for block in (signs[i:i + width] for i in range(0, max(1, len(signs)), width))
     ], axis=1)
-    connected = bool((label(np.ones((1, g.n), dtype=bool)) == 0).all())
     return NodalCensus(*table, connected=connected)
 
 
-# working-memory bound: nodal_census takes at most this many (vertex,
-# column) pairs per block, and a label call at most three class rows per
-# column of its block: at n=1000, mean degree 13 and a zero in every column,
-# 48 rows over about 6400 edges, and the census allocates at most 12 MB at
-# a time.  Larger blocks pay only at large n.  Timed in a trial loop, each
+# working-memory bound: nodal_census signs the whole matrix at once, with
+# one temporary of the matrix's size (8 MB at n=1000), then labels at most
+# this many (vertex, column) pairs per block, and a label call at most three
+# class rows per column of its block: at n=1000, mean degree 13 and a zero
+# in every column, 48 rows over about 6400 edges, and the census allocates
+# at most 12 MB at a time.  Larger blocks pay only at large n.  Timed in a trial loop, each
 # census right after its eigendecompose and the three widths in turn (BLAS
 # on one thread, 2-vCPU Xeon, medians of 150, 60 and 6 trials), 1 << 14,
 # 1 << 15 and 1 << 16 took 4.4-4.6, 4.8-5.0 and 4.5-4.7 ms at n=200,

@@ -6,7 +6,8 @@ a Python BFS over neighbour lists built from the edge arrays, weak and
 strong domains composed from them, then the P and N picks by explicit
 tie-break keys.  They share no code with the array labeler in
 graphnodal.graph_core, so connected_components, the domain functions and
-the census in graphnodal.nodal must all agree with them.
+the census in graphnodal.nodal must all agree with them.  They take a sign
+vector as given; reference_signs applies the documented zero rule on its own.
 
 brute_force_domains takes no shortcut at all: it enumerates every connected
 vertex subset of a graph with at most BRUTE_FORCE_LIMIT vertices and keeps
@@ -18,9 +19,24 @@ from collections import deque
 
 import numpy as np
 
-from graphnodal import DomainPartition, Graph, NodalSummary, ParameterError, SignedFunction
+from graphnodal import (
+    DEFAULT_TAU_SCALE,
+    DomainPartition,
+    Graph,
+    NodalSummary,
+    ParameterError,
+)
 
 BRUTE_FORCE_LIMIT = 20
+
+
+def reference_signs(values, tau=None) -> np.ndarray:
+    """sign(values) with 0 wherever |values| <= tau, and tau None taken as
+    DEFAULT_TAU_SCALE times the sup norm of values."""
+    vals = np.asarray(values, dtype=np.float64)
+    if tau is None:
+        tau = DEFAULT_TAU_SCALE * np.abs(vals).max(initial=0.0)
+    return np.where(np.abs(vals) <= tau, 0, np.sign(vals)).astype(np.int8)
 
 
 def neighbour_lists(g: Graph) -> list[list[int]]:
@@ -58,8 +74,7 @@ def _partition(kind: str, raw: list[tuple[list[int], int]]) -> DomainPartition:
     return DomainPartition(kind=kind, domains=tuple(sorted((tuple(vs), s) for vs, s in raw)))
 
 
-def reference_weak_domains(g: Graph, f: SignedFunction) -> DomainPartition:
-    signs = f.signs
+def reference_weak_domains(g: Graph, signs: np.ndarray) -> DomainPartition:
     adjacency = neighbour_lists(g)
     raw: list[tuple[list[int], int]] = []
     for side in (1, -1):
@@ -72,8 +87,7 @@ def reference_weak_domains(g: Graph, f: SignedFunction) -> DomainPartition:
     return _partition("weak", raw)
 
 
-def reference_strong_domains(g: Graph, f: SignedFunction) -> DomainPartition:
-    signs = f.signs
+def reference_strong_domains(g: Graph, signs: np.ndarray) -> DomainPartition:
     raw = [
         (comp, side)
         for side in (1, -1)
@@ -82,16 +96,15 @@ def reference_strong_domains(g: Graph, f: SignedFunction) -> DomainPartition:
     return _partition("strong", raw)
 
 
-def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartition:
+def brute_force_domains(g: Graph, signs: np.ndarray, kind: str) -> DomainPartition:
     """Oracle: enumerate every connected vertex subset, filter by the domain
     condition, and keep the maximal ones under inclusion.  Refuses n > 20."""
-    if len(f) != g.n:
-        raise ValueError(f"function length {len(f)} != vertex count {g.n}")
+    if len(signs) != g.n:
+        raise ValueError(f"function length {len(signs)} != vertex count {g.n}")
     if kind not in ("weak", "strong"):
         raise ParameterError(f"kind must be 'weak' or 'strong', got {kind!r}")
     if g.n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_LIMIT}, got n={g.n}")
-    signs = f.signs
     nbr_mask = [0] * g.n
     for a, b in zip(g.u.tolist(), g.v.tolist()):
         nbr_mask[a] |= 1 << b
@@ -134,10 +147,9 @@ def brute_force_domains(g: Graph, f: SignedFunction, kind: str) -> DomainPartiti
     return _partition(kind, raw)
 
 
-def reference_nodal_summary(g: Graph, f: SignedFunction) -> NodalSummary:
-    weak = reference_weak_domains(g, f)
-    strong = reference_strong_domains(g, f)
-    signs = f.signs
+def reference_nodal_summary(g: Graph, signs: np.ndarray) -> NodalSummary:
+    weak = reference_weak_domains(g, signs)
+    strong = reference_strong_domains(g, signs)
 
     def pick(forbidden_sign: int) -> tuple[int, ...]:
         candidates = [

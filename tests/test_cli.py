@@ -26,7 +26,6 @@ from graphnodal.experiments import (
 )
 from graphnodal.graph_core import Graph, ParameterError
 from graphnodal.nodal import (
-    SignedFunction,
     nodal_summary,
     strong_nodal_domains,
     summary_dict,
@@ -267,12 +266,12 @@ def test_payload_text_follows_the_per_value_rules(tmp_path, capsys):
     gpath.write_text("6 3\n0 1\n1 2\n3 4\n", encoding="utf-8")
     vpath.write_text("1\n0\n-1\n0.5\n-0.002\n0\n", encoding="utf-8")
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-    f = SignedFunction.from_values([1.0, 0.0, -1.0, 0.5, -0.002, 0.0], 0.0)
+    f = [1.0, 0.0, -1.0, 0.5, -0.002, 0.0]
     signed = ["--graph", str(gpath), "--vector", str(vpath), "--tau", "0"]
     kp = [{"p": p, "kp": kp_formula(p)} for p in (0.1, 0.3, 0.5)]
     constants = [cli._constants_row(exceptional_bound_k(p)) for p in (0.35, 0.5)]
     assert constants[0]["reference_k"] is None and constants[1]["reference_k"] == 46
-    summary = dict(sorted(summary_dict(nodal_summary(g, f)).items()))
+    summary = dict(sorted(summary_dict(nodal_summary(g, f, 0.0)).items()))
     table = {
         ("kp", "--p-list", "0.1,0.3,0.5"): (_csv17(kp), _json10(kp)),
         ("constants", "--p-list", "0.35,0.5"): (_csv17(constants), _json10(constants)),
@@ -281,14 +280,14 @@ def test_payload_text_follows_the_per_value_rules(tmp_path, capsys):
     }
     sign = {1: "+", -1: "-", 0: "0"}
     for kind, domains in (("weak", weak_nodal_domains), ("strong", strong_nodal_domains)):
-        part = domains(g, f).domains
+        part = domains(g, f, 0.0).domains
         table["domains", *signed, "--kind", kind] = (
             "".join(f"{kind},{sign[s]},{len(v)},{';'.join(map(str, v))}\n" for v, s in part),
             json.dumps({"kind": kind, "count": len(part), "domains": [
                 {"sign": sign[s], "vertices": list(v)} for v, s in part
             ]}, indent=1, sort_keys=True) + "\n",
         )
-    assert any(s == 0 for _, s in weak_nodal_domains(g, f).domains)
+    assert any(s == 0 for _, s in weak_nodal_domains(g, f, 0.0).domains)
     for argv, bodies in table.items():
         for fmt, expected in zip(("csv", "json"), bodies):
             code, out, err = run_cli(capsys, *argv, "--format", fmt)

@@ -355,18 +355,32 @@ def test_csv_floats_use_10_significant_digits():
 
 def test_census_runners_use_no_breadth_first_search(monkeypatch):
     # exp-gnp, exp-fig1 and exp-courant take every count, connectivity
-    # included, from the array census
-    import graphnodal.graph_core
+    # included, from the array census: no per-vector domain list, and one
+    # labeler pass for connectivity per census, inside it
+    import graphnodal.experiments
     import graphnodal.nodal
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("connected_components called")
+    calls = {"nodal_census": 0, "connected_components": 0}
 
-    for module in (graphnodal.graph_core, graphnodal.nodal):
-        monkeypatch.setattr(module, "connected_components", refuse)
+    def counted(module, name):
+        call = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weak_nodal_domains called")
+
+    monkeypatch.setattr(graphnodal.experiments, "weak_nodal_domains", refuse)
+    counted(graphnodal.experiments, "nodal_census")
+    counted(graphnodal.nodal, "connected_components")
     run_gnp_scan(n=20, p=0.2, trials=2, seed=3)
     run_fig1(d_list=(3,), n=20, trials=2, seed=3)
     run_courant_report(source="gnp", n=20, p=0.2, trials=2, seed=3)
+    assert calls["nodal_census"] > 0
+    assert calls["connected_components"] == calls["nodal_census"]
 
 
 def test_sweep_raw_records_carry_swept_value_and_trial():

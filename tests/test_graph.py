@@ -3,6 +3,7 @@
 import functools
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_public_names():
     assert sorted(graphnodal.__all__) == [
         "BoundParams", "ConstantsResult", "DEFAULT_TAU_SCALE", "DomainPartition",
         "ExperimentReport", "Graph", "GraphParseError", "GridSpec", "NodalCensus",
-        "NodalSummary", "ParameterError", "RngStream", "SamplingError", "SignedFunction",
+        "NodalSummary", "ParameterError", "RngStream", "SamplingError",
         "Spectrum", "__version__", "adjacency_matrix", "alpha_beta", "binary_entropy",
         "c_constant", "check_regular", "connected_components", "domains_dict",
         "eigendecompose", "exceptional_bound_k", "feasibility", "kp_formula",
@@ -319,6 +320,17 @@ def test_public_names():
     ]
     for view in ("edges", "adjacency", "degree"):
         assert not hasattr(Graph, view)
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the README's one Python block runs, and prints what its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    said = [line.split("# ", 1)[1].split(",")[0]
+            for line in block.splitlines() if line.startswith("print(")]
+    assert printed == said
 
 
 def test_from_edges_accepts_arrays_generators_and_no_edges():
