@@ -20,18 +20,19 @@ stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
 vertices of one nonzero class, and names each component by its smallest
 vertex: a sign row labels its positive and negative components in one row,
 and a vertex mask is the one-class case.  The census labels k + 2z class
-rows for k eigenvectors, z of them with a zero coordinate, a block of
-columns at a time (see nodal).  _components turns one row of labels into
-vertex lists.  Graphs of mean degree at least DENSE_DEGREE_OVER_LOG_N * ln n
-split each row into its two sign masks and grow components from a seed's
-own adjacency row by 0/1 float32 products with the adjacency matrix, exact
-integer counts, so the labels do not depend on how BLAS splits a product;
-sparser graphs hook trees of labels to the smaller root across every live
-edge, drop the edges inside one tree, and pointer-jump only the nodes not
-yet at a root.  The class rows of all adjacency eigenvectors take 1.6-1.7
-ms to label on G(200, 1/2) and 105-111 ms on G(1000, 1/2), against 5.8-6.0
-and 270-276 ms for their eigh, and 6-8 ms on a 3-regular graph with n=300,
-against 12-15 ms (BLAS on one thread, 2-vCPU Xeon).
+rows for k eigenvectors, z of them with a zero coordinate, in one call
+(see nodal), and the labeler gives its backend a block of rows at a time.
+_components turns one row of labels into vertex lists.  Graphs of mean
+degree at least DENSE_DEGREE_OVER_LOG_N * ln n split each row into its two
+sign masks and grow components from a seed's own adjacency row by 0/1
+float32 products with the adjacency matrix, exact integer counts, so the
+labels do not depend on how BLAS splits a product; sparser graphs hook
+trees of labels to the smaller root across every live edge, drop the edges
+inside one tree, and pointer-jump only the nodes not yet at a root.  The
+class rows of all adjacency eigenvectors take 1.6-1.7 ms to label on
+G(200, 1/2) and 105-111 ms on G(1000, 1/2), against 5.8-6.0 and 270-276 ms
+for their eigh, and 6-8 ms on a 3-regular graph with n=300, against 12-15
+ms (BLAS on one thread, 2-vCPU Xeon).
 
 Samplers draw from G(n,p), from the uniform simple d-regular distribution
 (configuration model with full rejection), and from the centered Bernoulli
@@ -269,11 +270,32 @@ def _components(labels: np.ndarray) -> list[list[int]]:
 DENSE_DEGREE_OVER_LOG_N = 2.0
 
 
-def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """The labeling function, classes -> labels, for g's edge density."""
+def _backend(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """The labeler for g's edge density, classes -> labels, unblocked."""
     if 2 * g.num_edges >= DENSE_DEGREE_OVER_LOG_N * math.log(g.n) * g.n:
         return functools.partial(_labels_dense, adjacency_matrix(g, np.float32))
     return functools.partial(_labels_sparse, g.u, g.v)
+
+
+# working-memory bound: a backend call takes at most this many (row, vertex)
+# cells, max(1, _LABEL_BLOCK_CELLS // n) class rows (16 at n=1000).  Larger
+# blocks pay only at large n: a census of a zero-free spectrum (BLAS on one
+# thread, 2-vCPU Xeon) took 4.4-4.6, 4.8-5.0 and 4.5-4.7 ms at 1 << 14,
+# 1 << 15 and 1 << 16 on G(200, 1/2), 13.3-14.4, 12.9-13.8 and 14.3-15.5 ms
+# on 3-regular graphs with n=300, and 193, 149 and 126 ms on G(1000, 1/2).
+_LABEL_BLOCK_CELLS = 1 << 14
+
+
+def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
+    """classes -> labels for a stack of any height, a block of rows per backend call."""
+    backend, rows = _backend(g), max(1, _LABEL_BLOCK_CELLS // g.n)
+
+    def label(classes: np.ndarray) -> np.ndarray:
+        labels = np.empty(classes.shape, dtype=np.int64)
+        for i in range(0, len(classes), rows):
+            labels[i:i + rows] = backend(classes[i:i + rows])
+        return labels
+    return label
 
 
 # Both labelers take a (k, n) stack of vertex classes, int8 in {-1, 0, 1}

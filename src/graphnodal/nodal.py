@@ -16,7 +16,7 @@ entire connected components of G on which f vanishes identically.  The
 tests pin this down against a brute-force oracle that enumerates maximal
 sets directly.
 
-The census and the weak lists read one labeling, _sign_labels: one pass of
+The census and the weak lists read one labeling, _sign_labels: one call of
 the graph_core labeler over a stack of class rows names each component by
 its smallest vertex, its root, where an edge joins two vertices of one
 nonzero class.  The stack holds k + 2z class rows: the sign row of each of
@@ -33,11 +33,10 @@ picked among the roots, and E and E cap Z follow from root sizes, with
 vertex masks only for P cap N in the z rows.  nodal_summary is its
 one-column case.  weak_nodal_domains lists each kept component of one
 column, strong_nodal_domains each component of its sign row.  The census of
-all adjacency eigenvectors takes 0.75x the eigh of the same matrix on
-G(200, 1/2) (4.3-4.5 against 5.8-6.0 ms), 0.64x on G(1000, 1/2) (167-178
-against 270-276 ms), 0.92-0.97x on 3-regular graphs with n=300 (11-15
-against 12-15 ms) and 1.15-1.18x on 4-regular ones (14-17 against 13-15
-ms; BLAS on one thread, 2-vCPU Xeon).
+all adjacency eigenvectors took 2.4-3.1 ms against 3.7-4.8 ms for the eigh
+of G(200, 1/2), 85-97 against 173-220 ms on G(1000, 1/2), and 7.5-9.5 and
+7.9-11 ms against 8.2-11 ms on 3- and 4-regular graphs with n=300
+(quartiles; BLAS on one thread, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -77,7 +76,8 @@ def _zero_tolerance(values: np.ndarray, tau: float | None):
     if not np.isfinite(values).all():
         raise ValueError("function values must be finite")
     if tau is None:
-        return DEFAULT_TAU_SCALE * np.abs(values).max(axis=0, initial=0.0)
+        top, bottom = values.max(axis=0, initial=0.0), values.min(axis=0, initial=0.0)
+        return DEFAULT_TAU_SCALE * np.maximum(top, -bottom)  # no |values| temporary
     tau = float(tau)
     if not tau >= 0.0:
         raise ParameterError(f"zero tolerance must be nonnegative, got {tau}")
@@ -223,32 +223,10 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     nodal_summary(g, vectors[:, i], tau).
     """
     signs = _sign_rows(g, vectors, tau, 2)
-    # before the census's own labeler, so that two dense adjacency matrices
-    # are never held at once
+    # first, so that two dense adjacency matrices are never held at once
     connected = len(connected_components(g)) == 1
-    label = _labeler(g)
-    # the label calls take the rows in blocks, which bounds their working memory
-    width = max(1, _CENSUS_BLOCK_ENTRIES // g.n)
-    table = np.concatenate([
-        _census(block, _sign_labels(block, label))[0]
-        for block in (signs[i:i + width] for i in range(0, max(1, len(signs)), width))
-    ], axis=1)
+    table, _ = _census(signs, _sign_labels(signs, _labeler(g)))
     return NodalCensus(*table, connected=connected)
-
-
-# working-memory bound: nodal_census signs the whole matrix at once, with
-# one temporary of the matrix's size (8 MB at n=1000), then labels at most
-# this many (vertex, column) pairs per block, and a label call at most three
-# class rows per column of its block: at n=1000, mean degree 13 and a zero
-# in every column, 48 rows over about 6400 edges, and the census allocates
-# at most 12 MB at a time.  Larger blocks pay only at large n.  Timed in a trial loop, each
-# census right after its eigendecompose and the three widths in turn (BLAS
-# on one thread, 2-vCPU Xeon, medians of 150, 60 and 6 trials), 1 << 14,
-# 1 << 15 and 1 << 16 took 4.4-4.6, 4.8-5.0 and 4.5-4.7 ms at n=200,
-# p=1/2; 13.3-14.4, 12.9-13.8 and 14.3-15.5 ms on 3-regular graphs with
-# n=300; and 193, 149 and 126 ms at n=1000, p=1/2.  Neither larger width
-# is as fast at both smaller sizes.
-_CENSUS_BLOCK_ENTRIES = 1 << 14
 
 
 class _Domains(NamedTuple):

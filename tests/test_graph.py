@@ -1,6 +1,5 @@
 """Graph construction, samplers, RNG streams, and edge-list I/O."""
 
-import functools
 import io
 import math
 from pathlib import Path
@@ -520,19 +519,7 @@ def test_read_graph_agrees_with_line_parser_on_generated_lists():
     check_edge_list()
 
 
-@pytest.fixture(params=["dense", "sparse"])
-def labeler(request, monkeypatch):
-    """Route connected_components through one labeling backend."""
-    def forced(g):
-        if request.param == "dense":
-            dense = adjacency_matrix(g).astype(np.float32)
-            return functools.partial(graph_core._labels_dense, dense)
-        return functools.partial(graph_core._labels_sparse, g.u, g.v)
-    monkeypatch.setattr(graph_core, "_labeler", forced)
-    return request.param
-
-
-def test_connected_components_hand_cases(labeler):
+def test_connected_components_hand_cases(backend):
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
     assert connected_components(g, mask=[1, 0, 1, 1, 1, 1]) == [[0], [2], [3], [4, 5]]
@@ -542,7 +529,7 @@ def test_connected_components_hand_cases(labeler):
 
 
 @pytest.mark.parametrize("kind,param", [("gnp", p) for p in (0.02, 0.1, 0.5)] + [("regular", 3)])
-def test_connected_components_match_reference(labeler, kind, param):
+def test_connected_components_match_reference(backend, kind, param):
     gen = substream(12, f"components-{kind}-{param}").generator()
     for index in range(3):
         stream = substream(12, f"components-{kind}", index)

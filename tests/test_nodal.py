@@ -1,6 +1,5 @@
 """Nodal domain computation against hand cases, invariants, and the oracle."""
 
-import functools
 import io
 import itertools
 import json
@@ -13,6 +12,7 @@ from graphnodal import (
     Graph,
     ParameterError,
     adjacency_matrix,
+    connected_components,
     eigendecompose,
     laplacian_matrix,
     nodal_census,
@@ -51,6 +51,11 @@ def test_default_tau_scales_with_the_sup_norm():
         assert nodal_summary(path(3), values).zeros == zeros
         assert nodal_census(path(3), np.array([values]).T).z_size.tolist() == [len(zeros)]
     assert strong_nodal_domains(path(3), [1.0, -0.5, 0.0]).domains == (((0,), 1), ((1,), -1))
+    # the sup norm of a negative column, and an all-zero column, which is
+    # all zeros whatever the sign of its tau
+    columns = np.array([[-2.0, -1e-10, -1.0], [0.0, 0.0, -0.0]]).T
+    assert nodal_census(path(3), columns).z_size.tolist() == [1, 3]
+    assert nodal_summary(path(3), columns[:, 1]).zeros == (0, 1, 2)
 
 
 def test_values_at_the_tolerance_are_zero():
@@ -313,22 +318,20 @@ def test_summary_json_format():
 # --- whole-spectrum census -------------------------------------------------
 
 
-def _forced_labeler(kind):
-    def labeler(g):
-        if kind == "dense":
-            dense = adjacency_matrix(g).astype(np.float32)
-            return functools.partial(graph_core._labels_dense, dense)
-        return functools.partial(graph_core._labels_sparse, g.u, g.v)
-    return labeler
+def _spy_label_calls(monkeypatch):
+    """The shapes of the class stacks that backend calls take from now on."""
+    shapes = []
+    backend = graph_core._backend
 
+    def spied(g):
+        label = backend(g)
 
-@pytest.fixture(params=["dense", "sparse"])
-def backend(request, monkeypatch):
-    """Route every nodal entry point, the census's connectivity included,
-    through one labeling backend."""
-    for module in (graph_core, nodal):
-        monkeypatch.setattr(module, "_labeler", _forced_labeler(request.param))
-    return request.param
+        def spy(classes):
+            shapes.append(classes.shape)
+            return label(classes)
+        return spy
+    monkeypatch.setattr(graph_core, "_backend", spied)
+    return shapes
 
 
 HAND_DOMAIN_CASES = [
@@ -352,7 +355,7 @@ def test_hand_domains_on_both_labelers(backend, case):
                          ids=lambda fn: fn.__name__)
 def test_domain_lists_build_one_labeler(monkeypatch, domains):
     builds = []
-    build = graph_core._labeler
+    build = graph_core._backend
 
     def counted(g):
         builds.append(g)
@@ -361,9 +364,8 @@ def test_domain_lists_build_one_labeler(monkeypatch, domains):
     def refuse(*args, **kwargs):
         raise AssertionError("connected_components called")
 
-    for module in (graph_core, nodal):
-        monkeypatch.setattr(module, "_labeler", counted)
-        monkeypatch.setattr(module, "connected_components", refuse)
+    monkeypatch.setattr(graph_core, "_backend", counted)
+    monkeypatch.setattr(nodal, "connected_components", refuse)
     # a positive and a negative side sharing zero vertex 1, and a closed
     # zero component {4, 5}
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
@@ -514,33 +516,21 @@ def test_domains_of_spectra_on_both_labelers(backend, kind, n, param):
     test_domains_of_spectra_match_reference(kind, n, param)
 
 
-def test_census_blocks_leave_counts_unchanged(monkeypatch):
+def test_census_blocks_leave_counts_unchanged(force_backend, monkeypatch):
     g = _sample("gnp", 40, 0.1, 7)
     vectors = eigendecompose(adjacency_matrix(g), "descending").eigenvectors
     whole = {}
     for kind in ("dense", "sparse"):
-        monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
+        force_backend(kind)
         whole[kind] = nodal_census(g, vectors).rows()
-    monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", 3 * g.n)
+    monkeypatch.setattr(graph_core, "_LABEL_BLOCK_CELLS", 3 * g.n)
     for kind in ("dense", "sparse"):
-        monkeypatch.setattr(nodal, "_labeler", _forced_labeler(kind))
+        force_backend(kind)
         assert nodal_census(g, vectors).rows() == whole["sparse"] == whole["dense"]
 
 
 def test_label_call_takes_weak_masks_only_of_zero_columns(monkeypatch):
-    shapes = []
-    build = graph_core._labeler
-
-    def spied(g):
-        label = build(g)
-
-        def spy(masks):
-            shapes.append(masks.shape)
-            return label(masks)
-        return spy
-    # connected_components takes graph_core's binding, the rest nodal's
-    for module in (graph_core, nodal):
-        monkeypatch.setattr(module, "_labeler", spied)
+    shapes = _spy_label_calls(monkeypatch)
     g = path(5)
     # k = 4 columns, z = 2 of them with a zero
     columns = [[1, -1, 1, -1, 1], [0, 1, -1, 2, 2], [3, 2, 1, -1, -2], [1, 1, 0, 0, -1]]
@@ -573,17 +563,40 @@ def test_census_of_mixed_zero_columns(backend):
 
 def test_census_blocks_straddle_zero_and_zero_free_columns(backend, monkeypatch):
     g, vectors, tau, has_zero = _mixed_spectrum()
-    width = 4
-    # some block edge has a zero column on one side and none on the other
-    assert (has_zero[width - 1:-1:width] != has_zero[width::width]).any()
-    monkeypatch.setattr(nodal, "_CENSUS_BLOCK_ENTRIES", width * g.n)
+    k, z, rows = has_zero.size, has_zero.sum(), 7
+    # the stack is k sign rows, then the z masks sign >= 0, then the z masks
+    # sign <= 0: some block holds sign rows with and without a zero, some
+    # sign rows and masks, and some masks of both sides
+    blocks = has_zero[:k - k % rows].reshape(-1, rows)
+    assert (blocks.any(axis=1) & ~blocks.all(axis=1)).any()
+    assert k % rows and (k + z) % rows
+    monkeypatch.setattr(graph_core, "_LABEL_BLOCK_CELLS", rows * g.n)
     assert_census_matches_reference(g, vectors, tau)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_label_calls_take_at_most_the_block_rows(backend, monkeypatch, rows):
+    g, vectors, tau, _ = _mixed_spectrum()
+    entries = (weak_nodal_domains, strong_nodal_domains, nodal_summary)
+
+    def results():
+        census = nodal_census(g, vectors, tau)
+        return (connected_components(g), census.rows(), census.connected,
+                [entry(g, f, tau) for entry in entries for f in vectors.T])
+    whole = results()
+    # max(1, cells // n) rows per call
+    cells = {1: g.n - 1, 2: 3 * g.n - 1, 4: 4 * g.n}[rows]
+    monkeypatch.setattr(graph_core, "_LABEL_BLOCK_CELLS", cells)
+    shapes = _spy_label_calls(monkeypatch)
+    assert results() == whole
+    # a one-vector call with a zero takes three rows, the census 60 + 2z
+    assert max(height for height, _ in shapes) == rows
+
+
 def test_census_backend_follows_edge_density():
-    assert graph_core._labeler(_sample("gnp", 200, 0.5, 0)).func is graph_core._labels_dense
-    assert graph_core._labeler(_sample("regular", 200, 3, 0)).func is graph_core._labels_sparse
-    assert graph_core._labeler(Graph.from_edges(3, [])).func is graph_core._labels_sparse
+    assert graph_core._backend(_sample("gnp", 200, 0.5, 0)).func is graph_core._labels_dense
+    assert graph_core._backend(_sample("regular", 200, 3, 0)).func is graph_core._labels_sparse
+    assert graph_core._backend(Graph.from_edges(3, [])).func is graph_core._labels_sparse
 
 
 def test_census_default_tau_is_per_column():
