@@ -21,16 +21,18 @@ the largest integer with (1-p)^k < 1/2-eps and
 
 and the grid search returns the point maximizing k (ties by lexicographic
 parameter order).  The result is self-certifying: the inequality holds at k
-and fails at k+1.
+and fails at k+1.  With u = 1/2-eps, the second condition is
+sqrt((1-p)^k) >= s for s = 2 r u / (1 + sqrt(1 + 4 r^2 u)), so k is
+floor(2 ln s / ln(1-p)), settled by two guard loops on the inequality as
+evaluated; a (p, eps) whose domain of k starts past an iteration cap is
+refused.
 
 The search walks the grid in nested loops and computes each quantity once,
 at the level it depends on: t, a1, a2 per delta; alpha and beta per (delta,
 theta, gamma), skipping the triple unless both are positive; 1/2+eps, its
 square root and H(1/2+eps) per epsilon; D per (epsilon, xi1, xi2).  The
-floor of the k domain, the smallest k with (1-p)^k < 1/2-eps, depends on
-(p, eps) alone and is computed once per epsilon, at the first k search
-for it.  The union-bound condition is tested before k, so k is searched
-only at feasible points, and the winner is evaluated once more through
+union-bound condition is tested before k, so k is searched only at
+feasible points, and the winner is evaluated once more through
 `feasibility`.
 
 Each (delta, theta, gamma, eps) cell is searched from its largest-D point.
@@ -39,23 +41,18 @@ point D = 2 sqrt(p(1-p)) (1 + sqrt(1/2+eps)) + xi1 + xi2 sqrt(1/2+eps)
 rises with both, so D rises => r falls => k rises: the point with the
 largest xi1 and xi2 has the cell's largest k, and GridSpec keeps every xi
 finite, so that point's r is positive.  When that k is below the best k
-so far, no point of the cell can win, and the cell is skipped.  A
-skip hides no error either: that point's k search has already computed
-the epsilon's floor, where the iteration cap is met first, and while its
-k is below the cap no point with a smaller k walks past it.  The objective
-is the largest k; the smallest k, the reading ROADMAP.md weighs, would
-turn the skip around: search each cell from its smallest-D point and skip
-the cell when that k is above the best.
+so far, no point of the cell can win, and the cell is skipped.  The
+objective is the largest k; the smallest k, the reading ROADMAP.md weighs,
+would turn the skip around: search each cell from its smallest-D point and
+skip the cell when that k is above the best.
 
 Every expression keeps the operand order of `feasibility`, so the winner
 and its constants are bit-identical to a point-by-point search, which also
 searched k at infeasible points with alpha > 0.  The ranges are checked
 once, by GridSpec; gamma alone depends on p, and alpha_beta refuses one
 outside (0,1] at the point where that search did, with the same
-ParameterError.  At p = 1e-5 and below those searches hit their iteration
-cap; this search discards such points first and reports that no point is
-feasible.  The arithmetic is scalar `math`: numpy's log can differ from
-math.log in the last ulp, and the constants are written with 17
+ParameterError.  The arithmetic is scalar `math`: numpy's log can differ
+from math.log in the last ulp, and the constants are written with 17
 significant digits.
 
 Note on the default grid: with these formulas beta can never exceed
@@ -231,55 +228,36 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _k_floor(p: float, epsilon: float) -> int:
-    """Smallest k >= 1 with (1-p)^k < 1/2-eps: where the domain of k starts."""
-    u = 0.5 - epsilon
-    base = 1.0 - p
-    k_min = 1
-    wk = base
-    while wk >= u:
-        wk *= base
-        k_min += 1
-        if k_min > _K_SEARCH_CAP:
-            raise RuntimeError("k search exceeded iteration cap")
-    return k_min
-
-
-def _largest_k(p: float, epsilon: float, r: float, floors: dict[float, int]) -> int:
+def _largest_k(p: float, epsilon: float, r: float) -> int:
     """Largest k with (1-p)^k < 1/2-eps and sqrt((1-p)^k) >= r (1/2-eps-(1-p)^k).
 
-    Returns 0 when no positive integer qualifies.  On the domain the left
-    side strictly decreases and the right side strictly increases with k,
-    so the qualifying set is a single integer interval.  floors memoizes
-    _k_floor(p, epsilon) per epsilon for one p; it is computed on first need.
+    Returns 0 when no positive integer qualifies.  As k rises the left side
+    of the second condition falls and its right side rises, so the second
+    condition holds up to its root and fails beyond it: the answer is the
+    last k meeting it, when that k lies in the first condition's domain.
     """
     u = 0.5 - epsilon
     base = 1.0 - p
     if r <= 0.0 or u <= 0.0:
         return 0
+    # the domain of k, where (1-p)^k < u, must start below the cap
+    if base**_K_SEARCH_CAP >= u:
+        raise RuntimeError("k search exceeded iteration cap")
 
-    def holds(k: int) -> bool:
+    def meets(k: int) -> bool:
         wk = base**k
-        return wk < u and math.sqrt(wk) >= r * (u - wk)
+        return math.sqrt(wk) >= r * (u - wk)
 
-    k_min = floors.get(epsilon)
-    if k_min is None:
-        k_min = floors[epsilon] = _k_floor(p, epsilon)
-    # when any k qualifies, the largest one is at least 2 ln(1/(r u)) / ln(1/(1-p))
-    if r * u < 1.0:
-        estimate = int(2.0 * math.log(1.0 / (r * u)) / math.log(1.0 / base))
-    else:
-        estimate = 1
-    k = max(estimate, k_min)
-    if not holds(k):
-        while k >= k_min and not holds(k):
-            k -= 1
-        return k if k >= k_min else 0
-    while holds(k + 1):
+    # meets(k) is sqrt((1-p)^k) >= s, s the positive root of r s^2 + s - r u = 0
+    ru = r * u
+    s = 2.0 * ru / (1.0 + math.sqrt(1.0 + 4.0 * r * ru))
+    k = math.floor(2.0 * math.log(s) / math.log(base))
+    # (1-p)^k may round, or underflow to 0, away from the real root
+    while not meets(k):
+        k -= 1
+    while meets(k + 1):
         k += 1
-        if k > _K_SEARCH_CAP:
-            raise RuntimeError("k search exceeded iteration cap")
-    return k
+    return k if k >= 1 and base**k < u else 0
 
 
 def feasibility(params: BoundParams) -> ConstantsResult:
@@ -305,7 +283,7 @@ def feasibility(params: BoundParams) -> ConstantsResult:
         beta * half, params.xi1**2 / 32.0, params.xi2**2 * half / 8.0
     )
     feasible = alpha > 0.0 and beta > 0.0 and entropy_ok
-    k = _largest_k(p, params.epsilon, r, {}) if alpha > 0.0 else 0
+    k = _largest_k(p, params.epsilon, r) if alpha > 0.0 else 0
     return ConstantsResult(
         q=q, t=t, a1=a1, a2=a2, c=c, alpha=alpha, beta=beta, d=d, r=r,
         k=k, feasible=feasible, params=params,
@@ -371,7 +349,6 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     c = c_constant(p)
     alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
     d_scale = 2.0 * math.sqrt(p * (1.0 - p))
-    floors: dict[float, int] = {}  # _k_floor per epsilon, filled by _largest_k
     best_k, best_key = 1, None  # a winner needs k >= 1
     for delta in grid.deltas:
         _, a1, _ = tail_constants(p, delta)
@@ -396,15 +373,14 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
                     if not (xi1s and xi2s):
                         continue
                     d_base = d_scale * (1.0 + root)
-                    # the largest D has the smallest r, hence the cell's largest
-                    # k; below the cap no point of the cell walks past it
+                    # the largest D has the smallest r, hence the cell's largest k
                     r = alpha * root / (2.0 * (d_base + max(xi1s) + max(xi2s) * root))
-                    if _largest_k(p, epsilon, r, floors) < min(best_k, _K_SEARCH_CAP):
+                    if _largest_k(p, epsilon, r) < best_k:
                         continue
                     for xi1 in xi1s:
                         for xi2 in xi2s:
                             d = d_base + xi1 + xi2 * root
-                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d), floors)
+                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d))
                             key = (-k, delta, theta, gamma, epsilon, xi1, xi2)
                             if k >= best_k and (best_key is None or key < best_key):
                                 best_k, best_key = k, key

@@ -1,28 +1,32 @@
 """Reference grid search for the bound k, one point at a time.
 
 This is exceptional_bound_k as first written: every grid point becomes a
-validated BoundParams and goes through the scalar feasibility, which also
-searches k wherever alpha > 0.  graphnodal.bounds computes each quantity
+validated BoundParams and is scored as the scalar feasibility scores it,
+searching k wherever alpha > 0.  graphnodal.bounds computes each quantity
 once per loop level instead, and must return the same ConstantsResult and
 raise the same ParameterError.  feasible_ks lists the k of every feasible
-point, for objectives other than the largest k.  reference_largest_k is
-the k search as first written, before its domain floor was computed once
-per (p, epsilon).
+point, for objectives other than the largest k.  The k here comes from
+reference_largest_k, the k search as first written: a walk from a log
+estimate against a domain floor found by a running product, with its own
+iteration cap, so the search is checked against a rule it does not share.
 """
 
 import math
 from typing import Iterator
 
 from graphnodal.bounds import (
-    _K_SEARCH_CAP,
     BoundParams,
     ConstantsResult,
     GridSpec,
+    alpha_beta,
+    binary_entropy,
     c_constant,
-    feasibility,
     tail_constants,
 )
 from graphnodal.graph_core import ParameterError
+
+# the walk gives up once its domain floor or its k passes this
+K_SEARCH_CAP = 1_000_000
 
 
 def grid_results(p: float, grid: GridSpec | None = None) -> Iterator[ConstantsResult]:
@@ -44,10 +48,36 @@ def grid_results(p: float, grid: GridSpec | None = None) -> Iterator[ConstantsRe
                     epsilon = 0.5 - gap
                     for xi1 in grid.xi1s:
                         for xi2 in grid.xi2s:
-                            yield feasibility(BoundParams(
+                            yield reference_point(BoundParams(
                                 p=p, delta=delta, theta=theta, gamma=gamma,
                                 epsilon=epsilon, xi1=xi1, xi2=xi2,
                             ))
+
+
+def reference_point(params: BoundParams) -> ConstantsResult:
+    """bounds.feasibility, expression for expression, with its k from
+    reference_largest_k."""
+    p = params.p
+    q = max(p, 1.0 - p)
+    t, a1, a2 = tail_constants(p, params.delta)
+    c = c_constant(p)
+    alpha, beta = alpha_beta(p, params.delta, params.theta, params.gamma)
+    half = 0.5 + params.epsilon
+    d = (
+        2.0 * math.sqrt(p * (1.0 - p)) * (1.0 + math.sqrt(half))
+        + params.xi1
+        + params.xi2 * math.sqrt(half)
+    )
+    r = alpha * math.sqrt(half) / (2.0 * d)
+    entropy_ok = binary_entropy(half) < min(
+        beta * half, params.xi1**2 / 32.0, params.xi2**2 * half / 8.0
+    )
+    feasible = alpha > 0.0 and beta > 0.0 and entropy_ok
+    k = reference_largest_k(p, params.epsilon, r) if alpha > 0.0 else 0
+    return ConstantsResult(
+        q=q, t=t, a1=a1, a2=a2, c=c, alpha=alpha, beta=beta, d=d, r=r,
+        k=k, feasible=feasible, params=params,
+    )
 
 
 def feasible_ks(p: float, grid: GridSpec | None = None) -> list[int]:
@@ -72,8 +102,9 @@ def reference_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult
 
 
 def reference_largest_k(p: float, epsilon: float, r: float) -> int:
-    """bounds._largest_k as first written, with its domain floor computed
-    inline on every call."""
+    """The largest k with (1-p)^k < 1/2-eps and
+    sqrt((1-p)^k) >= r (1/2-eps-(1-p)^k), or 0, found by a walk as first
+    written, with its domain floor computed inline on every call."""
     u = 0.5 - epsilon
     base = 1.0 - p
     if r <= 0.0 or u <= 0.0:
@@ -88,7 +119,7 @@ def reference_largest_k(p: float, epsilon: float, r: float) -> int:
     while wk >= u:
         wk *= base
         k_min += 1
-        if k_min > _K_SEARCH_CAP:
+        if k_min > K_SEARCH_CAP:
             raise RuntimeError("k search exceeded iteration cap")
     if r * u < 1.0:
         estimate = int(2.0 * math.log(1.0 / (r * u)) / math.log(1.0 / base))
@@ -101,6 +132,6 @@ def reference_largest_k(p: float, epsilon: float, r: float) -> int:
         return k if k >= k_min else 0
     while holds(k + 1):
         k += 1
-        if k > _K_SEARCH_CAP:
+        if k > K_SEARCH_CAP:
             raise RuntimeError("k search exceeded iteration cap")
     return k

@@ -324,27 +324,76 @@ def test_grid_search_searches_k_at_feasible_points_only():
         reference_bound_k(1e-5)
 
 
-def test_largest_k_falls_as_r_rises_and_keeps_the_inline_floor():
-    # the cell skip of the grid search rests on k being nonincreasing in r;
-    # one floors memo per p stands in for the floor the old search
-    # recomputed on every call
+def test_largest_k_falls_as_r_rises():
+    # the cell skip of the grid search rests on k being nonincreasing in r
     rng = random.Random(23)
     gaps = (0.1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-8)
     ps = [p for p, _ in REFERENCE_K_TABLE] + [rng.uniform(0.01, 0.99) for _ in range(24)]
     for p in ps:
-        floors = {}
         for gap in gaps:
             epsilon = 0.5 - gap
             rs = sorted(10.0 ** rng.uniform(-14.0, 3.0) for _ in range(40))
-            ks = [bounds._largest_k(p, epsilon, r, floors) for r in rs]
+            ks = [bounds._largest_k(p, epsilon, r) for r in rs]
             assert all(a >= b for a, b in zip(ks, ks[1:])), (p, gap)
             assert ks == [reference_largest_k(p, epsilon, r) for r in rs], (p, gap)
-            assert floors[epsilon] == bounds._k_floor(p, epsilon)
-    # the floor's cap raises as the inline loop did
-    for floor in (lambda: bounds._k_floor(1e-6, 0.499),
-                  lambda: reference_largest_k(1e-6, 0.499, 1.0)):
+    # a domain of k that starts past the cap raises as the walk did
+    for search in (bounds._largest_k, reference_largest_k):
         with pytest.raises(RuntimeError, match="^k search exceeded iteration cap$"):
-            floor()
+            search(1e-6, 0.499, 1.0)
+
+
+def test_largest_k_where_a_power_rounds_onto_the_domain_edge():
+    # (1-p)^3 rounds to exactly 1/2-eps here, so the domain of k starts at
+    # 4, where a running product of 1-p would start it at 3; k = 4 meets
+    # both conditions and k = 5 fails the second
+    assert bounds._largest_k(0.2674916869125672, 0.10695916540607925, 5.0) == 4
+
+
+def certify_largest_k(p, epsilon, r):
+    u, base = 0.5 - epsilon, 1.0 - p
+
+    def meets(k):
+        wk = base**k
+        return math.sqrt(wk) >= r * (u - wk)
+
+    k = bounds._largest_k(p, epsilon, r)
+    if k >= 1:
+        assert base**k < u and meets(k) and not meets(k + 1), (p, epsilon, r, k)
+    else:
+        assert k == 0
+        first = 1
+        while not base**first < u:
+            first += 1
+        assert not meets(first), (p, epsilon, r)
+    return k
+
+
+def test_largest_k_certifies_itself():
+    rng = random.Random(29)
+    ks = []
+    for _ in range(3000):
+        p = rng.uniform(0.01, 0.99)
+        epsilon = 0.5 - 10.0 ** rng.uniform(-16.0, math.log10(0.5))
+        ks.append(certify_largest_k(p, epsilon, 10.0 ** rng.uniform(-200.0, 3.0)))
+    assert min(ks) == 0 and max(ks) > 10_000
+    # u and r on the boundaries: u a power of 1-p and r its root at some k,
+    # each nudged an ulp either way
+    edge_ks = []
+    for _ in range(1000):
+        p = rng.uniform(0.01, 0.99)
+        base = 1.0 - p
+        edge = 0.5 - base ** rng.randint(1, 30)
+        for epsilon in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)):
+            if not 0.0 < epsilon < 0.5:
+                continue
+            u = 0.5 - epsilon
+            wk = base ** rng.randint(1, 60)
+            if wk < u:
+                r = math.sqrt(wk) / (u - wk)
+                for rr in (r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)):
+                    edge_ks.append(certify_largest_k(p, epsilon, rr))
+            edge_ks.append(certify_largest_k(p, epsilon, 10.0 ** rng.uniform(-3.0, 3.0)))
+    assert min(edge_ks) == 0 and max(edge_ks) >= 60
 
 
 def test_grid_search_skips_cells_that_cannot_win(monkeypatch):
