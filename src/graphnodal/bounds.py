@@ -25,7 +25,10 @@ and fails at k+1.  With u = 1/2-eps, the second condition is
 sqrt((1-p)^k) >= s for s = 2 r u / (1 + sqrt(1 + 4 r^2 u)), so k is
 floor(2 ln s / ln(1-p)), settled by two guard loops on the inequality as
 evaluated; a (p, eps) whose domain of k starts past an iteration cap is
-refused.
+refused.  Known, not fixed: where (1-p)^k underflows at the closed-form k,
+the loops return the last k at which the `**` test can be evaluated, not
+the root (1074, not 1476, at p = 1/2, r = 1e-206 and an eps gap of 2.8e-17;
+at p = 1e-4, r = 1e-192 that walk took 0.35-0.56 s for one call).
 
 The search walks the grid in nested loops and computes each quantity once,
 at the level it depends on: t, a1, a2 per delta; alpha and beta per (delta,
@@ -163,6 +166,9 @@ class BoundParams:
             raise ParameterError(f"epsilon must lie in (0,1/2), got {self.epsilon}")
         if not (self.xi1 > 0.0 and self.xi2 > 0.0):
             raise ParameterError(f"xi1, xi2 must be positive, got {self.xi1}, {self.xi2}")
+        rule, ok = _XI_RULES[1]
+        if not (ok(self.xi1) and ok(self.xi2)):
+            raise ParameterError(f"xi1, xi2 {rule}, got {self.xi1}, {self.xi2}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +297,7 @@ def feasibility(params: BoundParams) -> ConstantsResult:
 
 
 _POSITIVE = ("must be > 0", lambda v: v > 0.0)
-# the union-bound condition squares each xi
+# the union-bound condition squares each xi; BoundParams takes rule 1 too
 _XI_RULES = (_POSITIVE, ("must have a finite square", lambda v: math.isfinite(v * v)))
 # each range's rules after finiteness, as (refusal, test of one entry); the
 # search takes epsilon = 0.5 - gap, which must lie in (0,1/2) as computed
@@ -390,6 +396,11 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
 
 
 def kp_formula(p: float) -> int:
-    """floor(1 / log2(1/(1-p))): the exceptional-vertex count bound."""
+    """floor(1 / log2(1/(1-p))): the exceptional-vertex count bound.
+
+    As floor(-ln 2 / log1p(-p)), so that 1 - p is never rounded.  Off by one
+    at most within a few ulps of a threshold 1 - 2^(-1/m); past 2^52 (p below
+    about 1e-16) only as exact as a double: ...453 at p = 1e-16, not ...452.
+    """
     _check_p(p)
-    return math.floor(1.0 / math.log2(1.0 / (1.0 - p)))
+    return math.floor(-math.log(2.0) / math.log1p(-p))

@@ -14,14 +14,14 @@ reported.  The samplers skip it: their arrays hold the invariants by
 construction.  Every constructor refuses n above MAX_VERTICES, where
 those int64 keys would wrap.
 
-connected_components and the nodal layer share one labeler, and the nodal
-census reads connectivity from connected_components.  The labeler takes a
-stack of class rows, vertex classes in {-1, 0, 1}, where an edge joins two
-vertices of one nonzero class, and names each component by its smallest
-vertex: a sign row labels its positive and negative components in one row,
-and a vertex mask is the one-class case.  The census labels k + 2z class
-rows for k eigenvectors, z of them with a zero coordinate, in one call
-(see nodal), and the labeler gives its backend a block of rows at a time.
+connected_components and the nodal layer share one labeler, _label, and
+the nodal census reads connectivity from connected_components.  _label
+takes a stack of class rows, vertex classes in {-1, 0, 1}, where an edge
+joins two vertices of one nonzero class, and names each component by its
+smallest vertex: a sign row labels its positive and negative components in
+one row, and a vertex mask is the one-class case.  The census labels k + 2z
+class rows for k eigenvectors, z of them with a zero coordinate, in one
+call (see nodal), and _label gives its backend a block of rows at a time.
 _components turns one row of labels into vertex lists.  Graphs of mean
 degree at least DENSE_DEGREE_OVER_LOG_N * ln n split each row into its two
 sign masks and grow components from a seed's own adjacency row by 0/1
@@ -230,18 +230,9 @@ def _checked_edges(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np
     return np.divmod(ranked, n)
 
 
-def connected_components(
-    g: Graph, mask: Sequence[bool] | np.ndarray | None = None
-) -> list[list[int]]:
-    """Connected components of g, or of the subgraph induced on mask.
-
-    Returns sorted vertex lists, ordered by smallest contained vertex.
-    Vertices with mask[v] false belong to no component.
-    """
-    allowed = np.ones(g.n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if allowed.shape != (g.n,):
-        raise ValueError(f"mask length {allowed.size} != vertex count {g.n}")
-    return _components(_labeler(g)(allowed[np.newaxis, :])[0])
+def connected_components(g: Graph) -> list[list[int]]:
+    """Connected components of g: sorted vertex lists, ordered by smallest vertex."""
+    return _components(_label(g, np.ones((1, g.n), dtype=bool))[0])
 
 
 def _components(labels: np.ndarray) -> list[list[int]]:
@@ -286,16 +277,13 @@ def _backend(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
 _LABEL_BLOCK_CELLS = 1 << 14
 
 
-def _labeler(g: Graph) -> Callable[[np.ndarray], np.ndarray]:
-    """classes -> labels for a stack of any height, a block of rows per backend call."""
+def _label(g: Graph, classes: np.ndarray) -> np.ndarray:
+    """The labels of a class stack of any height, a block of rows per backend call."""
     backend, rows = _backend(g), max(1, _LABEL_BLOCK_CELLS // g.n)
-
-    def label(classes: np.ndarray) -> np.ndarray:
-        labels = np.empty(classes.shape, dtype=np.int64)
-        for i in range(0, len(classes), rows):
-            labels[i:i + rows] = backend(classes[i:i + rows])
-        return labels
-    return label
+    labels = np.empty(classes.shape, dtype=np.int64)
+    for i in range(0, len(classes), rows):
+        labels[i:i + rows] = backend(classes[i:i + rows])
+    return labels
 
 
 # Both labelers take a (k, n) stack of vertex classes, int8 in {-1, 0, 1}

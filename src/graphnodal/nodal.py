@@ -17,8 +17,8 @@ tests pin this down against a brute-force oracle that enumerates maximal
 sets directly.
 
 The census and the weak lists read one labeling, _sign_labels: one call of
-the graph_core labeler over a stack of class rows names each component by
-its smallest vertex, its root, where an edge joins two vertices of one
+graph_core._label over a stack of class rows names each component by its
+smallest vertex, its root, where an edge joins two vertices of one
 nonzero class.  The stack holds k + 2z class rows: the sign row of each of
 the k columns, which names its positive and its negative components at
 once, and the masks sign >= 0 and sign <= 0 only for the z columns with a
@@ -42,12 +42,12 @@ of G(200, 1/2), 85-97 against 173-220 ms on G(1000, 1/2), and 7.5-9.5 and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Callable, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from ._text import write_csv
-from .graph_core import Graph, ParameterError, _components, _labeler, connected_components
+from .graph_core import Graph, ParameterError, _components, _label, connected_components
 
 __all__ = [
     "DEFAULT_TAU_SCALE",
@@ -125,7 +125,7 @@ def weak_nodal_domains(g: Graph, values: Sequence[float] | np.ndarray,
     """All maximal connected sets with no two strictly opposite signs of the
     length-n vector values: the weak domains _sign_labels keeps, each with
     its sign."""
-    s = _sign_labels(_sign_rows(g, values, tau, 1), _labeler(g))
+    s = _sign_labels(g, _sign_rows(g, values, tau, 1))
     raw: list[tuple[list[int], int]] = []
     d = s.domains
     for side, kept, sign in ((0, d.signed > 0, 1), (1, d.signed > 0, -1), (0, d.signed == 0, 0)):
@@ -142,7 +142,7 @@ def strong_nodal_domains(g: Graph, values: Sequence[float] | np.ndarray,
     """Connected components of the strictly positive and strictly negative
     sets of the length-n vector values."""
     signs = _sign_rows(g, values, tau, 1)
-    row = _labeler(g)(signs)[0]
+    row = _label(g, signs)[0]
     return _canonical("strong", [
         (comp, sign) for sign in (1, -1)
         for comp in _components(np.where(signs[0] == sign, row, g.n))
@@ -173,7 +173,7 @@ def nodal_summary(g: Graph, values: Sequence[float] | np.ndarray,
     """The P/N/E/Z decomposition of the length-n vector values: the
     one-column case of the census."""
     signs = _sign_rows(g, values, tau, 1)
-    s = _sign_labels(signs, _labeler(g))
+    s = _sign_labels(g, signs)
     table, roots = _census(signs, s)
     weak, strong, *_, e_cap_z = table[:, 0].tolist()
     in_p, in_n = (_row_labels(s, side) == roots[side, 0] for side in (0, 1))
@@ -225,7 +225,7 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     signs = _sign_rows(g, vectors, tau, 2)
     # first, so that two dense adjacency matrices are never held at once
     connected = len(connected_components(g)) == 1
-    table, _ = _census(signs, _sign_labels(signs, _labeler(g)))
+    table, _ = _census(signs, _sign_labels(g, signs))
     return NodalCensus(*table, connected=connected)
 
 
@@ -267,19 +267,19 @@ class _SignLabels(NamedTuple):
     domains: _Domains
 
 
-def _sign_labels(signs: np.ndarray, label: Callable[[np.ndarray], np.ndarray]) -> _SignLabels:
-    """Label a (k, n) sign stack in one label call, and keep its weak domains.
+def _sign_labels(g: Graph, signs: np.ndarray) -> _SignLabels:
+    """Label a (k, n) sign stack in one _label call, and keep its weak domains.
 
-    The label call takes the k sign rows as class rows and the two weak
-    masks of only the z rows that have a zero: k + 2z rows.  A root is a
-    label its row's tally counts, so the domains are read off the tallies:
-    once for the strict rows, and for the weak labels and their zeros only
-    in the z rows.
+    The call takes the k sign rows as class rows and the two weak masks of
+    only the z rows that have a zero: k + 2z rows.  A root is a label its
+    row's tally counts, so the domains are read off the tallies: once for
+    the strict rows, and for the weak labels and their zeros only in the z
+    rows.
     """
     k, n = signs.shape
     zero = signs == 0
     z = np.flatnonzero(zero.any(axis=1))
-    labels = label(np.concatenate([signs, signs[z] >= 0, signs[z] <= 0]))
+    labels = _label(g, np.concatenate([signs, signs[z] >= 0, signs[z] <= 0]))
     strict, weak = labels[:k], labels[k:].reshape(2, z.size, n)
     size = _tally(strict)
     row, root = _cells(size > 0)

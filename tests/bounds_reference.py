@@ -9,8 +9,10 @@ point, for objectives other than the largest k.  The k here comes from
 reference_largest_k, the k search as first written: a walk from a log
 estimate against a domain floor found by a running product, with its own
 iteration cap, so the search is checked against a rule it does not share.
+reference_kp is kp_formula in 60-digit decimal arithmetic.
 """
 
+import decimal
 import math
 from typing import Iterator
 
@@ -135,3 +137,12 @@ def reference_largest_k(p: float, epsilon: float, r: float) -> int:
         if k > K_SEARCH_CAP:
             raise RuntimeError("k search exceeded iteration cap")
     return k
+
+
+def reference_kp(p: float) -> int:
+    """floor(ln 2 / -ln(1-p)) for the exact value of the double p, in
+    60-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        value = decimal.Decimal(2).ln() / -(1 - decimal.Decimal(p)).ln()
+        return int(value.to_integral_value(rounding=decimal.ROUND_FLOOR))

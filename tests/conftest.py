@@ -1,4 +1,4 @@
-"""Fixtures shared by the test modules: forcing one labeling backend."""
+"""Fixtures shared by the test modules: forcing one backend of graph_core._label."""
 
 import functools
 
@@ -16,9 +16,9 @@ _BACKENDS = {
 
 @pytest.fixture
 def force_backend(monkeypatch):
-    """force_backend(kind) routes every label call, connected_components'
-    and the nodal layer's, through the dense or the sparse labeler,
-    whatever the graph's edge density."""
+    """force_backend(kind) routes every graph_core._label call,
+    connected_components' and the nodal layer's, through the dense or the
+    sparse labeler, whatever the graph's edge density."""
     def force(kind):
         monkeypatch.setattr(graph_core, "_backend", _BACKENDS[kind])
     return force

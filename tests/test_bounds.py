@@ -26,7 +26,7 @@ from graphnodal import (
 )
 from graphnodal import bounds
 from graphnodal.bounds import REFERENCE_K_TABLE, ConstantsResult, binary_entropy
-from bounds_reference import feasible_ks, reference_bound_k, reference_largest_k
+from bounds_reference import feasible_ks, reference_bound_k, reference_kp, reference_largest_k
 
 
 def test_c_constant_values():
@@ -163,10 +163,18 @@ def test_refusals_of_theta_xi_and_p():
         tail_constants(0, 1.0)
 
 
-def test_an_infinite_xi_leaves_no_k():
-    # D = inf makes r = 0: the k search returns 0 before it looks at any k
-    res = feasibility(BoundParams(0.5, 9999.0, 0.9, 1.8e-4, 0.499997, math.inf, 2.0))
-    assert res.alpha > 0.0 and res.r == 0.0 and res.k == 0
+def test_bound_params_refuses_a_xi_without_a_finite_square():
+    # the union-bound condition squares each xi, so BoundParams takes
+    # GridSpec's rule
+    with pytest.raises(ParameterError,
+                       match=r"^xi1, xi2 must have a finite square, got 1e\+200, 1\.0$"):
+        BoundParams(0.5, 999.0, 0.5, 1e-6, 0.4, 1e200, 1.0)
+    with pytest.raises(ParameterError,
+                       match=r"^xi1, xi2 must have a finite square, got 2\.0, inf$"):
+        BoundParams(0.5, 9999.0, 0.9, 1.8e-4, 0.499997, 2.0, math.inf)
+    assert feasibility(BoundParams(0.5, 999.0, 0.5, 1e-6, 0.4, 1e154, 1.0)).k > 0
+    # r = 0 leaves no k: the k search returns 0 before it looks at any k
+    assert bounds._largest_k(0.5, 0.499997, 0.0) == 0
 
 
 def test_grid_search_skips_cells_without_a_feasible_xi():
@@ -429,3 +437,15 @@ def test_kp_formula_values():
     assert kp_formula(edge - 1e-9) == 2
     with pytest.raises(ValueError):
         kp_formula(0.0)
+
+
+def test_kp_formula_matches_a_decimal_reference():
+    # log-uniform p in [1e-12, 1); 1/log2(1/(1-p)) was wrong on about a third
+    rng = random.Random(25)
+    for p in (10.0 ** rng.uniform(-12.0, 0.0) for _ in range(2000)):
+        if p < 1.0:
+            assert kp_formula(p) == reference_kp(p), p
+    assert kp_formula(1e-10) == reference_kp(1e-10) == 6931471805
+    # 1 - p rounds to 1 below 2^-54; past 2^52 the value is a double's
+    exact = reference_kp(1e-17)
+    assert abs(kp_formula(1e-17) - exact) <= exact * 2.0**-52

@@ -1,5 +1,6 @@
 """Graph construction, samplers, RNG streams, and edge-list I/O."""
 
+import inspect
 import io
 import math
 from pathlib import Path
@@ -47,16 +48,6 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
-
-
-def test_connected_components_and_mask():
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
-    assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
-    # masking out vertex 1 splits the path
-    comps = connected_components(g, mask=[True, False, True, True, True, True])
-    assert comps == [[0], [2], [3], [4, 5]]
-    with pytest.raises(ValueError):
-        connected_components(g, mask=[True] * 5)
 
 
 def test_gnp_endpoints():
@@ -319,6 +310,8 @@ def test_public_names():
     ]
     for view in ("edges", "adjacency", "degree"):
         assert not hasattr(Graph, view)
+    # no caller masks the components; the nodal layer labels its own masks
+    assert list(inspect.signature(connected_components).parameters) == ["g"]
 
 
 def test_readme_library_example_runs_as_written(capsys):
@@ -519,12 +512,20 @@ def test_read_graph_agrees_with_line_parser_on_generated_lists():
     check_edge_list()
 
 
+def _masked_components(g, mask):
+    """The components of the subgraph induced on a vertex mask, through the
+    labeler's one-class case."""
+    mask = np.asarray(mask, dtype=bool)
+    return graph_core._components(graph_core._label(g, mask[np.newaxis])[0])
+
+
 def test_connected_components_hand_cases(backend):
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
-    assert connected_components(g, mask=[1, 0, 1, 1, 1, 1]) == [[0], [2], [3], [4, 5]]
-    assert connected_components(g, mask=np.zeros(6, dtype=bool)) == []
-    assert connected_components(g, mask=[0, 0, 0, 0, 0, 1]) == [[5]]
+    # masking out vertex 1 splits the path
+    assert _masked_components(g, [1, 0, 1, 1, 1, 1]) == [[0], [2], [3], [4, 5]]
+    assert _masked_components(g, np.zeros(6, dtype=bool)) == []
+    assert _masked_components(g, [0, 0, 0, 0, 0, 1]) == [[5]]
     assert connected_components(Graph.from_edges(1, [])) == [[0]]
 
 
@@ -537,7 +538,7 @@ def test_connected_components_match_reference(backend, kind, param):
         assert connected_components(g) == reference_components(g)
         for density in (0.3, 0.6, 0.9):
             mask = gen.random(g.n) < density
-            assert connected_components(g, mask) == reference_components(g, mask)
+            assert _masked_components(g, mask) == reference_components(g, mask)
 
 
 def triu_sample_gnp(n, p, rng):
