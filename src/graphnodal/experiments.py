@@ -40,7 +40,7 @@ from typing import IO, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._text import rounded, write_csv, write_json
+from ._text import BLOCK_CELLS, int_text, rounded, write_csv, write_json
 from .bounds import tail_constants
 from .graph_core import (
     MAX_VERTICES,
@@ -82,11 +82,13 @@ __all__ = [
 
 @dataclass
 class ExperimentReport:
-    """One experiment's resolved config, aggregate rows, extras, and raw records."""
+    """One experiment's resolved config, aggregate rows, extras, and raw
+    records.  rows is a list of tuples, or an array of nonnegative
+    integers below 10^12 with one row per report row."""
 
     config: dict[str, Any]
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple] | np.ndarray
     extras: dict[str, Any]
     raw: list | None
 
@@ -177,12 +179,26 @@ def _histogram(counts: Iterable[int]) -> dict[str, int]:
 
 
 def write_report_csv(report: ExperimentReport, stream: IO[str]) -> None:
-    write_csv([report.columns, *report.rows], stream)
+    """The header, then the rows; an integer array's by the array
+    formatter, in blocks of about BLOCK_CELLS cells."""
+    rows = report.rows
+    if not isinstance(rows, np.ndarray):
+        write_csv([report.columns, *rows], stream)
+        return
+    write_csv([report.columns], stream)
+    height = max(1, BLOCK_CELLS // rows.shape[1])
+    seps = np.full((height, rows.shape[1]), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    for i in range(0, rows.shape[0], height):
+        block = rows[i:i + height]
+        stream.write(int_text(block, seps[:block.shape[0]]))
 
 
 def write_report_json(report: ExperimentReport, stream: IO[str]) -> None:
+    rows = report.rows
     payload = {"config": report.config, "columns": report.columns,
-               "rows": report.rows, "extras": report.extras}
+               "rows": rows.tolist() if isinstance(rows, np.ndarray) else rows,
+               "extras": report.extras}
     if report.raw is not None:
         payload["raw"] = report.raw
     write_json(rounded(payload), stream)
@@ -292,10 +308,11 @@ def run_gnp_scan(
         return _adjacency_census(sample_gnp(n, p, substream(seed, "gnp-scan", t)), tau)
 
     def summarize(censuses: list[NodalCensus]):
-        cells = np.array([c.rows() for c in censuses], dtype=np.int64).reshape(-1, n, 7)
-        rows = [(t, i + 1, *cell) for t, by_index in enumerate(cells.tolist())
-                for i, cell in enumerate(by_index)]
-        weak, strong, _, _, e, _, e_cap_z = cells[:, 1:].reshape(-1, 7).T
+        rows = np.empty((trials, n, 9), dtype=np.int64)
+        rows[:, :, 0] = np.arange(trials)[:, np.newaxis]
+        rows[:, :, 1] = np.arange(1, n + 1)
+        rows[:, :, 2:] = [c.table() for c in censuses]
+        weak, strong, _, _, e, _, e_cap_z = rows[:, 1:, 2:].reshape(-1, 7).T
         extras = {
             "disconnected_trials": [t for t, c in enumerate(censuses) if not c.connected],
             "weak_count_histogram_nonfirst": _histogram(weak),
@@ -303,9 +320,9 @@ def run_gnp_scan(
             "max_strong_nonfirst": int(strong.max(initial=0)),
             "max_E_nonfirst": int(e.max(initial=0)),
             "max_EcapZ_nonfirst": int(e_cap_z.max(initial=0)),
-            "total_zero_vertices": int(cells[:, :, 5].sum()),
+            "total_zero_vertices": int(rows[:, :, 7].sum()),
         }
-        return rows, extras, None
+        return rows.reshape(-1, 9), extras, None
 
     return _experiment("gnp-scan", args,
                        ("trial", "index", "weak", "strong", "P", "N", "E", "Z", "EcapZ"),

@@ -14,8 +14,9 @@ reported.  The samplers skip it: their arrays hold the invariants by
 construction.  Every constructor refuses n above MAX_VERTICES, where
 those int64 keys would wrap.
 
-connected_components and the nodal layer share one labeler, _label, and
-the nodal census reads connectivity from connected_components.  _label
+connected_components and the nodal layer share one labeler, _label.  The
+nodal census reads connectivity off its own sign rows and calls
+connected_components only when none of them proves it (see nodal).  _label
 takes a stack of class rows, vertex classes in {-1, 0, 1}, where an edge
 joins two vertices of one nonzero class, and names each component by its
 smallest vertex: a sign row labels its positive and negative components in
@@ -28,11 +29,7 @@ sign masks and grow components from a seed's own adjacency row by 0/1
 float32 products with the adjacency matrix, exact integer counts, so the
 labels do not depend on how BLAS splits a product; sparser graphs hook
 trees of labels to the smaller root across every live edge, drop the edges
-inside one tree, and pointer-jump only the nodes not yet at a root.  The
-class rows of all adjacency eigenvectors take 1.6-1.7 ms to label on
-G(200, 1/2) and 105-111 ms on G(1000, 1/2), against 5.8-6.0 and 270-276 ms
-for their eigh, and 6-8 ms on a 3-regular graph with n=300, against 12-15
-ms (BLAS on one thread, 2-vCPU Xeon).
+inside one tree, and pointer-jump only the nodes not yet at a root.
 
 Samplers draw from G(n,p), from the uniform simple d-regular distribution
 (configuration model with full rejection), and from the centered Bernoulli

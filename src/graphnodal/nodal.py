@@ -22,21 +22,20 @@ smallest vertex, its root, where an edge joins two vertices of one
 nonzero class.  The stack holds k + 2z class rows: the sign row of each of
 the k columns, which names its positive and its negative components at
 once, and the masks sign >= 0 and sign <= 0 only for the z columns with a
-zero (in the others they are the strict masks).  nodal_census takes
-connectivity from graph_core.connected_components.  The weak domains are
+zero (in the others they are the strict masks).  The weak domains are
 read off component sizes, tallied once for the sign rows and, for the weak
 masks and their zeros, only in the z rows, as a list of (row, root) pairs:
 for an eigenvector of G(n,p) about two per row, by the paper's theorem.
 nodal_census counts, for every column of an eigenvector matrix at once,
 weak and strong counts and the P/N/E/Z sizes from that list: P and N are
 picked among the roots, and E and E cap Z follow from root sizes, with
-vertex masks only for P cap N in the z rows.  nodal_summary is its
-one-column case.  weak_nodal_domains lists each kept component of one
-column, strong_nodal_domains each component of its sign row.  The census of
-all adjacency eigenvectors took 2.4-3.1 ms against 3.7-4.8 ms for the eigh
-of G(200, 1/2), 85-97 against 173-220 ms on G(1000, 1/2), and 7.5-9.5 and
-7.9-11 ms against 8.2-11 ms on 3- and 4-regular graphs with n=300
-(quartiles; BLAS on one thread, 2-vCPU Xeon).
+vertex masks only for P cap N in the z rows.  It reads connectivity off
+that table: a column with no zero and one strong domain, such as the
+Perron vector of a connected graph, proves the graph connected, and only a
+census with no such column calls graph_core.connected_components.
+nodal_summary is the census's one-column case.  weak_nodal_domains lists
+each kept component of one column, strong_nodal_domains each component of
+its sign row.
 """
 
 from __future__ import annotations
@@ -207,13 +206,16 @@ class NodalCensus:
     e_cap_z: np.ndarray
     connected: bool
 
-    def rows(self) -> list[tuple[int, ...]]:
-        """Per column (weak, strong, P, N, E, Z, E cap Z) as Python ints."""
-        table = np.column_stack((
+    def table(self) -> np.ndarray:
+        """The (k, 7) array of columns (weak, strong, P, N, E, Z, E cap Z)."""
+        return np.column_stack((
             self.weak_count, self.strong_count, self.p_size, self.n_size,
             self.e_size, self.z_size, self.e_cap_z,
         ))
-        return [tuple(row) for row in table.tolist()]
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """The table's rows as tuples of Python ints."""
+        return [tuple(row) for row in self.table().tolist()]
 
 
 def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> NodalCensus:
@@ -223,9 +225,12 @@ def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> Nod
     nodal_summary(g, vectors[:, i], tau).
     """
     signs = _sign_rows(g, vectors, tau, 2)
-    # first, so that two dense adjacency matrices are never held at once
-    connected = len(connected_components(g)) == 1
     table, _ = _census(signs, _sign_labels(g, signs))
+    # a column with no zero and one strong domain has every vertex in that
+    # domain; only a census without one labels the graph again, after its
+    # own labeling, so two dense adjacency matrices are never held at once
+    proven = ((table[5] == 0) & (table[1] == 1)).any()
+    connected = bool(proven) or len(connected_components(g)) == 1
     return NodalCensus(*table, connected=connected)
 
 

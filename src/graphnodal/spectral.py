@@ -70,8 +70,13 @@ def _fixed_columns(vectors: np.ndarray, ordering: str) -> np.ndarray:
     """eigh's columns in the requested order, each flipped so its
     largest-|.| coordinate (first on ties) is positive: one pass, into a
     fresh array for descending order and in place for ascending."""
-    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
-    signs = np.where(lead < 0, -1.0, 1.0)
+    top, bottom = vectors.max(axis=0), vectors.min(axis=0)
+    signs = np.where(top < -bottom, -1.0, 1.0)
+    # where +a and -a both reach the largest |.|, the first of them decides
+    tied = np.flatnonzero(top == -bottom)
+    if tied.size:
+        lead = vectors[np.abs(vectors[:, tied]).argmax(axis=0), tied]
+        signs[tied] = np.where(lead < 0, -1.0, 1.0)
     if ordering == "descending":
         return np.multiply(vectors[:, ::-1], signs[::-1], out=np.empty(vectors.shape))
     return np.multiply(vectors, signs, out=vectors)
@@ -80,6 +85,8 @@ def _fixed_columns(vectors: np.ndarray, ordering: str) -> np.ndarray:
 def _order_equal_runs(values: np.ndarray, vectors: np.ndarray) -> None:
     """Within each run of exactly equal eigenvalues, sort columns
     lexicographically, in place."""
+    if not (values[1:] == values[:-1]).any():
+        return
     n = values.shape[0]
     start = 0
     while start < n:

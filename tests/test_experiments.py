@@ -6,6 +6,7 @@ master seed and the harness's own substream discipline.
 """
 
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -24,7 +25,10 @@ from graphnodal import (
     sample_sym_xp_matrix,
     substream,
 )
+from graphnodal import experiments
+from graphnodal._text import write_csv
 from graphnodal.experiments import (
+    ExperimentReport,
     run_courant_report,
     run_fig1,
     run_fig2,
@@ -201,6 +205,36 @@ def test_gnp_scan_rows_and_extras():
     assert coarse.extras["total_zero_vertices"] == sum(row[7] for row in coarse.rows)
 
 
+def test_integer_array_rows_are_written_as_tuple_rows_are(monkeypatch):
+    gen = substream(25, "report-rows").generator()
+    bounds = 10 ** np.arange(12)
+    cells = np.concatenate((bounds, bounds - 1, [0, 10**12 - 1],
+                            gen.integers(0, 10**12, 6000), gen.integers(0, 100, 6000)))
+    # blocks of 7 cells: a block boundary inside a table row for 2 and 9 columns
+    monkeypatch.setattr(experiments, "BLOCK_CELLS", 7)
+    for width in (1, 2, 9):
+        for table in (gen.permutation(cells)[:width * 1000].reshape(-1, width),
+                      np.zeros((0, width), dtype=np.int64)):
+            columns = tuple(f"c{j}" for j in range(width))
+            report = ExperimentReport({"experiment": "t"}, columns, table, {}, None)
+            expected = io.StringIO()
+            write_csv([columns, *table.tolist()], expected)
+            assert csv_of(report) == expected.getvalue()
+            as_tuples = ExperimentReport({"experiment": "t"}, columns,
+                                         [tuple(row) for row in table.tolist()], {}, None)
+            assert json_of(report) == json_of(as_tuples)
+
+
+def test_gnp_scan_json_is_pinned():
+    # SHA-256 of the JSON of a scan whose rows were still written as tuples
+    for tau, digest in (
+        (None, "da74fdd4f5b39f904dc3f00acfee3f891d6d23e69e71f4228d57bfe9f0f37a8c"),
+        (0.3, "1c0f1c81d41c4189382428d1f1112e7b54c738bb956b1766b7eda26efcec0168"),
+    ):
+        text = json_of(run_gnp_scan(n=16, p=0.4, trials=3, seed=21, tau=tau))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, tau
+
+
 def test_tail_mc_schema_and_monotone_exceedance():
     r = run_tail_mc(p=0.5, k=30, samples=40, xi_list=(0.25, 0.5, 1.0), seed=7)
     assert r.columns == ("model", "size", "xi", "bound", "empirical")
@@ -355,8 +389,9 @@ def test_csv_floats_use_10_significant_digits():
 
 def test_census_runners_use_no_breadth_first_search(monkeypatch):
     # exp-gnp, exp-fig1 and exp-courant take every count, connectivity
-    # included, from the array census: no per-vector domain list, and one
-    # labeler pass for connectivity per census, inside it
+    # included, from the array census: no per-vector domain list, and a
+    # labeler pass for connectivity only in a census where no column proves
+    # it (one with no zero and one strong domain), once per such census
     import graphnodal.experiments
     import graphnodal.nodal
 
@@ -376,11 +411,24 @@ def test_census_runners_use_no_breadth_first_search(monkeypatch):
     monkeypatch.setattr(graphnodal.experiments, "weak_nodal_domains", refuse)
     counted(graphnodal.experiments, "nodal_census")
     counted(graphnodal.nodal, "connected_components")
-    run_gnp_scan(n=20, p=0.2, trials=2, seed=3)
-    run_fig1(d_list=(3,), n=20, trials=2, seed=3)
-    run_courant_report(source="gnp", n=20, p=0.2, trials=2, seed=3)
-    assert calls["nodal_census"] > 0
-    assert calls["connected_components"] == calls["nodal_census"]
+    connected = (
+        run_gnp_scan(n=20, p=0.2, trials=2, seed=3).extras["disconnected_trials"],
+        run_fig1(d_list=(3,), n=20, trials=2, seed=3).extras["disconnected_trials"]["3"],
+        run_courant_report(source="gnp", n=20, p=0.2, trials=2, seed=4)
+        .extras["disconnected_trials"],
+    )
+    assert connected == ([], [], [])
+    assert calls == {"nodal_census": 6, "connected_components": 0}
+    # disconnected samples, and connected ones with every coordinate zero
+    flagged = (
+        run_gnp_scan(n=40, p=0.02, trials=2, seed=3).extras["disconnected_trials"],
+        run_courant_report(source="gnp", n=40, p=0.02, trials=2, seed=3)
+        .extras["disconnected_trials"],
+        run_fig1(d_list=(3,), n=20, trials=2, seed=3, tau=1.0).extras["disconnected_trials"]["3"],
+        run_gnp_scan(n=20, p=0.2, trials=2, seed=3, tau=1.0).extras["disconnected_trials"],
+    )
+    assert flagged == ([0, 1], [0, 1], [], [])
+    assert calls == {"nodal_census": 14, "connected_components": 8}
 
 
 def test_sweep_raw_records_carry_swept_value_and_trial():

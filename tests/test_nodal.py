@@ -536,13 +536,42 @@ def test_label_call_takes_weak_masks_only_of_zero_columns(monkeypatch):
     columns = [[1, -1, 1, -1, 1], [0, 1, -1, 2, 2], [3, 2, 1, -1, -2], [1, 1, 0, 0, -1]]
     values = np.array(columns, dtype=float).T
     assert_census_matches_reference(g, values, 0.0)
-    # connected_components' one all-true row, then k + 2z class rows
-    assert shapes[:2] == [(1, 5), (4 + 2 * 2, 5)]
+    # k + 2z class rows, then, as no column is zero-free with one strong
+    # domain, connected_components' one all-true row
+    assert shapes[:2] == [(4 + 2 * 2, 5), (1, 5)]
     for f, rows in ((columns[0], 1), (columns[1], 3)):
         for entry in (nodal_summary, weak_nodal_domains):
             shapes.clear()
             entry(g, f)
             assert shapes == [(rows, 5)], entry.__name__
+
+
+def test_census_reads_connectivity_off_its_table(backend, monkeypatch):
+    calls = []
+    label = nodal.connected_components
+    monkeypatch.setattr(nodal, "connected_components", lambda g: calls.append(g) or label(g))
+    connected = _sample("gnp", 60, 0.1, 0)
+    disconnected = sample_gnp(300, 0.005, substream(3, "census-disconnected"))
+    edgeless = Graph.from_edges(7, [])
+    spectrum = eigendecompose(adjacency_matrix(connected), "descending").eigenvectors
+    # (graph, values, tau, whether some column proves connectivity)
+    cases = [
+        (connected, spectrum, None, True),
+        (connected, spectrum, 1.0, False),  # every coordinate is a zero
+        (connected, spectrum[:, :0], None, False),
+        (disconnected, eigendecompose(adjacency_matrix(disconnected)).eigenvectors,
+         None, False),
+        (edgeless, np.eye(7), None, False),
+        (edgeless, np.eye(7)[:, :0], None, False),
+        (Graph.from_edges(1, []), np.ones((1, 1)), None, True),
+        (Graph.from_edges(1, []), np.ones((1, 0)), None, False),
+    ]
+    assert len(reference_components(disconnected)) > 1
+    for g, values, tau, proven in cases:
+        calls.clear()
+        census = nodal_census(g, values, tau)
+        assert census.connected == (len(reference_components(g)) == 1)
+        assert calls == ([] if proven else [g])
 
 
 def _mixed_spectrum():

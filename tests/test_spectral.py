@@ -14,7 +14,7 @@ from graphnodal import (
     sample_regular,
     substream,
 )
-from graphnodal.spectral import Spectrum, write_spectrum_csv
+from graphnodal.spectral import Spectrum, _fixed_columns, write_spectrum_csv
 
 
 def test_k2_eigensystem():
@@ -156,6 +156,33 @@ def test_largest_coordinate_of_each_vector_is_positive():
     assert (vectors[lead, np.arange(30)] > 0).all()
 
 
+def _lead_signs(vectors):
+    """The sign of each column's first largest-|.| coordinate, +1 for 0."""
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(vectors.shape[1])]
+    return np.where(lead < 0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("ordering", ["ascending", "descending"])
+def test_fixed_columns_flip_by_the_first_largest_coordinate(ordering):
+    # +a before -a, -a before +a, a zero column (with a -0.0), and a
+    # largest coordinate of either sign without a tie
+    hand = np.array([[0.5, -0.5, 0.1], [-0.5, 0.5, 0.1], [-0.0, 0.0, 0.0],
+                     [0.1, -0.9, 0.3], [0.1, 0.9, -0.3]]).T
+    gen = substream(14, "fixed-columns").generator()
+    cases = [(hand, [1.0, -1.0, 1.0, -1.0, 1.0])]
+    cases += [(np.linalg.eigh(m + m.T)[1], None)
+              for m in (gen.standard_normal((n, n)) for n in (1, 2, 7, 40))]
+    # small integers tie +a and -a in many columns
+    cases.append((gen.integers(-2, 3, size=(5, 200)).astype(float), None))
+    for vectors, signs in cases:
+        signs = _lead_signs(vectors) if signs is None else np.array(signs)
+        want = vectors * signs
+        if ordering == "descending":
+            want = want[:, ::-1]
+        got = _fixed_columns(vectors.copy(), ordering)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_bit_identical_determinism():
     gen = substream(8, "det").generator()
     m = gen.uniform(-1.0, 1.0, size=(25, 25))
@@ -176,6 +203,17 @@ def test_tie_ordering_is_lexicographic():
     spec2 = eigendecompose(np.diag([2.0, 2.0, 1.0]), "descending")
     assert np.allclose(sorted(tuple(spec2.vector(i)) for i in range(2)),
                        [(0, 1, 0), (1, 0, 0)])
+
+
+@pytest.mark.parametrize("ordering", ["ascending", "descending"])
+def test_tie_ordering_of_an_edgeless_graph(ordering):
+    # every eigenvalue of an edgeless graph is an exact zero: one run of n
+    spectrum = eigendecompose(adjacency_matrix(Graph.from_edges(6, [])), ordering)
+    assert not spectrum.eigenvalues.any()
+    cols = [tuple(spectrum.vector(i)) for i in range(6)]
+    assert cols == sorted(cols) == [tuple(row) for row in np.eye(6)[::-1]]
+    one = eigendecompose(adjacency_matrix(Graph.from_edges(1, [])), ordering)
+    assert one.eigenvectors.tolist() == [[1.0]]
 
 
 def test_regular_graph_duality():
