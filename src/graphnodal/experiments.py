@@ -17,11 +17,12 @@ Trials may run on a thread pool; aggregation folds the trial results in
 trial order, so the report is identical for every thread count.  The pool
 earns its place: a trial spends much of its time in eigh and other numpy
 calls that release the interpreter lock, so two threads overlap.  With BLAS
-pinned to one thread on a 2-vCPU Xeon (five runs each), --threads 2 against
---threads 1 took 0.29-0.44 s against 0.44-0.55 s for `exp-fig2 --n-list
-100,300 --trials 16`, 0.10-0.11 s against 0.13-0.15 s for `exp-gnp --n 200
---trials 6`, and 0.26-0.30 s against 0.34-0.38 s for `exp-fig1 --d-list 3,4
---n 300 --trials 2`.
+pinned to one thread on a 2-vCPU Xeon, --threads 2 against --threads 1 took
+0.061-0.104 s against 0.083-0.131 s for `exp-fig2 --n-list 100,300 --trials
+16` (16 runs each; Lanczos' small calls hold the lock more often than
+eigh), and, five runs each, 0.10-0.11 s against 0.13-0.15 s for `exp-gnp
+--n 200 --trials 6` and 0.26-0.30 s against 0.34-0.38 s for `exp-fig1
+--d-list 3,4 --n 300 --trials 2`.
 
 Report serialization: CSV uses one pinned header per experiment (see the
 run_* docstrings), JSON carries the resolved config, the aggregate rows,
@@ -63,7 +64,7 @@ from .nodal import (
     nodal_census,
     weak_nodal_domains,
 )
-from .spectral import Spectrum, eigendecompose, operator_norm
+from .spectral import Spectrum, certified_top_vector, eigendecompose, operator_norm
 
 __all__ = [
     "ExperimentReport",
@@ -78,6 +79,21 @@ __all__ = [
     "write_report_csv",
     "write_report_json",
 ]
+
+# run_fig2 reads its top Laplacian eigenvector off certified_top_vector from
+# this many vertices up, and off eigendecompose below.  Lanczos makes many
+# small numpy calls that hold the interpreter lock, where eigh makes one
+# long call that releases it, so the cut follows the thread pool.  Measured
+# on run_fig2 at p=1/2 (32 trials a run, alternating runs, BLAS pinned to
+# one thread, 2-vCPU Xeon, OpenBLAS 0.3.31; medians of 12 runs, in two
+# batches), the certified trial took, on two threads, 1.24x the eigh
+# trial's time at n=60, 1.5x at 80, 0.96-1.33x at 100, 1.25x at 120, 1.01x
+# at 130, 0.93-0.98x at 150, 0.83x at 170 and 0.76-0.77x at 200; on one
+# thread 1.25x at n=60, 0.89x at 80 and 100 and 0.65x at 150.  Runs of
+# exp-fig2 --n-list 100,300 --trials 16 on two threads took 1.08-1.12x
+# their bare eigh time with the cut at 100 and 1.00-1.02x with it here
+# (medians of 20 and of 30 runs).
+LANCZOS_MIN_N = 150
 
 
 @dataclass
@@ -264,8 +280,13 @@ def run_fig2(
 ) -> ExperimentReport:
     """Fraction of samples whose top Laplacian eigenvector has 3 weak domains.
 
-    The top eigenvector is the one for the largest Laplacian eigenvalue
-    (ascending ordering, last index).  CSV rows "n,trials,frac_three_domains";
+    The top eigenvector is the one for the largest Laplacian eigenvalue.
+    From LANCZOS_MIN_N vertices up a trial takes it from
+    certified_top_vector, whose every sign under tau is proved to be the
+    exact eigenvector's, so that the count is a property of the exact
+    eigenvector; where the proof fails, and below the cut, it takes
+    eigendecompose's (ascending ordering, last index), as rounded output
+    that passed its residual checks.  CSV rows "n,trials,frac_three_domains";
     raw records carry each trial's weak count.
     """
     n_list = tuple(int(n) for n in n_list)
@@ -273,8 +294,11 @@ def run_fig2(
 
     def trial(n: int, t: int) -> int:
         g = sample_gnp(n, p, substream(seed, f"fig2-n{n}", t))
-        spectrum = eigendecompose(laplacian_matrix(g), "ascending")
-        return weak_nodal_domains(g, spectrum.vector(n - 1), tau).count
+        lap = laplacian_matrix(g)
+        top = certified_top_vector(lap, tau) if n >= LANCZOS_MIN_N else None
+        if top is None:
+            top = eigendecompose(lap, "ascending").vector(n - 1)
+        return weak_nodal_domains(g, top, tau).count
 
     def summarize(n: int, counts: list[int]):
         extras = {"count_histogram": _histogram(counts)}

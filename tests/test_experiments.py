@@ -11,6 +11,10 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +22,15 @@ import pytest
 from graphnodal import (
     ParameterError,
     adjacency_matrix,
+    certified_top_vector,
     eigendecompose,
+    laplacian_matrix,
     nodal_census,
     sample_gnp,
     sample_regular,
     sample_sym_xp_matrix,
     substream,
+    weak_nodal_domains,
 )
 from graphnodal import experiments
 from graphnodal._text import write_csv
@@ -170,6 +177,58 @@ def test_fig2_counts_and_fraction():
     hist = r.extras["count_histogram"]["24"]
     assert sum(hist.values()) == 12
     assert list(hist) == sorted(hist, key=int)
+
+
+def eigh_fig2_counts(n, p, trials, seed, tau):
+    """run_fig2's weak counts, each read off eigendecompose's top vector."""
+    counts = []
+    for t in range(trials):
+        g = sample_gnp(n, p, substream(seed, f"fig2-n{n}", t))
+        top = eigendecompose(laplacian_matrix(g), "ascending").vector(n - 1)
+        counts.append(weak_nodal_domains(g, top, tau).count)
+    return counts
+
+
+@pytest.mark.parametrize("p", [0.5, 0.02, 1.0, 0.0])
+@pytest.mark.parametrize("tau", [None, 0.0, 0.3])
+def test_fig2_counts_equal_those_of_eigh(p, tau):
+    # the certified vectors above the cut (300), the fallback where they are
+    # refused (p = 1, p = 0, zeros at tau = 0), and eigh below it
+    n_list = (1, 2, 40, experiments.LANCZOS_MIN_N, 300)
+    r = run_fig2(n_list=n_list, trials=4, p=p, seed=5, tau=tau, threads=2)
+    counts = [rec["weak_count"] for rec in r.raw]
+    assert counts == [c for n in n_list for c in eigh_fig2_counts(n, p, 4, 5, tau)]
+
+
+def test_fig2_defaults_take_no_fallback_above_the_cut(monkeypatch):
+    # fig2's benchmark sizes: a top vector that fails to certify above the
+    # cut costs an eigh call, which this would count
+    assert 100 < experiments.LANCZOS_MIN_N <= 300
+    calls = []
+    monkeypatch.setattr(experiments, "eigendecompose",
+                        lambda a, ordering: calls.append(a.shape[0]) or eigendecompose(a, ordering))
+    for seed in range(4):
+        run_fig2(n_list=(100, 300), trials=16, seed=seed, threads=2)
+    assert calls == [100] * 64
+    # below the cut the certificate also holds on these samples
+    for seed in range(4):
+        for t in range(16):
+            g = sample_gnp(100, 0.5, substream(seed, "fig2-n100", t))
+            assert certified_top_vector(laplacian_matrix(g), None) is not None
+
+
+def test_fig2_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    payloads = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-m", "graphnodal.cli", "exp-fig2", "--n-list", "100,300",
+             "--trials", "8"], env=env, capture_output=True, check=True, timeout=120)
+        payloads.append(out.stdout.split(b"\n", 2)[2])
+    assert payloads[0] == payloads[1]
+    assert payloads[0].startswith(b"n,trials,frac_three_domains\n100,8,")
 
 
 def test_trial_prefix_stability():

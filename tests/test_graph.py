@@ -298,7 +298,8 @@ def test_public_names():
         "ExperimentReport", "Graph", "GraphParseError", "GridSpec", "NodalCensus",
         "NodalSummary", "ParameterError", "RngStream", "SamplingError",
         "Spectrum", "__version__", "adjacency_matrix", "alpha_beta", "binary_entropy",
-        "c_constant", "check_regular", "connected_components", "domains_dict",
+        "c_constant", "certified_top_vector", "check_regular", "connected_components",
+        "domains_dict",
         "eigendecompose", "exceptional_bound_k", "feasibility", "kp_formula",
         "laplacian_matrix", "nodal_census", "nodal_summary", "operator_norm",
         "read_graph", "reference_k", "run_courant_report", "run_fig1", "run_fig2",

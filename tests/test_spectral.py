@@ -1,5 +1,9 @@
 """Eigendecomposition conventions, certificates, and determinism."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,14 +11,26 @@ from graphnodal import (
     Graph,
     ParameterError,
     adjacency_matrix,
+    certified_top_vector,
     eigendecompose,
     laplacian_matrix,
     operator_norm,
     sample_gnp,
     sample_regular,
     substream,
+    weak_nodal_domains,
 )
-from graphnodal.spectral import Spectrum, _fixed_columns, write_spectrum_csv
+from graphnodal import spectral
+from graphnodal.spectral import (
+    Spectrum,
+    _fixed_columns,
+    _norm_above,
+    _residual_above,
+    _second_below,
+    _sign_bound,
+    _signs_certain,
+    write_spectrum_csv,
+)
 
 
 def test_k2_eigensystem():
@@ -291,3 +307,148 @@ def test_spectrum_csv_is_the_same_in_blocks_of_any_size(monkeypatch):
         buf = io.StringIO()
         write_spectrum_csv(spectrum, buf)
         assert buf.getvalue() == expected, cells
+
+
+def _star(n):
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("tau", [None, 0.0, 0.3])
+def test_top_vector_certificate_refuses_spectra_with_few_eigenvalues(tau):
+    # complete (p = 1), empty, one- and two-vertex and star graphs exhaust
+    # the Krylov space within a few steps
+    graphs = [sample_gnp(n, p, substream(0, "few", n)) for n in (12, 200) for p in (1.0, 0.0)]
+    graphs += [Graph.from_edges(1, []), Graph.from_edges(2, []), Graph.from_edges(2, [(0, 1)]),
+               _star(30), _star(200)]
+    for g in graphs:
+        assert certified_top_vector(laplacian_matrix(g), tau) is None
+
+
+def test_top_vector_certificate_refuses_bad_arguments():
+    with pytest.raises(ValueError, match="^matrix must be exactly symmetric$"):
+        certified_top_vector(np.array([[0.0, 1.0], [0.5, 0.0]]), None)
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        certified_top_vector(np.array([[np.nan]]), None)
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        certified_top_vector(np.zeros((2, 3)), None)
+    # before the first step, which the empty graph's matrix never passes
+    with pytest.raises(ParameterError, match="^zero tolerance must be nonnegative, got -1.0$"):
+        certified_top_vector(np.zeros((3, 3)), -1.0)
+
+
+def test_residual_bound_covers_the_exact_residual():
+    # eigh's top pairs of small Laplacians, whose exact residual rational
+    # arithmetic gives: the computed residual alone falls short of it on
+    # some, the bound with its rounding term on none
+    short = 0
+    for t in range(300):
+        lap = laplacian_matrix(sample_gnp(10, 0.5, substream(1, "exact", t)))
+        values, vectors = np.linalg.eigh(lap)
+        x, rho = vectors[:, -1], float(values[-1])
+        exact = [Fraction(float(rho)) * Fraction(float(c)) for c in x]
+        exact = sum((sum(Fraction(int(lap[i, j])) * Fraction(float(x[j])) for j in range(10))
+                     - exact[i]) ** 2 for i in range(10))
+        assert Fraction(_residual_above(lap, x, rho)) ** 2 >= exact
+        y = lap @ x - rho * x
+        short += Fraction(_norm_above(y)) ** 2 < exact
+    assert short > 0
+
+
+def test_default_tau_moves_with_the_vector():
+    # ||x||_inf = 1, so the default tau is 1e-9, and the exact vector's
+    # within 1e-9 b of it: a coordinate just over b from 1e-9 is certain at
+    # tau = 1e-9 but not at the default
+    b = 1e-10
+    x = np.array([1.0, 1e-9 + b * (1.0 + 5e-10), -0.5])
+    assert _signs_certain(x, 1e-9, b)
+    assert not _signs_certain(x, None, b)
+    assert _signs_certain(x, None, 0.9 * b)
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (2, 9), (40, 70)])
+def test_gap_proof_needs_mu_above_the_second_eigenvalue(a, b):
+    # K_{a,b}'s Laplacian has the eigenvalues 0, a, b and a + b; the top
+    # one is simple, with eigenvector b on one side and -a on the other
+    n = a + b
+    lap = laplacian_matrix(Graph.from_edges(n, list(itertools.product(range(a), range(a, n)))))
+    top = np.r_[np.full(a, float(b)), np.full(b, -float(a))]
+    top /= np.linalg.norm(top)
+    second, first = max(a, b), a + b
+    # at the second eigenvalue, or below it by less than the rounding of
+    # the factorization, only the shift keeps the proof from passing (on
+    # K_{2,9} at mu = 9, an unshifted factorization completes)
+    for mu, proved in ((second - 0.5, False), (second - 1e-9, False),
+                       (float(np.nextafter(second, 0.0)), False), (second, False),
+                       (second + 1e-6, True), (0.5 * (second + first), True)):
+        assert _second_below(lap, top, mu, 2.0 * (first - mu)) is proved, mu
+    # sigma too small to push the top direction below mu proves nothing
+    assert not _second_below(lap, top, second + 1e-6, 0.5 * (first - second))
+
+
+@pytest.mark.parametrize("angle", [1e-3, 0.3])
+def test_sign_bound_covers_the_distance_to_the_eigenvector(angle):
+    # on K_{3,5}, x turned by angle from the top eigenvector (eigenvalue 8)
+    # towards one of the second eigenvalue, 5: the residual gives the bound
+    # no slack but the sqrt 2 of Davis-Kahan's
+    lap = laplacian_matrix(Graph.from_edges(8, list(itertools.product(range(3), range(3, 8)))))
+    top = np.r_[np.full(3, 5.0), np.full(5, -3.0)] / math.sqrt(120.0)
+    turn = np.r_[1.0, -1.0, np.zeros(6)] / math.sqrt(2.0)
+    x = math.cos(angle) * top + math.sin(angle) * turn
+    b = _sign_bound(lap, x, 8.0, 5.0 + 1e-9)
+    assert np.linalg.norm(x - top) <= b <= 1.5 * np.linalg.norm(x - top)
+
+
+def test_top_vector_certificate_refuses_a_double_top_eigenvalue():
+    # two disjoint copies of one graph: every eigenvalue is double, so the
+    # top Ritz vector, a mix of the two copies' top vectors, converges and
+    # passes the sign test, but no gap separates it from the second
+    g = sample_gnp(150, 0.5, substream(0, "double", 0))
+    lap = laplacian_matrix(g)
+    twice = np.zeros((300, 300))
+    twice[:150, :150] = twice[150:, 150:] = lap
+    assert certified_top_vector(lap, None) is not None
+    assert certified_top_vector(twice, None) is None
+
+
+def test_top_vector_certificate_refuses_a_moved_coordinate():
+    lap = laplacian_matrix(sample_gnp(150, 0.5, substream(0, "fig2-n150", 0)))
+    x = certified_top_vector(lap, None)
+    assert x is not None
+    values = np.linalg.eigvalsh(lap)
+    rho, mu = float(x @ lap @ x), 0.5 * float(values[-1] + values[-2])
+    b = _sign_bound(lap, x, rho, mu)
+    assert 0.0 < b < np.abs(x).min()
+    assert _signs_certain(x, None, b) and _second_below(lap, x, mu, 2.0 * (rho - mu))
+    # the smallest coordinate, moved across zero to 2b on the other side:
+    # a sign the exact vector does not have, which no certificate may pass
+    i = int(np.abs(x).argmin())
+    moved = x.copy()
+    moved[i] = -math.copysign(2.0 * b, x[i])
+    for tau in (None, 0.0):
+        assert not _signs_certain(moved, tau, _sign_bound(lap, moved, rho, mu))
+    # a vector b away from a tolerance of 0.3 is refused; the exact vector
+    # has no coordinate near 0.3
+    assert not _signs_certain(np.r_[x, 0.3 + 0.5 * b], 0.3, b)
+    assert _signs_certain(x, 0.3, b)
+
+
+@pytest.mark.parametrize("n", [40, 100, 300])
+@pytest.mark.parametrize("tau", [None, 0.0, 0.3])
+def test_certified_counts_equal_those_of_eigh(n, tau):
+    certified = 0
+    for seed, t in itertools.product(range(3), range(4)):
+        g = sample_gnp(n, 0.5, substream(seed, f"fig2-n{n}", t))
+        lap = laplacian_matrix(g)
+        x = certified_top_vector(lap, tau)
+        if x is not None:
+            certified += 1
+            top = eigendecompose(lap, "ascending").vector(n - 1)
+            assert weak_nodal_domains(g, x, tau).count == weak_nodal_domains(g, top, tau).count
+    assert certified >= 10
+
+
+def test_top_vector_certificate_gives_up_at_the_step_cap(monkeypatch):
+    lap = laplacian_matrix(sample_gnp(300, 0.5, substream(0, "fig2-n300", 0)))
+    assert certified_top_vector(lap, None) is not None
+    monkeypatch.setattr(spectral, "LANCZOS_STEPS", 8)
+    assert certified_top_vector(lap, None) is None
