@@ -30,33 +30,14 @@ the loops return the last k at which the `**` test can be evaluated, not
 the root (1074, not 1476, at p = 1/2, r = 1e-206 and an eps gap of 2.8e-17;
 at p = 1e-4, r = 1e-192 that walk took 0.35-0.56 s for one call).
 
-The search walks the grid in nested loops and computes each quantity once,
-at the level it depends on: t, a1, a2 per delta; alpha and beta per (delta,
-theta, gamma), skipping the triple unless both are positive; 1/2+eps, its
-square root and H(1/2+eps) per epsilon; D per (epsilon, xi1, xi2).  The
-union-bound condition is tested before k, so k is searched only at
-feasible points, and the winner is evaluated once more through
-`feasibility`.
-
-Each (delta, theta, gamma, eps) cell is searched from its largest-D point.
-The feasible xi1 and xi2 of a cell are upward-closed, and in floating
-point D = 2 sqrt(p(1-p)) (1 + sqrt(1/2+eps)) + xi1 + xi2 sqrt(1/2+eps)
-rises with both, so D rises => r falls => k rises: the point with the
-largest xi1 and xi2 has the cell's largest k, and GridSpec keeps every xi
-finite, so that point's r is positive.  When that k is below the best k
-so far, no point of the cell can win, and the cell is skipped.  The
-objective is the largest k; the smallest k, the reading ROADMAP.md weighs,
-would turn the skip around: search each cell from its smallest-D point and
-skip the cell when that k is above the best.
-
-Every expression keeps the operand order of `feasibility`, so the winner
-and its constants are bit-identical to a point-by-point search, which also
-searched k at infeasible points with alpha > 0.  The ranges are checked
-once, by GridSpec; gamma alone depends on p, and alpha_beta refuses one
-outside (0,1] at the point where that search did, with the same
-ParameterError.  The arithmetic is scalar `math`: numpy's log can differ
-from math.log in the last ulp, and the constants are written with 17
-significant digits.
+The search evaluates in scalar `math` what takes a logarithm, alpha and
+beta per (delta, theta, gamma) in loop order and H(1/2+eps) per epsilon,
+as numpy's log can differ from math.log in the last ulp; each xi^2 is
+Python's `**`.  The feasibility mask, D and r over the whole grid are
+numpy broadcasting of +, -, *, / and sqrt in `feasibility`'s operand order,
+so every value has the scalar bits.  At a fixed epsilon k does not rise
+with r: each epsilon's largest k is at its smallest feasible r, and the
+points reaching the best k come first in r order, found by bisection.
 
 Note on the default grid: with these formulas beta can never exceed
 4C/9 <= 1/288, so the union-bound condition forces the binary entropy of
@@ -69,8 +50,11 @@ depends on the parameters only through r and u.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .graph_core import ParameterError
 
@@ -311,6 +295,13 @@ _GRID_RULES = {
 }
 
 
+def _check_entries(name: str, values: tuple[float, ...], rules) -> None:
+    """Refuse values unless every entry passes each (refusal, test) rule."""
+    for rule, ok in rules:
+        if not all(ok(v) for v in values):
+            raise ParameterError(f"{name} entries {rule}, got {values}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Finite parameter ranges for the k search.
@@ -336,9 +327,8 @@ class GridSpec:
             values = getattr(self, field.name)
             if not values:
                 raise ParameterError(f"grid range {field.name} is empty")
-            for rule, ok in (("must be finite", math.isfinite), *_GRID_RULES[field.name]):
-                if not all(ok(v) for v in values):
-                    raise ParameterError(f"{field.name} entries {rule}, got {values}")
+            _check_entries(field.name, values,
+                           (("must be finite", math.isfinite), *_GRID_RULES[field.name]))
 
 
 def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResult:
@@ -350,49 +340,58 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     when no grid point is feasible with a positive k.
     """
     _check_p(p)
-    if grid is None:
-        grid = GridSpec()
-    c = c_constant(p)
-    alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c / 3.0)
-    d_scale = 2.0 * math.sqrt(p * (1.0 - p))
-    best_k, best_key = 1, None  # a winner needs k >= 1
-    for delta in grid.deltas:
-        _, a1, _ = tail_constants(p, delta)
-        for theta in grid.thetas:
-            gamma_max = alpha_ceiling * (1.0 - theta) / a1
-            for frac in grid.gamma_fractions:
-                gamma = frac * gamma_max
-                # gamma depends on p, so GridSpec cannot check it: alpha_beta
-                # refuses it at the first point a check per point would
-                alpha, beta = alpha_beta(p, delta, theta, gamma)
-                if not (alpha > 0.0 and beta > 0.0):
-                    continue
-                for gap in grid.epsilon_gaps:
-                    epsilon = 0.5 - gap
-                    half = 0.5 + epsilon
-                    root = math.sqrt(half)
-                    entropy = binary_entropy(half)
-                    if not entropy < beta * half:
-                        continue
-                    xi1s = [xi1 for xi1 in grid.xi1s if entropy < xi1**2 / 32.0]
-                    xi2s = [xi2 for xi2 in grid.xi2s if entropy < xi2**2 * half / 8.0]
-                    if not (xi1s and xi2s):
-                        continue
-                    d_base = d_scale * (1.0 + root)
-                    # the largest D has the smallest r, hence the cell's largest k
-                    r = alpha * root / (2.0 * (d_base + max(xi1s) + max(xi2s) * root))
-                    if _largest_k(p, epsilon, r) < best_k:
-                        continue
-                    for xi1 in xi1s:
-                        for xi2 in xi2s:
-                            d = d_base + xi1 + xi2 * root
-                            k = _largest_k(p, epsilon, alpha * root / (2.0 * d))
-                            key = (-k, delta, theta, gamma, epsilon, xi1, xi2)
-                            if k >= best_k and (best_key is None or key < best_key):
-                                best_k, best_key = k, key
-    if best_key is None:
+    grid = GridSpec() if grid is None else grid
+    alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c_constant(p) / 3.0)
+    # gamma depends on p, so GridSpec cannot check it: alpha_beta refuses
+    # it, and the refusal waits until the triples before it are searched
+    triples, refusal = [], None
+    try:
+        for delta in grid.deltas:
+            _, a1, _ = tail_constants(p, delta)
+            for theta in grid.thetas:
+                gamma_max = alpha_ceiling * (1.0 - theta) / a1
+                for frac in grid.gamma_fractions:
+                    gamma = frac * gamma_max
+                    triples.append((delta, theta, gamma, *alpha_beta(p, delta, theta, gamma)))
+    except ParameterError as err:
+        refusal = err
+    epsilons = [0.5 - gap for gap in grid.epsilon_gaps]
+
+    # axes (triple, epsilon, xi1, xi2); a triple is (delta, theta, gamma, alpha, beta)
+    triple = np.array(triples).reshape(-1, 5)
+    alpha, beta = triple[:, 3, None, None, None], triple[:, 4, None, None, None]
+    epsilon = np.array(epsilons)
+    half = 0.5 + epsilon[:, None, None]
+    root = np.sqrt(half)
+    entropy = np.array([binary_entropy(0.5 + eps) for eps in epsilons])[:, None, None]
+    xi1, xi2 = np.array(grid.xi1s), np.array(grid.xi2s)
+    xi1_sq = np.array([xi**2 for xi in grid.xi1s])[:, None]
+    xi2_sq = np.array([xi**2 for xi in grid.xi2s])
+    feasible = (
+        (alpha > 0.0) & (beta > 0.0) & (entropy < beta * half)
+        & (entropy < xi1_sq / 32.0) & (entropy < xi2_sq * half / 8.0)
+    )
+    d = 2.0 * math.sqrt(p * (1.0 - p)) * (1.0 + root) + xi1[:, None] + xi2 * root
+    r = alpha * root / (2.0 * d)
+    # k does not rise with r: each epsilon's largest k is at its smallest r
+    r_sorted = [np.sort(r[:, e][feasible[:, e]]).tolist() for e in range(len(epsilons))]
+    ks = [_largest_k(p, eps, rs[0]) if rs else 0 for eps, rs in zip(epsilons, r_sorted)]
+    if refusal is not None:
+        raise refusal
+    best_k = max(ks)
+    if best_k < 1:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")
-    return feasibility(BoundParams(p, *best_key[1:]))
+    best = np.zeros_like(feasible)
+    for e, (eps, rs, k) in enumerate(zip(epsilons, r_sorted, ks)):
+        if k == best_k:
+            # the points with k = best_k come first in rs
+            n = bisect.bisect_left(rs, True, key=lambda v: _largest_k(p, eps, v) < best_k)
+            best[:, e] = feasible[:, e] & (r[:, e] <= rs[n - 1])
+    t, e, i, j = np.nonzero(best)
+    # np.lexsort sorts by its last key first
+    w = np.lexsort((xi2[j], xi1[i], epsilon[e], triple[t, 2], triple[t, 1], triple[t, 0]))[0]
+    return feasibility(BoundParams(p, *triples[t[w]][:3], epsilons[e[w]],
+                                   grid.xi1s[i[w]], grid.xi2s[j[w]]))
 
 
 def kp_formula(p: float) -> int:

@@ -33,7 +33,6 @@ significant digits.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import IO, Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ._text import BLOCK_CELLS, int_text, rounded, write_csv, write_json
-from .bounds import tail_constants
+from .bounds import _XI_RULES, _check_entries, tail_constants
 from .graph_core import (
     MAX_VERTICES,
     Graph,
@@ -376,10 +375,7 @@ def run_tail_mc(
     xi_list = tuple(float(x) for x in xi_list)
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
-    if not all(xi > 0.0 for xi in xi_list):
-        raise ParameterError(f"xi_list entries must be > 0, got {xi_list}")
-    if not all(math.isfinite(xi * xi) for xi in xi_list):
-        raise ParameterError(f"xi_list entries must have a finite square, got {xi_list}")
+    _check_entries("xi_list", xi_list, _XI_RULES)
     m = (1.0 + delta) * k  # the rectangular sample's rows, before rounding
     # a k above MAX_VERTICES is _experiment's to refuse, as a vertex count;
     # min keeps its m finite, and changes no m that passes

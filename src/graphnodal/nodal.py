@@ -213,10 +213,6 @@ class NodalCensus:
             self.e_size, self.z_size, self.e_cap_z,
         ))
 
-    def rows(self) -> list[tuple[int, ...]]:
-        """The table's rows as tuples of Python ints."""
-        return [tuple(row) for row in self.table().tolist()]
-
 
 def nodal_census(g: Graph, vectors: np.ndarray, tau: float | None = None) -> NodalCensus:
     """Census of every column of `vectors` (shape n-by-k) on g.

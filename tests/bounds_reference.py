@@ -2,9 +2,9 @@
 
 This is exceptional_bound_k as first written: every grid point becomes a
 validated BoundParams and is scored as the scalar feasibility scores it,
-searching k wherever alpha > 0.  graphnodal.bounds computes each quantity
-once per loop level instead, and must return the same ConstantsResult and
-raise the same ParameterError.  feasible_ks lists the k of every feasible
+searching k wherever alpha > 0.  graphnodal.bounds scores the whole grid by
+broadcasting instead, and must return the same ConstantsResult and raise
+the same ParameterError.  feasible_ks lists the k of every feasible
 point, for objectives other than the largest k.  The k here comes from
 reference_largest_k, the k search as first written: a walk from a log
 estimate against a domain floor found by a running product, with its own

@@ -249,7 +249,7 @@ def test_grid_spec_refuses_entries_the_search_cannot_use():
             GridSpec(**ranges)
     # the extremes it accepts search as the point-by-point reference does;
     # at p = 1 - 1e-12 the winner's r, the smallest met on extreme grids,
-    # is still far from 0, which the cell skip relies on
+    # is still far from 0, which the bisection on r relies on
     top = 1.0 - 2.0**-53
     grid = GridSpec(deltas=(1e300,), thetas=(top,), gamma_fractions=(top,),
                     epsilon_gaps=(2.8e-17,), xi1s=(1.3e154,), xi2s=(1.3e154,))
@@ -281,6 +281,19 @@ def search_outcome(search, p, grid):
 def test_grid_search_matches_point_by_point_reference():
     for p, _ in REFERENCE_K_TABLE:
         assert exceptional_bound_k(p) == reference_bound_k(p), p
+    # the default grid widened as in CI: epsilon gaps down to 1e-8, gamma
+    # fractions up to 0.99
+    wide = GridSpec(epsilon_gaps=(1e-3, 1e-4, 1e-5, 3e-6, 1e-8),
+                    gamma_fractions=(0.05, 0.1, 0.25, 0.5, 0.99))
+    for p in (0.5, 0.3, 0.18):
+        assert exceptional_bound_k(p, wide) == reference_bound_k(p, wide), p
+    # unsorted ranges with duplicates: ties go by parameter value, not by
+    # position in the grid
+    unsorted = GridSpec(deltas=(99999.0, 999.0, 9999.0), thetas=(0.9, 0.1, 0.5),
+                        gamma_fractions=(0.5, 0.05, 0.5), epsilon_gaps=(3e-6, 1e-3, 1e-5),
+                        xi1s=(2.0, 0.5, 2.0), xi2s=(1.0, 0.25, 1.0))
+    for p in (0.5, 0.37, 0.22):
+        assert exceptional_bound_k(p, unsorted) == reference_bound_k(p, unsorted), p
     rng = random.Random(17)
     ranges = {
         "deltas": (9.0, 999.0, 1e4, 1e6, 1e9),
@@ -332,8 +345,21 @@ def test_grid_search_searches_k_at_feasible_points_only():
         reference_bound_k(1e-5)
 
 
+@pytest.mark.parametrize("fractions, error", [
+    ((0.5, 1e12), RuntimeError), ((1e12, 0.5), ParameterError),
+])
+def test_grid_search_refuses_in_loop_order(fractions, error):
+    # a feasible point whose domain of k starts past the cap comes before
+    # a gamma above 1 in one order and after it in the other; the search
+    # raises whichever a point-by-point search meets first
+    grid = GridSpec(deltas=(1e300,), epsilon_gaps=(2.8e-17,), gamma_fractions=fractions)
+    got = search_outcome(exceptional_bound_k, 3e-5, grid)
+    assert got[0] is error
+    assert got == search_outcome(reference_bound_k, 3e-5, grid)
+
+
 def test_largest_k_falls_as_r_rises():
-    # the cell skip of the grid search rests on k being nonincreasing in r
+    # the grid search's bisection on r rests on k being nonincreasing in r
     rng = random.Random(23)
     gaps = (0.1, 1e-2, 1e-3, 1e-4, 1e-5, 3e-6, 1e-8)
     ps = [p for p, _ in REFERENCE_K_TABLE] + [rng.uniform(0.01, 0.99) for _ in range(24)]
@@ -416,10 +442,13 @@ def test_grid_search_skips_cells_that_cannot_win(monkeypatch):
     want = exceptional_bound_k(0.5)
     monkeypatch.setattr(bounds, "_largest_k", counted)
     assert exceptional_bound_k(0.5) == want
-    # every feasible point, as searched before the skip, made 1777 calls
-    assert calls <= 600
-    # the skip needs the largest-D point's r > 0; an infinite xi would give
-    # it r = 0, and GridSpec refuses one
+    # one k search per epsilon at its smallest r, then a bisection on r at
+    # each epsilon reaching the best k; a k search at every feasible point
+    # made 1777 calls
+    assert calls <= 64
+    # the bisection needs r > 0 at every feasible point, since k = 0 at
+    # r = 0 breaks k's fall in r; an infinite xi would give r = 0, and
+    # GridSpec refuses one
     with pytest.raises(ParameterError, match=r"^xi1s entries must be finite, got \(2\.0, inf\)$"):
         GridSpec(xi1s=(2.0, math.inf))
 
