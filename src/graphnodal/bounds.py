@@ -21,14 +21,15 @@ the largest integer with (1-p)^k < 1/2-eps and
 
 and the grid search returns the point maximizing k (ties by lexicographic
 parameter order).  The result is self-certifying: the inequality holds at k
-and fails at k+1.  With u = 1/2-eps, the second condition is
-sqrt((1-p)^k) >= s for s = 2 r u / (1 + sqrt(1 + 4 r^2 u)), so k is
-floor(2 ln s / ln(1-p)), settled by two guard loops on the inequality as
-evaluated; a (p, eps) whose domain of k starts past an iteration cap is
-refused.  Known, not fixed: where (1-p)^k underflows at the closed-form k,
-the loops return the last k at which the `**` test can be evaluated, not
-the root (1074, not 1476, at p = 1/2, r = 1e-206 and an eps gap of 2.8e-17;
-at p = 1e-4, r = 1e-192 that walk took 0.35-0.56 s for one call).
+and fails at k+1.  With u = 1/2-eps and L = log1p(-p), the second condition
+is sqrt((1-p)^k) >= s for s = 2 r u / (1 + sqrt(1 + 4 r^2 u)), so k is near
+2 ln s / L; two guard loops settle it on the inequality in logs,
+k L / 2 >= ln r + ln(u - e^(k L)), true outright where e^(k L) >= u.  Nothing
+there underflows, and the test is monotone in k and in r as evaluated.  The
+domain test stays the power (1-p)^k < u, right even where it underflows.
+As u >= 2^-54, |ln s| < |ln(5e-324 2^-54)| < 782 for every r > 0, so
+k <= 2 |ln s| / |L| < 1564 / p: p >= _P_FLOOR = 2^-42 keeps every k reached
+below 2^53, where k+1 is a double distinct from k.  Smaller p are refused.
 
 The search evaluates in scalar `math` what takes a logarithm, alpha and
 beta per (delta, theta, gamma) in loop order and H(1/2+eps) per epsilon,
@@ -72,7 +73,8 @@ __all__ = [
     "tail_constants",
 ]
 
-_K_SEARCH_CAP = 1_000_000
+# the smallest p with a bound k; below it k can pass 2^53 (module docstring)
+_P_FLOOR = 2.0**-42
 
 # published reference values for the bound k; the grid search reports
 # whether it reproduces them (the parameter grid behind them is unknown)
@@ -109,6 +111,12 @@ def _check_p(p: float) -> None:
         raise ParameterError(f"p must lie in (0,1), got {p}")
 
 
+def _check_p_floor(p: float) -> None:
+    _check_p(p)
+    if p < _P_FLOOR:
+        raise ParameterError(f"p must be at least 2^-42 for the bound k, got {p}")
+
+
 def _check_delta(delta: float) -> None:
     if not delta > 0.0:
         raise ParameterError(f"delta must be positive, got {delta}")
@@ -142,7 +150,7 @@ class BoundParams:
     xi2: float
 
     def __post_init__(self) -> None:
-        _check_p(self.p)
+        _check_p_floor(self.p)
         _check_delta(self.delta)
         _check_theta(self.theta)
         _check_gamma(self.gamma)
@@ -227,27 +235,24 @@ def _largest_k(p: float, epsilon: float, r: float) -> int:
     last k meeting it, when that k lies in the first condition's domain.
     """
     u = 0.5 - epsilon
-    base = 1.0 - p
     if r <= 0.0 or u <= 0.0:
         return 0
-    # the domain of k, where (1-p)^k < u, must start below the cap
-    if base**_K_SEARCH_CAP >= u:
-        raise RuntimeError("k search exceeded iteration cap")
+    log_base, log_r = math.log1p(-p), math.log(r)
 
     def meets(k: int) -> bool:
-        wk = base**k
-        return math.sqrt(wk) >= r * (u - wk)
+        x = k * log_base
+        wk = math.exp(x)
+        return wk >= u or x / 2.0 >= log_r + math.log(u - wk)
 
-    # meets(k) is sqrt((1-p)^k) >= s, s the positive root of r s^2 + s - r u = 0
-    ru = r * u
-    s = 2.0 * ru / (1.0 + math.sqrt(1.0 + 4.0 * r * ru))
-    k = math.floor(2.0 * math.log(s) / math.log(base))
-    # (1-p)^k may round, or underflow to 0, away from the real root
+    # meets(k) is sqrt((1-p)^k) >= s = r u / (1/2 + sqrt(1/4 + r^2 u)), the
+    # positive root of r s^2 + s = r u, in logs for every positive r
+    log_s = log_r + math.log(u) - math.log(0.5 + math.hypot(0.5, r * math.sqrt(u)))
+    k = math.floor(2.0 * log_s / log_base)
     while not meets(k):
         k -= 1
     while meets(k + 1):
         k += 1
-    return k if k >= 1 and base**k < u else 0
+    return k if k >= 1 and (1.0 - p) ** k < u else 0
 
 
 def feasibility(params: BoundParams) -> ConstantsResult:
@@ -335,26 +340,22 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     """Largest k over all feasible grid points, ties by lexicographic order
     of (delta, theta, gamma, epsilon, xi1, xi2).
 
-    Raises ParameterError when p is out of range or a grid point's gamma
-    leaves (0,1] (the first such point in loop order), and RuntimeError
-    when no grid point is feasible with a positive k.
+    Raises ParameterError when p is out of range or below _P_FLOOR, or a grid
+    point's gamma leaves (0,1] (the first such point in loop order), and
+    RuntimeError when no grid point is feasible with a positive k.
     """
-    _check_p(p)
+    _check_p_floor(p)
     grid = GridSpec() if grid is None else grid
     alpha_ceiling = (2.0 / 3.0) * math.sqrt(p * (1.0 - p) * c_constant(p) / 3.0)
-    # gamma depends on p, so GridSpec cannot check it: alpha_beta refuses
-    # it, and the refusal waits until the triples before it are searched
-    triples, refusal = [], None
-    try:
-        for delta in grid.deltas:
-            _, a1, _ = tail_constants(p, delta)
-            for theta in grid.thetas:
-                gamma_max = alpha_ceiling * (1.0 - theta) / a1
-                for frac in grid.gamma_fractions:
-                    gamma = frac * gamma_max
-                    triples.append((delta, theta, gamma, *alpha_beta(p, delta, theta, gamma)))
-    except ParameterError as err:
-        refusal = err
+    # gamma depends on p, so GridSpec cannot check it: alpha_beta refuses it
+    triples = []
+    for delta in grid.deltas:
+        _, a1, _ = tail_constants(p, delta)
+        for theta in grid.thetas:
+            gamma_max = alpha_ceiling * (1.0 - theta) / a1
+            for frac in grid.gamma_fractions:
+                gamma = frac * gamma_max
+                triples.append((delta, theta, gamma, *alpha_beta(p, delta, theta, gamma)))
     epsilons = [0.5 - gap for gap in grid.epsilon_gaps]
 
     # axes (triple, epsilon, xi1, xi2); a triple is (delta, theta, gamma, alpha, beta)
@@ -376,8 +377,6 @@ def exceptional_bound_k(p: float, grid: GridSpec | None = None) -> ConstantsResu
     # k does not rise with r: each epsilon's largest k is at its smallest r
     r_sorted = [np.sort(r[:, e][feasible[:, e]]).tolist() for e in range(len(epsilons))]
     ks = [_largest_k(p, eps, rs[0]) if rs else 0 for eps, rs in zip(epsilons, r_sorted)]
-    if refusal is not None:
-        raise refusal
     best_k = max(ks)
     if best_k < 1:
         raise RuntimeError(f"no feasible grid point with a positive k at p={p}")

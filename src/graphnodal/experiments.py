@@ -283,7 +283,7 @@ def run_fig2(
     From LANCZOS_MIN_N vertices up a trial takes it from
     certified_top_vector, whose every sign under tau is proved to be the
     exact eigenvector's, so that the count is a property of the exact
-    eigenvector; where the proof fails, and below the cut, it takes
+    eigenvector; where no proof is found, and below the cut, it takes
     eigendecompose's (ascending ordering, last index), as rounded output
     that passed its residual checks.  CSV rows "n,trials,frac_three_domains";
     raw records carry each trial's weak count.

@@ -316,10 +316,11 @@ def certified_top_vector(a: np.ndarray, tau: float | None) -> np.ndarray | None:
     test, _sign_bound bounds the distance b to the exact eigenvector from
     the residual as computed, and where _signs_certain accepts b,
     _second_below proves that every other eigenvalue is below mu, with
-    sigma = 2 (rho - mu).  The search gives up, returning None, when that
-    proof fails, at LANCZOS_STEPS steps, and when the Krylov space is
-    exhausted, as on matrices with few distinct eigenvalues, such as those
-    of complete, empty and star graphs.
+    sigma = 2 (rho - mu).  A failed proof, as before the second Ritz value
+    has found the second eigenvalue, is tried again at the next check.  The
+    search gives up, returning None, at LANCZOS_STEPS steps and when the
+    Krylov space is exhausted, as on matrices with few distinct eigenvalues,
+    such as those of complete, empty and star graphs.
     """
     a, fro = _symmetric(a)
     _zero_tolerance(np.zeros(0), tau)  # refuses a negative tau before any step
@@ -357,8 +358,9 @@ def certified_top_vector(a: np.ndarray, tau: float | None) -> np.ndarray | None:
         x = s[:, -1] @ done
         if not _signs_certain(x, tau, math.sqrt(2.0) * top / (rho - mu)):
             continue
-        if _signs_certain(x, tau, _sign_bound(a, x, rho, mu)):
-            return x if _second_below(a, x, mu, 2.0 * (rho - mu)) else None
+        if (_signs_certain(x, tau, _sign_bound(a, x, rho, mu))
+                and _second_below(a, x, mu, 2.0 * (rho - mu))):
+            return x
     return None
 
 

@@ -7,9 +7,11 @@ broadcasting instead, and must return the same ConstantsResult and raise
 the same ParameterError.  feasible_ks lists the k of every feasible
 point, for objectives other than the largest k.  The k here comes from
 reference_largest_k, the k search as first written: a walk from a log
-estimate against a domain floor found by a running product, with its own
-iteration cap, so the search is checked against a rule it does not share.
-reference_kp is kp_formula in 60-digit decimal arithmetic.
+estimate against a domain floor found by a running product, so the search
+is checked against a rule it does not share; only its test of the
+inequality is the search's, in logs.  reference_largest_k_exact is the
+same k for the exact values of its arguments, in 80-digit decimal
+arithmetic, and reference_kp is kp_formula in 60-digit decimal arithmetic.
 """
 
 import decimal
@@ -27,8 +29,8 @@ from graphnodal.bounds import (
 )
 from graphnodal.graph_core import ParameterError
 
-# the walk gives up once its domain floor or its k passes this
-K_SEARCH_CAP = 1_000_000
+# below this p a k can pass 2^53, where k+1 is k as a double
+P_FLOOR = 2.0**-42
 
 
 def grid_results(p: float, grid: GridSpec | None = None) -> Iterator[ConstantsResult]:
@@ -107,36 +109,56 @@ def reference_largest_k(p: float, epsilon: float, r: float) -> int:
     """The largest k with (1-p)^k < 1/2-eps and
     sqrt((1-p)^k) >= r (1/2-eps-(1-p)^k), or 0, found by a walk as first
     written, with its domain floor computed inline on every call."""
+    if p < P_FLOOR:
+        raise ParameterError(f"p must be at least 2^-42 for the bound k, got {p}")
     u = 0.5 - epsilon
     base = 1.0 - p
     if r <= 0.0 or u <= 0.0:
         return 0
+    log_base, log_r = math.log1p(-p), math.log(r)
 
     def holds(k: int) -> bool:
-        wk = base**k
-        return wk < u and math.sqrt(wk) >= r * (u - wk)
+        x = k * log_base
+        wk = math.exp(x)
+        return base**k < u and (wk >= u or x / 2.0 >= log_r + math.log(u - wk))
 
     k_min = 1
     wk = base
     while wk >= u:
         wk *= base
         k_min += 1
-        if k_min > K_SEARCH_CAP:
-            raise RuntimeError("k search exceeded iteration cap")
-    if r * u < 1.0:
-        estimate = int(2.0 * math.log(1.0 / (r * u)) / math.log(1.0 / base))
-    else:
-        estimate = 1
-    k = max(estimate, k_min)
+    k = max(int(2.0 * (log_r + math.log(u)) / log_base), k_min)
     if not holds(k):
         while k >= k_min and not holds(k):
             k -= 1
         return k if k >= k_min else 0
     while holds(k + 1):
         k += 1
-        if k > K_SEARCH_CAP:
-            raise RuntimeError("k search exceeded iteration cap")
     return k
+
+
+def reference_largest_k_exact(p: float, epsilon: float, r: float) -> int:
+    """The largest k with (1-p)^k < u and sqrt((1-p)^k) >= r (u - (1-p)^k),
+    or 0, for the exact values of the doubles p, r and u = 0.5 - epsilon,
+    in 80-digit decimal arithmetic."""
+    u = 0.5 - epsilon
+    if r <= 0.0 or u <= 0.0:
+        return 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        base, u, r = 1 - decimal.Decimal(p), decimal.Decimal(u), decimal.Decimal(r)
+
+        def meets(k: int) -> bool:
+            wk = base**k
+            return wk.sqrt() >= r * (u - wk)
+
+        s = 2 * r * u / (1 + (1 + 4 * r * r * u).sqrt())
+        k = int((2 * s.ln() / base.ln()).to_integral_value(rounding=decimal.ROUND_FLOOR))
+        while not meets(k):
+            k -= 1
+        while meets(k + 1):
+            k += 1
+        return k if k >= 1 and base**k < u else 0
 
 
 def reference_kp(p: float) -> int:

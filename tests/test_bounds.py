@@ -26,7 +26,13 @@ from graphnodal import (
 )
 from graphnodal import bounds
 from graphnodal.bounds import REFERENCE_K_TABLE, ConstantsResult, binary_entropy
-from bounds_reference import feasible_ks, reference_bound_k, reference_kp, reference_largest_k
+from bounds_reference import (
+    feasible_ks,
+    reference_bound_k,
+    reference_kp,
+    reference_largest_k,
+    reference_largest_k_exact,
+)
 
 
 def test_c_constant_values():
@@ -253,10 +259,17 @@ def test_grid_spec_refuses_entries_the_search_cannot_use():
     top = 1.0 - 2.0**-53
     grid = GridSpec(deltas=(1e300,), thetas=(top,), gamma_fractions=(top,),
                     epsilon_gaps=(2.8e-17,), xi1s=(1.3e154,), xi2s=(1.3e154,))
-    for p in (1e-12, 0.5, 1.0 - 1e-12):
+    for p in (1e-13, 0.01, 0.5, 1.0 - 1e-12):
         assert (search_outcome(exceptional_bound_k, p, grid)
                 == search_outcome(reference_bound_k, p, grid)), p
     assert 0.0 < exceptional_bound_k(1.0 - 1e-12, grid).r < 1e-200
+    # (1-p)^k underflows long before the root on this grid (`**` stopped
+    # at 74140 for p = 0.01 and 26 for 1 - 1e-12); the reference's running
+    # product is too slow to reach the domain of k at the smallest p
+    for p, k in ((2.0**-42, 4517595732509913), (1e-12, 1023023462783684),
+                 (1e-5, 97449828), (0.01, 94893), (1.0 - 1e-12, 37)):
+        res = exceptional_bound_k(p, grid)
+        assert res.k == reference_largest_k_exact(p, res.params.epsilon, res.r) == k, p
 
 
 def test_grid_search_respects_custom_grid():
@@ -336,25 +349,26 @@ def test_grid_search_raises_the_reference_error_on_invalid_grids(bad):
     assert got == search_outcome(reference_bound_k, 0.5, grid)
 
 
-def test_grid_search_searches_k_at_feasible_points_only():
-    # at p = 1e-5 no point is feasible; the point-by-point search gave up in
-    # its k search instead, at a point it would have discarded
+def test_grid_search_searches_k_at_feasible_points_only(monkeypatch):
+    # at p = 1e-5 no point is feasible, so no k is searched; the
+    # point-by-point search walks k at each of the 6400 points, from a
+    # domain of k that starts past 690,000
+    calls = []
+    monkeypatch.setattr(bounds, "_largest_k", lambda *args: calls.append(args))
     with pytest.raises(RuntimeError, match="^no feasible grid point"):
         exceptional_bound_k(1e-5)
-    with pytest.raises(RuntimeError, match="^k search exceeded iteration cap"):
-        reference_bound_k(1e-5)
+    assert calls == []
 
 
-@pytest.mark.parametrize("fractions, error", [
-    ((0.5, 1e12), RuntimeError), ((1e12, 0.5), ParameterError),
-])
-def test_grid_search_refuses_in_loop_order(fractions, error):
-    # a feasible point whose domain of k starts past the cap comes before
-    # a gamma above 1 in one order and after it in the other; the search
-    # raises whichever a point-by-point search meets first
+@pytest.mark.parametrize("fractions", [(0.5, 1e12), (1e12, 0.5)])
+def test_grid_search_refuses_in_loop_order(fractions):
+    # a feasible point whose domain of k starts past 1.2 million comes
+    # before a gamma above 1 in one order and after it in the other; no
+    # error comes out of a k search, so both orders raise the gamma refusal
+    # that a point-by-point search meets
     grid = GridSpec(deltas=(1e300,), epsilon_gaps=(2.8e-17,), gamma_fractions=fractions)
     got = search_outcome(exceptional_bound_k, 3e-5, grid)
-    assert got[0] is error
+    assert got[0] is ParameterError
     assert got == search_outcome(reference_bound_k, 3e-5, grid)
 
 
@@ -366,14 +380,35 @@ def test_largest_k_falls_as_r_rises():
     for p in ps:
         for gap in gaps:
             epsilon = 0.5 - gap
-            rs = sorted(10.0 ** rng.uniform(-14.0, 3.0) for _ in range(40))
+            u = 0.5 - epsilon
+            rs = [10.0 ** rng.uniform(-14.0, 3.0) for _ in range(40)]
+            # the r at which the root passes an integer k in the domain,
+            # and 6 ulps either side of it
+            k = math.floor(math.log(u) / math.log1p(-p)) + rng.randint(1, 40)
+            wk = math.exp(k * math.log1p(-p))
+            root = math.sqrt(wk) / (u - wk)
+            for side in (0.0, math.inf):
+                r = root
+                for _ in range(6):
+                    r = math.nextafter(r, side)
+                    rs.append(r)
+            rs = sorted(rs + [root])
             ks = [bounds._largest_k(p, epsilon, r) for r in rs]
             assert all(a >= b for a, b in zip(ks, ks[1:])), (p, gap)
             assert ks == [reference_largest_k(p, epsilon, r) for r in rs], (p, gap)
-    # a domain of k that starts past the cap raises as the walk did
-    for search in (bounds._largest_k, reference_largest_k):
-        with pytest.raises(RuntimeError, match="^k search exceeded iteration cap$"):
-            search(1e-6, 0.499, 1.0)
+    # below 2^-42 a k can pass 2^53, where k+1 is k as a double: such a p is
+    # refused before any k search
+    below = math.nextafter(2.0**-42, 0.0)
+    message = re.escape(f"p must be at least 2^-42 for the bound k, got {below}")
+    for refused in (lambda: exceptional_bound_k(below),
+                    lambda: BoundParams(below, 999.0, 0.5, 1e-6, 0.4, 1.0, 1.0),
+                    lambda: reference_largest_k(below, 0.499, 1.0)):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            refused()
+    # at the floor the largest k, at the smallest u and r, is the root and
+    # below 2^53
+    extreme = (2.0**-42, 0.5 - 2.0**-54, 5e-324)
+    assert bounds._largest_k(*extreme) == reference_largest_k_exact(*extreme) < 2**53
 
 
 def test_largest_k_where_a_power_rounds_onto_the_domain_edge():
@@ -384,11 +419,13 @@ def test_largest_k_where_a_power_rounds_onto_the_domain_edge():
 
 
 def certify_largest_k(p, epsilon, r):
-    u, base = 0.5 - epsilon, 1.0 - p
+    u, base, log_base = 0.5 - epsilon, 1.0 - p, math.log1p(-p)
 
     def meets(k):
-        wk = base**k
-        return math.sqrt(wk) >= r * (u - wk)
+        # sqrt((1-p)^k) >= r (u - (1-p)^k) in logs, as the search tests it
+        x = k * log_base
+        wk = math.exp(x)
+        return wk >= u or x / 2.0 >= math.log(r) + math.log(u - wk)
 
     k = bounds._largest_k(p, epsilon, r)
     if k >= 1:
@@ -402,13 +439,29 @@ def certify_largest_k(p, epsilon, r):
     return k
 
 
-def test_largest_k_certifies_itself():
-    rng = random.Random(29)
-    ks = []
+def random_k_inputs(rng):
+    """3000 (p, epsilon, r) from rng: p uniform in [0.01, 0.99], 1/2-eps and
+    r log-uniform in [1e-16, 1/2] and [1e-200, 1e3]."""
     for _ in range(3000):
         p = rng.uniform(0.01, 0.99)
         epsilon = 0.5 - 10.0 ** rng.uniform(-16.0, math.log10(0.5))
-        ks.append(certify_largest_k(p, epsilon, 10.0 ** rng.uniform(-200.0, 3.0)))
+        yield p, epsilon, 10.0 ** rng.uniform(-200.0, 3.0)
+
+
+def test_largest_k_is_the_exact_root():
+    # (1-p)^k underflows below the root for most of these r; a test of the
+    # inequality through (1-p)**k gave 715 of them wrong
+    for args in random_k_inputs(random.Random(29)):
+        assert bounds._largest_k(*args) == reference_largest_k_exact(*args), args
+    # where (1-p)^k underflows the `**` test stopped at 1074 and 7,450,959
+    assert bounds._largest_k(0.5, 0.5 - 2.8e-17, 1e-206) == 1476
+    assert bounds._largest_k(1e-4, 0.5 - 2.8e-17, 1e-192) == 9_590_046
+    assert reference_largest_k_exact(1e-4, 0.5 - 2.8e-17, 1e-192) == 9_590_046
+
+
+def test_largest_k_certifies_itself():
+    rng = random.Random(29)
+    ks = [certify_largest_k(*args) for args in random_k_inputs(rng)]
     assert min(ks) == 0 and max(ks) > 10_000
     # u and r on the boundaries: u a power of 1-p and r its root at some k,
     # each nudged an ulp either way

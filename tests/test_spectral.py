@@ -447,6 +447,26 @@ def test_certified_counts_equal_those_of_eigh(n, tau):
     assert certified >= 10
 
 
+def test_top_vector_certificate_retries_a_failed_gap_proof(monkeypatch):
+    # at tau = 0.3 the sign test passes at step 8, before the second Ritz
+    # value has found the second eigenvalue: mu lies below it, the gap proof
+    # fails, and the steps go on until a later check proves it
+    proofs = []
+    second_below = spectral._second_below
+
+    def recorded(*args):
+        proofs.append(second_below(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(spectral, "_second_below", recorded)
+    g = sample_gnp(300, 0.5, substream(0, "fig2-n300", 14))
+    lap = laplacian_matrix(g)
+    x = certified_top_vector(lap, 0.3)
+    assert x is not None and proofs[0] is False and proofs[-1] is True
+    top = eigendecompose(lap, "ascending").vector(299)
+    assert weak_nodal_domains(g, x, 0.3).count == weak_nodal_domains(g, top, 0.3).count
+
+
 def test_top_vector_certificate_gives_up_at_the_step_cap(monkeypatch):
     lap = laplacian_matrix(sample_gnp(300, 0.5, substream(0, "fig2-n300", 0)))
     assert certified_top_vector(lap, None) is not None
