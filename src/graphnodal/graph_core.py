@@ -27,9 +27,10 @@ _components turns one row of labels into vertex lists.  Graphs of mean
 degree at least DENSE_DEGREE_OVER_LOG_N * ln n split each row into its two
 sign masks and grow components from a seed's own adjacency row by 0/1
 float32 products with the adjacency matrix, exact integer counts, so the
-labels do not depend on how BLAS splits a product; sparser graphs hook
-trees of labels to the smaller root across every live edge, drop the edges
-inside one tree, and pointer-jump only the nodes not yet at a root.
+labels do not depend on how BLAS splits a product; sparser graphs make
+vertex x of row r the node r*n + x of one forest, hook the higher root of
+every live edge to the least root across from it, shortcut the whole
+forest to its roots, and drop the edges inside one tree, round by round.
 
 Samplers draw from G(n,p), from the uniform simple d-regular distribution
 (configuration model with full rejection), and from the centered Bernoulli
@@ -245,16 +246,23 @@ def _components(labels: np.ndarray) -> list[list[int]]:
 # The dense labeler runs on graphs whose mean degree 2m/n is at least
 # DENSE_DEGREE_OVER_LOG_N * ln n, that is twice the connectivity threshold
 # of G(n,p); sparser graphs split the sign rows into many small components,
-# each of which costs the dense labeler one or more full products.  Measured
-# on the census of whole G(n,p) adjacency spectra, BLAS pinned to one thread,
-# 2-core x86-64 (Xeon, OpenBLAS 0.3.31): the two labelers break even near
-# mean degree 7.8 for n=100, 9.5 for n=300 and 17 for n=1000 (1.7, 1.7 and
-# 2.5 ln n); with the choice made here the slower labeler ran at worst 1.5x
-# the faster one (n=1000, mean degree 13.8: 915 ms against 592 ms; n=100,
-# mean degree 9: 5.0 ms against 4.0 ms).  Either labeler alone is far
-# slower on the other's graphs: at n=1000 dense took 3.7 s against 0.58 s
-# at mean degree 8, and at n=300 sparse took 43 ms against 24 ms at mean
-# degree 13.
+# each of which costs the dense labeler one or more full products.  The
+# census of one whole G(n,p) adjacency spectrum, in ms, with each labeler
+# forced (BLAS on one thread, shared 2-vCPU Xeon, OpenBLAS 0.3.31; its eigh
+# took 7-10 ms at n=300 and 146-174 ms at n=1000):
+#
+#   mean degree        6     8    10    13    16    20    25    30
+#   n=300   dense     89    26    12   7.3   5.7   5.0   4.3   4.1
+#           sparse    18    11   8.1   9.6    16    20    22    29
+#   n=1000  dense   6381  1055   601   343   282   209   164   156
+#           sparse   187    72    71   101   134   123   163   196
+#
+# They break even between mean degree 10 and 13 at n=300 (2 ln n = 11.4)
+# but near 25 at n=1000 (2 ln n = 13.8), so at n=1000 the rule gives mean
+# degree 13.8 to 25 to the dense labeler at up to 2.1x the sparse one's
+# time (282 against 134 ms at mean degree 16).  The rule stays until the
+# dense labeler gets a block width of its own, since that moves the
+# break-even as well.
 DENSE_DEGREE_OVER_LOG_N = 2.0
 
 
@@ -344,38 +352,36 @@ def _labels_dense(adj: np.ndarray, classes: np.ndarray) -> np.ndarray:
 def _labels_sparse(u: np.ndarray, v: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Component labels of a (k, n) class stack by hooking and pointer jumping.
 
-    Vertex x of row r is the node x*k + r of one forest, and edge (x, y)
-    is live in row r when it joins two vertices of one class there.  Each
-    round hooks the root at either end of every live edge that still joins
-    two trees to the smaller of the two roots; then the nodes that do not
-    yet point at a root jump to their grandparent until every node does,
-    and the edges now inside one tree are dropped (Shiloach & Vishkin, J.
-    Algorithms 3, 1982; the dropping as in FastSV, Zhang, Azad & Hu, SIAM
-    PP 2020).  Roots only ever point lower, and within a row nodes are in
-    vertex order, so each component ends with its smallest vertex as root.
+    Vertex x of row r is the node r*n + x of one forest, so row r's labels
+    are its n parents less r*n, and edge (x, y) is live in row r when it
+    joins two vertices of one class there.  Each round hooks the higher
+    root of every live edge that still joins two trees to the least lower
+    root it meets, in one np.minimum.at; then the whole forest takes its
+    grandparents until every node points at a root, and the edges now
+    inside one tree are dropped (Shiloach & Vishkin, J. Algorithms 3,
+    1982; the dropping as in FastSV, Zhang, Azad & Hu, SIAM PP 2020).
+    Roots only ever point lower, and within a row nodes are in vertex
+    order, so each component ends with its smallest vertex as root.  The
+    minimum matters: a plain scatter parent[high] = low ran as fast on
+    random graphs, but on a 2000-vertex star whose hub is its highest
+    vertex it took 1999 rounds (43 ms) where the minimum takes 2 (0.16 ms).
     """
     k, n = classes.shape
-    # vertex-major: the k classes of a vertex sit side by side
-    by_vertex = np.ascontiguousarray(classes.T)
-    at_u = by_vertex[u]
-    edge, row = np.divmod(np.flatnonzero((at_u == by_vertex[v]) & (at_u != 0)), k)
-    eu = u[edge] * k + row
-    ev = v[edge] * k + row
-    parent = np.arange(n * k, dtype=np.int64)
+    at_u = classes[:, u]
+    live = np.flatnonzero((at_u == classes[:, v]) & (at_u != 0))
+    base = np.arange(0, k * n, n)[:, np.newaxis]  # the node of row r, vertex 0
+    eu, ev = (u + base).take(live), (v + base).take(live)
+    parent = np.arange(k * n, dtype=np.int64)
     pu, pv = eu, ev  # every node starts as a root
     while eu.size:
-        low = np.minimum(pu, pv)
-        np.minimum.at(parent, pu, low)
-        np.minimum.at(parent, pv, low)
-        jump = np.flatnonzero(parent[parent] != parent)
-        while jump.size:
-            up = parent[parent[jump]]
-            parent[jump] = up
-            jump = jump[parent[up] != up]
-        pu, pv = parent[eu], parent[ev]
-        cross = pu != pv
-        eu, ev, pu, pv = eu[cross], ev[cross], pu[cross], pv[cross]
-    return np.where(classes != 0, (parent.reshape(n, k) // k).T, n)
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        grand = parent.take(parent)
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand.take(grand)
+        pu, pv = parent.take(eu), parent.take(ev)
+        cross = np.flatnonzero(pu != pv)
+        eu, ev, pu, pv = (ends.take(cross) for ends in (eu, ev, pu, pv))
+    return np.where(classes != 0, parent.reshape(k, n) - base, n)
 
 
 # working-memory bound: sample_gnp draws the coins of at most this many

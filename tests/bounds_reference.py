@@ -7,9 +7,12 @@ broadcasting instead, and must return the same ConstantsResult and raise
 the same ParameterError.  feasible_ks lists the k of every feasible
 point, for objectives other than the largest k.  The k here comes from
 reference_largest_k, the k search as first written: a walk from a log
-estimate against a domain floor found by a running product, so the search
-is checked against a rule it does not share; only its test of the
-inequality is the search's, in logs.  reference_largest_k_exact is the
+estimate against a domain floor, so the search is checked against a rule
+it does not share; only its test of the inequality is the search's, in
+logs.  The floor is the least k that passes holds' own domain test
+base**k < u: a running product of base can round to the other side of u
+(at p = 0.2674916869125672, u = 0.5 - 0.10695916540607925 it reaches u
+one step before base**k does).  reference_largest_k_exact is the
 same k for the exact values of its arguments, in 80-digit decimal
 arithmetic, and reference_kp is kp_formula in 60-digit decimal arithmetic.
 """
@@ -123,9 +126,7 @@ def reference_largest_k(p: float, epsilon: float, r: float) -> int:
         return base**k < u and (wk >= u or x / 2.0 >= log_r + math.log(u - wk))
 
     k_min = 1
-    wk = base
-    while wk >= u:
-        wk *= base
+    while not base**k_min < u:
         k_min += 1
     k = max(int(2.0 * (log_r + math.log(u)) / log_base), k_min)
     if not holds(k):

@@ -415,7 +415,9 @@ def test_largest_k_where_a_power_rounds_onto_the_domain_edge():
     # (1-p)^3 rounds to exactly 1/2-eps here, so the domain of k starts at
     # 4, where a running product of 1-p would start it at 3; k = 4 meets
     # both conditions and k = 5 fails the second
-    assert bounds._largest_k(0.2674916869125672, 0.10695916540607925, 5.0) == 4
+    case = (0.2674916869125672, 0.10695916540607925, 5.0)
+    assert bounds._largest_k(*case) == 4
+    assert reference_largest_k(*case) == reference_largest_k_exact(*case) == 4
 
 
 def certify_largest_k(p, epsilon, r):

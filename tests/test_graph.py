@@ -655,6 +655,30 @@ def test_class_rows_match_reference(backend):
         assert np.array_equal(as_mask, expected[3:4])
 
 
+def test_sparse_labels_where_hooking_order_matters(force_backend):
+    # one graph of disjoint shapes: a 2000-vertex star with its hub at its
+    # lowest vertex, a path walked from its highest vertex down, K_{3,50}
+    # whose 3 side holds its highest vertices, and a 2000-vertex star whose
+    # hub is the graph's highest vertex, the higher root of all its edges
+    star_first = [(0, leaf) for leaf in range(1, 2000)]
+    path = [(x, x - 1) for x in range(2099, 2000, -1)]
+    k350 = [(a, b) for a in range(2150, 2153) for b in range(2100, 2150)]
+    star_last = [(leaf, 4152) for leaf in range(2153, 4152)]
+    g = Graph.from_edges(4153, star_first + path + k350 + star_last)
+    vertex = np.arange(g.n)
+    alternating = np.where(vertex % 2, 1, -1).astype(np.int8)
+    classes = np.stack([
+        np.ones(g.n, dtype=np.int8),
+        alternating,
+        -alternating,
+        np.where(vertex % 3, alternating, 0),  # every third vertex in class 0
+        np.where(vertex == 4152, 0, 1),  # the last hub in class 0: 1999 singletons
+        np.where(vertex >= 2150, -1, 1),  # K_{3,50} split at its two sides
+    ]).astype(np.int8)
+    force_backend("sparse")
+    assert np.array_equal(graph_core._label(g, classes), reference_labels(g, classes))
+
+
 def test_vertex_count_beyond_int64_keys_is_refused():
     # the edge check's keys u*n + v are exact int64 only up to MAX_VERTICES
     top = graph_core.MAX_VERTICES
