@@ -6,8 +6,8 @@ g17_text and int_text write whole arrays (the spectrum CSV, the edge list),
 each float as '%.17g' and each integer as '%d' would write it, byte for
 byte, each followed by its separator.  Each cell's text is laid out in one
 row of a byte matrix, four bytes at a time, from one table of the 10000
-four-digit groups; the separator goes right after it, and one gather keeps
-each row's span, in order.
+four-digit groups; the separator goes right after it, and one boolean mask
+keeps each row's span, in order.
 
 '%.17g' is the correctly rounded conversion to 17 significant digits (Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", AT&T
@@ -56,9 +56,8 @@ def rounded(obj: Any) -> Any:
 
 
 def write_csv(rows: Iterable[Iterable[Any]], stream: IO[str], digits: int = 10) -> None:
-    """One line of comma-separated cells per row."""
-    for row in rows:
-        stream.write(",".join(cell(v, digits) for v in row) + "\n")
+    """One line of comma-separated cells per row, in one write."""
+    stream.write("".join([",".join([cell(v, digits) for v in row]) + "\n" for row in rows]))
 
 
 def write_json(payload: Any, stream: IO[str]) -> None:
@@ -106,8 +105,8 @@ def _pack(rows: np.ndarray, start: np.ndarray, stop: np.ndarray) -> str:
     used = np.ascontiguousarray(rows[:, first:int(stop.max()) + 1])
     width = used.shape[1]
     spans = np.ascontiguousarray(_SPANS[:width, :width, :width]).reshape(width * width, width)
-    keep = np.flatnonzero(spans.take((start - first) * width + stop - first, axis=0))
-    return used.ravel().take(keep).tobytes().decode("ascii")
+    keep = spans.take((start - first) * width + stop - first, axis=0)
+    return used[keep].tobytes().decode("ascii")
 
 
 # A float cell's row, 32 bytes: the 17 digits of N start at column _LEAD, and

@@ -4,7 +4,10 @@ A Graph on vertices 0..n-1 is two read-only int64 arrays u < v, one entry
 per edge, sorted by (u, v), and they are the graph's one representation.
 The samplers and read_graph hand them in; the matrix builders, degrees,
 write_graph and the labeler read them.  write_graph formats the ids with
-the spectrum CSV's array formatter (_text), '%d' byte for byte.
+the spectrum CSV's array formatter (_text), '%d' byte for byte, and
+read_graph reads text in that layout (decimal digits, blanks and newlines,
+two tokens a line) in one np.fromstring call after a check of its bytes;
+any other text goes to a line parser that names the line at fault.
 Graph.from_edges and read_graph share one vectorized edge check: per pair,
 in this order, no self-loop, both ends in range, u < v, and no repeat, found
 by sorting the keys u*n + v and comparing neighbours; keys that already
@@ -46,9 +49,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import math
-import warnings
 from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Sequence
 
@@ -529,9 +530,11 @@ def read_graph(source: str | IO[str]) -> Graph:
     the offending physical line number.  Lines end at '\n', after the
     stream's own newline translation.
 
-    A clean file is read in one np.loadtxt call; anything else (comments
-    past the leading block, a count mismatch, an unparsable field, a bad
-    edge) goes to the line parser, which names the line at fault.
+    A file in write_graph's layout (see _load_edge_array) is read in one
+    np.fromstring call; anything else (comments past the leading block,
+    leading or trailing blanks, a count mismatch, an unparsable field, a
+    bad edge) goes to the line parser, which reads it by the same rules
+    and names the line at fault.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -542,9 +545,22 @@ def read_graph(source: str | IO[str]) -> Graph:
     return g if g is not None else _parse_edge_lines(text.split("\n"))
 
 
+# the bytes of write_graph's layout; a token of at most _MAX_DIGITS digits
+# lies below 2^63, so np.fromstring reads it as int() does
+_LAYOUT_BYTES = b"0123456789 \t\n"
+_MAX_DIGITS = 18
+
+
 def _load_edge_array(text: str) -> Graph | None:
-    """The graph of text if every line past the leading comment block is
-    "a b" in decimal and the edges pass the edge check; None otherwise."""
+    """The graph of text if the lines past the leading comment block have
+    write_graph's layout and the edges pass the edge check; None otherwise.
+
+    The layout: every line is digits, a run of spaces or tabs, then digits;
+    lines are split by one or more newlines; no token is longer than
+    _MAX_DIGITS digits.  Text of that layout holds exactly two tokens per
+    line, each a decimal integer that fits int64, so one np.fromstring call
+    reads the same pairs as the line parser.
+    """
     start = 0
     while True:  # skip what the line parser skips before the header
         end = text.find("\n", start)
@@ -555,21 +571,34 @@ def _load_edge_array(text: str) -> Graph | None:
             return None
         start = end + 1
     rest = text[start:]
-    if "#" in rest or not rest.isascii():  # loadtxt misreads some non-ASCII digits
+    if not rest.isascii():
         return None
-    try:
-        # a failed parse only means the line parser must name the line; at
-        # numpy 1.24 loadtxt reads "1.0" as 1 with only a DeprecationWarning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(rest), dtype=np.int64, ndmin=2)
-    except Exception:
+    data = rest.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.translate(None, _LAYOUT_BYTES):
         return None
-    if rows.shape[1] != 2:
+    chars = np.frombuffer(data, dtype=np.uint8)
+    digit = chars >= ord("0")  # past the byte check, every byte from "0" up is a digit
+    newline = chars == ord("\n")
+    # a blank next to a newline: a leading or trailing blank, or blanks on an
+    # empty line
+    if not digit[0] or ((newline[1:] != newline[:-1]) & ~digit[1:] & ~digit[:-1]).any():
         return None
+    # the last byte of each run of digits or of separators, from the first
+    # token's; the text ends in a newline, so a separator run comes last
+    ends = np.flatnonzero(digit[1:] != digit[:-1])
+    if ends[0] >= _MAX_DIGITS or (ends[2::2] - ends[1::2] > _MAX_DIGITS).any():
+        return None
+    # the byte after each token starts its separator run, all blanks or all
+    # newlines: blanks after a line's first token, newlines after its second
+    breaks = newline.take(ends[0::2] + 1)
+    if breaks[0::2].any() or not breaks[1::2].all():
+        return None
+    rows = np.fromstring(data, dtype=np.int64, sep=" ").reshape(-1, 2)
     n, m = rows[0].tolist()
     edges = rows[1:]
-    if not 1 <= n <= MAX_VERTICES or m < 0 or edges.shape[0] != m:
+    if not 1 <= n <= MAX_VERTICES or edges.shape[0] != m:
         return None
     try:
         u, v = _checked_edges(n, edges[:, 0], edges[:, 1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import graphnodal
-from graphnodal import graph_core
+from graphnodal import cli, graph_core
 from graphnodal import (
     Graph,
     GraphParseError,
@@ -255,7 +255,7 @@ def test_read_graph_errors_carry_line_numbers(text, lineno):
 
 
 def test_read_graph_refuses_a_three_column_header():
-    # loadtxt reads both lines as three columns, so the line parser names the header
+    # the array path takes two tokens a line only, so the line parser names the header
     with pytest.raises(GraphParseError,
                        match="^line 1: expected two integers for header, got '3 1 0'$"):
         read_graph(io.StringIO("3 1 0\n0 1 2\n"))
@@ -418,7 +418,7 @@ def test_read_graph_sorts_edge_lines():
     assert g == Graph.from_edges(4, [(0, 1), (0, 2), (2, 3)])
 
 
-# --- read_graph's loadtxt path against the line parser -----------------------
+# --- read_graph's array path against the line parser -------------------------
 
 
 def parsed(text):
@@ -511,6 +511,53 @@ def test_read_graph_agrees_with_line_parser_on_generated_lists():
 
     check()
     check_edge_list()
+
+
+
+
+# texts on which np.fromstring and int() could part, and whether the array
+# path takes them: zero-padded tokens, which an octal reader reads otherwise;
+# tokens past 18 digits, where np.fromstring clamps a value above 2^63 - 1 to
+# it without a warning; blanks, empty lines and a line break inside blanks
+TWO_64_PLUS_3 = str(2**64 + 3)
+ARRAY_PATH_TAKES = {
+    "011 2\n00 010\n0007 08\n": True,
+    "010 1\n0 9\n": True,
+    "000000000000000003 1\n0 000000000000000002\n": True,  # 18 digits
+    f"3 1\n0 {TWO_64_PLUS_3}\n": False,
+    f"{TWO_64_PLUS_3} 1\n0 1\n": False,
+    f"3 {TWO_64_PLUS_3}\n0 1\n": False,
+    f"3 1\n{TWO_64_PLUS_3} 1\n": False,
+    "0000000000000000003 1\n0 1\n": False,
+    "3 1\n0 00000000000000000001\n": False,
+    "3 0000000000000000001\n0000000000000000000 2\n": False,
+    "1000000000000000000 0\n": False,
+    "3 1\n0 1000000000000000001\n": False,
+    "3 1\n0 99999999999999999999\n": False,
+    "  3 2\n0 1\n1 2\n": False,
+    "3 2 \n0 1\n1 2\t\n": False,
+    "3 2\n0 1\n \n1 2\n": False,
+    "3 2\n\n0 1\n\n\n1 2\n\n": True,
+    "3 2\n0 1\n1 2": True,
+    "3\t \t2\n0  1\n1\t2": True,
+    "3 1\n0 \n 1\n": False,  # two edge lines of one token each, not (0, 1)
+    "3 1\n0 1 2\n3\n": False,
+}
+
+
+@pytest.mark.parametrize("text", ARRAY_PATH_TAKES)
+def test_the_array_path_reads_as_the_line_parser(text):
+    fast, lines = parsed(text)
+    assert fast == lines
+    assert graph_core._load_edge_array(text) == (lines if ARRAY_PATH_TAKES[text] else None)
+
+def test_the_array_path_takes_a_written_graph_after_the_command_header(tmp_path):
+    path = tmp_path / "g.txt"
+    assert cli.main(["gen-gnp", "--n", "40", "--p", "0.3", "--seed", "5", "--out", str(path)]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("#")
+    g = graph_core._load_edge_array(text)
+    assert g == read_graph(str(path)) == sample_gnp(40, 0.3, substream(5, "gen-gnp"))
 
 
 def _masked_components(g, mask):
@@ -611,7 +658,7 @@ def test_checked_edges_on_ascending_input():
         for ends in got:
             assert ends.dtype == np.int64 and ends.flags.c_contiguous
             assert not np.shares_memory(ends, u) and not np.shares_memory(ends, v)
-    # a strided view of an (m, 2) array, as the loadtxt path hands in
+    # a strided view of an (m, 2) array, as the array path hands in
     pairs = np.column_stack((u, v))
     got = graph_core._checked_edges(g.n, pairs[:, 0], pairs[:, 1])
     assert got[0].flags.c_contiguous and not np.shares_memory(got[0], pairs)

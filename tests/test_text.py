@@ -131,6 +131,21 @@ def test_int_text_matches_percent_d():
     assert _text.int_text(np.array([], dtype=np.int64), np.array([], dtype=np.uint8)) == ""
 
 
+def test_pack_keeps_every_span_of_a_row():
+    # one row for each span (start, stop), start <= stop, of the 32 columns,
+    # and the rows of the spans inside columns 5 to 20, where _pack drops the
+    # columns no row keeps
+    rng = np.random.default_rng(5)
+    width = _text._COLUMNS.size
+    start, stop = np.triu_indices(width)
+    inner = (start >= 5) & (stop <= 20)
+    for first, last in ((start, stop), (start[inner], stop[inner])):
+        rows = rng.integers(ord("!"), ord("~") + 1, (first.size, width), dtype=np.uint8)
+        expected = "".join(row[a:b + 1].tobytes().decode("ascii")
+                           for row, a, b in zip(rows, first.tolist(), last.tolist()))
+        assert _text._pack(rows, first, last) == expected
+    assert _text._pack(np.zeros((0, width), dtype=np.uint8), start[:0], stop[:0]) == ""
+
 def test_spectrum_writer_takes_the_array_path(monkeypatch):
     # '%.17g' one value at a time is the slow path.  On a G(200,1/2) spectrum
     # the coordinates that take it are those below 1e-4 in magnitude, about
